@@ -1,5 +1,5 @@
 //! Every query input of a run, as a pure function of the workload seed and
-//! an index: the `i`-th row source, pair, tree root or request.
+//! an index: the `i`-th row source, pair or request.
 //!
 //! Vertices are drawn by stratified (Halton) sampling with a seeded random
 //! shift rather than independently: on a road grid a row's cost depends on
@@ -16,7 +16,7 @@ use pgraph::VId;
 pub enum Stream {
     /// Full-row sources.
     Rows,
-    /// SPT roots.
+    /// Sources of the multi-source batch.
     Roots,
     /// Direct p2p pairs.
     Pairs,

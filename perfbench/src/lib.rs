@@ -1,9 +1,9 @@
-//! The repository's benchmark: three fixed workloads driven through the
+//! The repository's benchmark: two fixed workloads driven through the
 //! public API of `pgraph`, `pram`, `hopset` and `sssp`.
 //!
 //! A run generates its inputs from the workload seed, builds the
-//! query-ready stack (the hopset oracle, plus the landmark plane where the
-//! workload serves), measures it for a fixed time, checks sampled answers
+//! query-ready stack (the hopset oracle plus its landmark plane),
+//! measures it for a fixed time, checks sampled answers
 //! against exact Dijkstra outside the timed regions, and reports either
 //! the end-to-end metrics (untraced run) or the per-layer metrics (traced
 //! run; only that process installs the `pram::phase` hook).
@@ -16,7 +16,6 @@ pub mod layers;
 pub mod load;
 pub mod stats;
 
-use hopset::path_report::{validate_spt, SptResult};
 use inputs::{Inputs, Request, Shape, Stream};
 use load::Served;
 use pgraph::{exact, gen, Graph, OverlayCsr, UnionGraph, VId, Weight};
@@ -39,24 +38,21 @@ use std::time::{Duration, Instant};
 /// The benchmark's workloads (names as the command line takes them).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workload {
-    /// `road_grid(128, 128)`: deep, sparse explorations; serves traffic.
+    /// `road_grid(128, 128)`: deep, sparse explorations.
     Road,
-    /// `gnm_connected(16 384, 32 768)`: shallow, dense explorations; serves.
+    /// `gnm_connected(16 384, 32 768)`: shallow, dense explorations.
     Gnm,
-    /// `road_grid(96, 96)` built with memory paths; answers SPT queries.
-    RoadPaths,
 }
 
 impl Workload {
     /// Every workload, in report order.
-    pub const ALL: [Workload; 3] = [Workload::Road, Workload::Gnm, Workload::RoadPaths];
+    pub const ALL: [Workload; 2] = [Workload::Road, Workload::Gnm];
 
     /// The command-line name.
     pub fn name(self) -> &'static str {
         match self {
             Workload::Road => "road",
             Workload::Gnm => "gnm",
-            Workload::RoadPaths => "road-paths",
         }
     }
 
@@ -107,10 +103,8 @@ pub struct Spec {
     pub kappa: usize,
     /// The oracle's pinned executor size.
     pub threads: usize,
-    /// Build with memory paths (enables SPT queries).
-    pub paths: bool,
-    /// Landmark plane `(L, δ)` of the served stack; `None`: not served.
-    pub landmarks: Option<LandmarkConfig>,
+    /// Landmark plane `(L, δ)` of the served stack.
+    pub landmarks: LandmarkConfig,
     /// Open-loop arrival rate of the served mix, requests per second.
     pub rate: f64,
 }
@@ -122,32 +116,17 @@ impl Spec {
     /// The instance of `workload` at `size`.
     pub fn new(workload: Workload, size: Size) -> Spec {
         let full = size == Size::Full;
-        let (family, paths, serves) = match workload {
+        let family = match workload {
             Workload::Road => {
                 let side = if full { 128 } else { 14 };
-                (
-                    Family::RoadGrid {
-                        rows: side,
-                        cols: side,
-                    },
-                    false,
-                    true,
-                )
+                Family::RoadGrid {
+                    rows: side,
+                    cols: side,
+                }
             }
             Workload::Gnm => {
                 let n = if full { 16_384 } else { 192 };
-                (Family::Gnm { n, m: 2 * n }, false, true)
-            }
-            Workload::RoadPaths => {
-                let side = if full { 96 } else { 12 };
-                (
-                    Family::RoadGrid {
-                        rows: side,
-                        cols: side,
-                    },
-                    true,
-                    false,
-                )
+                Family::Gnm { n, m: 2 * n }
             }
         };
         Spec {
@@ -156,15 +135,9 @@ impl Spec {
             eps: 0.25,
             kappa: 4,
             threads: 2,
-            paths,
-            landmarks: serves.then(|| LandmarkConfig::new(if full { 16 } else { 4 }, 1.0)),
+            landmarks: LandmarkConfig::new(if full { 16 } else { 4 }, 1.0),
             rate: 100.0,
         }
-    }
-
-    /// Whether the workload serves the cached request mix.
-    pub fn serves(&self) -> bool {
-        self.landmarks.is_some()
     }
 
     /// Generate the instance's graph for `seed`.
@@ -181,19 +154,17 @@ impl Spec {
             Family::RoadGrid { rows, cols } => format!("road_grid({rows},{cols})"),
             Family::Gnm { n, m } => format!("gnm_connected({n},{m})"),
         };
-        let serving = match self.landmarks {
-            Some(c) => format!(" L={} delta={} rate={}/s", c.count, c.delta, self.rate),
-            None => String::new(),
-        };
+        let c = &self.landmarks;
         format!(
-            "workload={} instance={} weights=U[{W_LO},{W_HI}] eps={} kappa={} threads={} paths={}{}",
+            "workload={} instance={} weights=U[{W_LO},{W_HI}] eps={} kappa={} threads={} L={} delta={} rate={}/s",
             self.workload.name(),
             family,
             self.eps,
             self.kappa,
             self.threads,
-            self.paths,
-            serving
+            c.count,
+            c.delta,
+            self.rate
         )
     }
 }
@@ -202,28 +173,6 @@ impl Spec {
 // Metric catalog
 // ---------------------------------------------------------------------------
 
-/// Which workloads report a metric.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Applies {
-    /// Every workload.
-    All,
-    /// Workloads that serve the cached mix (`road`, `gnm`).
-    Serving,
-    /// Workloads built with memory paths (`road-paths`).
-    Paths,
-}
-
-impl Applies {
-    /// Whether a metric with this rule is reported on `spec`.
-    pub fn to(self, spec: &Spec) -> bool {
-        match self {
-            Applies::All => true,
-            Applies::Serving => spec.serves(),
-            Applies::Paths => spec.paths,
-        }
-    }
-}
-
 /// A named metric with its unit.
 #[derive(Clone, Copy, Debug)]
 pub struct MetricDef {
@@ -231,75 +180,71 @@ pub struct MetricDef {
     pub name: &'static str,
     /// Unit as printed.
     pub unit: &'static str,
-    /// Where it is reported.
-    pub applies: Applies,
 }
 
-const fn m(name: &'static str, unit: &'static str, applies: Applies) -> MetricDef {
-    MetricDef {
-        name,
-        unit,
-        applies,
-    }
+const fn m(name: &'static str, unit: &'static str) -> MetricDef {
+    MetricDef { name, unit }
 }
 
 /// The end-to-end metrics of an untraced run.
 pub const END_TO_END: &[MetricDef] = &[
-    m("setup_s", "s", Applies::All),
-    m("row_p50_ms", "ms", Applies::All),
-    m("row_p90_ms", "ms", Applies::All),
-    m("p2p_p50_ms", "ms", Applies::Serving),
-    m("p2p_p90_ms", "ms", Applies::Serving),
-    m("spt_p50_ms", "ms", Applies::Paths),
-    m("spt_p90_ms", "ms", Applies::Paths),
-    m("served_p50_us", "us", Applies::Serving),
-    m("served_p99_ms", "ms", Applies::Serving),
-    m("mix_capacity_qps", "1/s", Applies::Serving),
-    m("snapshot_load_ms", "ms", Applies::All),
+    m("setup_s", "s"),
+    m("row_p50_ms", "ms"),
+    m("row_p90_ms", "ms"),
+    m("p2p_p50_ms", "ms"),
+    m("p2p_p90_ms", "ms"),
+    m("served_p50_us", "us"),
+    m("snapshot_load_ms", "ms"),
 ];
 
 /// The per-layer metrics of a traced run.
 pub const PER_LAYER: &[MetricDef] = &[
-    m("pool.round_us", "us", Applies::All),
-    m("bford.row_rounds_p50", "count", Applies::All),
-    m("bford.row_ns_per_round", "ns", Applies::All),
-    m("bford.slots_per_round", "count", Applies::All),
-    m("bford.p2p_rounds_p50", "count", Applies::All),
-    m("bford.p2p_settled_early_share", "share", Applies::All),
-    m("sssp.multi8_ms", "ms", Applies::All),
-    m("hopset.detect_s", "s", Applies::All),
-    m("hopset.supercluster_s", "s", Applies::All),
-    m("hopset.interconnect_s", "s", Applies::All),
-    m("hopset.overlay_csr_s", "s", Applies::All),
-    m("sssp.assembly_s", "s", Applies::All),
-    m("hopset.p0_detect_s", "s", Applies::All),
-    m("hopset.p0_ruling_s", "s", Applies::All),
-    m("hopset.p0_bfs_s", "s", Applies::All),
-    m("hopset.edges", "count", Applies::All),
-    m("hopset.scales", "count", Applies::All),
-    m("hopset.ruling_levels", "count", Applies::All),
-    m("hopset.ruling_bfs", "count", Applies::All),
-    m("hopset.ledger_work", "count", Applies::All),
-    m("hopset.ledger_depth", "count", Applies::All),
-    m("landmark.build_s", "s", Applies::Serving),
-    m("landmark.certified_share", "share", Applies::Serving),
-    m("landmark.certify_ns_p50", "ns", Applies::Serving),
-    m("cache.hit_ns_p50", "ns", Applies::Serving),
-    m("cache.hits", "count", Applies::Serving),
-    m("cache.landmark_answers", "count", Applies::Serving),
-    m("cache.fallbacks", "count", Applies::Serving),
-    m("served.service_p99_ms", "ms", Applies::Serving),
-    m("loadgen.late_p50_us", "us", Applies::Serving),
-    m("loadgen.late_p99_ms", "ms", Applies::Serving),
-    m("snapshot.save_s", "s", Applies::All),
-    m("snapshot.bytes", "bytes", Applies::All),
-    m("trace.overhead_s", "s", Applies::All),
+    m("pool.round_us", "us"),
+    m("bford.row_rounds_p50", "count"),
+    m("bford.row_ns_per_round", "ns"),
+    m("bford.slots_per_round", "count"),
+    m("bford.p2p_rounds_p50", "count"),
+    m("bford.p2p_settled_early_share", "share"),
+    m("sssp.multi8_ms", "ms"),
+    m("hopset.detect_s", "s"),
+    m("hopset.supercluster_s", "s"),
+    m("hopset.interconnect_s", "s"),
+    m("hopset.overlay_csr_s", "s"),
+    m("sssp.assembly_s", "s"),
+    m("hopset.p0_detect_s", "s"),
+    m("hopset.p0_ruling_s", "s"),
+    m("hopset.p0_bfs_s", "s"),
+    m("hopset.edges", "count"),
+    m("hopset.scales", "count"),
+    m("hopset.ruling_levels", "count"),
+    m("hopset.ruling_bfs", "count"),
+    m("hopset.ledger_work", "count"),
+    m("hopset.ledger_depth", "count"),
+    m("landmark.build_s", "s"),
+    m("landmark.certified_share", "share"),
+    m("landmark.certify_ns_p50", "ns"),
+    m("cache.hit_ns_p50", "ns"),
+    m("cache.hits", "count"),
+    m("cache.landmark_answers", "count"),
+    m("cache.fallbacks", "count"),
+    m("served.latency_p99_ms", "ms"),
+    m("served.service_p99_ms", "ms"),
+    m("served.capacity_qps", "1/s"),
+    m("loadgen.late_p50_us", "us"),
+    m("loadgen.late_p99_ms", "ms"),
+    m("snapshot.save_s", "s"),
+    m("snapshot.bytes", "bytes"),
+    m("trace.overhead_s", "s"),
 ];
 
-/// The metrics a run of `spec` reports (`trace` selects the per-layer set).
-pub fn metrics_for(spec: &Spec, trace: bool) -> impl Iterator<Item = &'static MetricDef> + '_ {
-    let set = if trace { PER_LAYER } else { END_TO_END };
-    set.iter().filter(move |d| d.applies.to(spec))
+/// The metrics a run reports: every per-layer metric if `trace`, every
+/// end-to-end metric otherwise, on every workload.
+pub fn metrics_for(trace: bool) -> &'static [MetricDef] {
+    if trace {
+        PER_LAYER
+    } else {
+        END_TO_END
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -374,49 +319,25 @@ pub const ROUNDS: usize = 3;
 /// Passes through every phase per round.
 pub const SLICES: usize = 4;
 
-/// Rows, pairs and trees the gate checks per run (each costs a Dijkstra).
+/// Rows and pairs the gate checks per run (each costs a Dijkstra).
 const GATE_ROWS: usize = 4;
 const GATE_PAIRS: usize = 24;
-const GATE_SPTS: usize = 3;
 
 /// Shares of an untraced run's measurement time per phase (sum 1).
-struct Shares {
-    rows: f64,
-    p2p: f64,
-    spt: f64,
-    served: f64,
-    capacity: f64,
-    snapshot: f64,
-}
+const SHARE_ROWS: f64 = 0.35;
+const SHARE_P2P: f64 = 0.35;
+const SHARE_SERVED: f64 = 0.25;
+const SHARE_SNAPSHOT: f64 = 0.05;
 
-impl Shares {
-    fn of(spec: &Spec) -> Shares {
-        if spec.serves() {
-            Shares {
-                rows: 0.18,
-                p2p: 0.17,
-                spt: 0.0,
-                served: 0.45,
-                capacity: 0.15,
-                snapshot: 0.05,
-            }
-        } else {
-            Shares {
-                rows: 0.4,
-                p2p: 0.0,
-                spt: 0.45,
-                served: 0.0,
-                capacity: 0.0,
-                snapshot: 0.15,
-            }
-        }
-    }
-}
+/// Shares of a traced run's measurement time for the open and the closed
+/// loop.
+const TRACE_SHARE_SERVED: f64 = 0.5;
+const TRACE_SHARE_CAPACITY: f64 = 0.2;
 
 /// The query-ready stack.
 struct Stack {
     oracle: Arc<Oracle>,
-    plane: Option<Arc<LandmarkPlane>>,
+    plane: Arc<LandmarkPlane>,
     /// Seconds from generated graph to query-ready stack.
     setup_s: f64,
     /// Seconds of that spent in `LandmarkPlane::build`.
@@ -428,14 +349,10 @@ fn setup(spec: &Spec, g: &Arc<Graph>) -> Result<Stack, SsspError> {
     let oracle = Oracle::builder(Arc::clone(g))
         .eps(spec.eps)
         .kappa(spec.kappa)
-        .paths(spec.paths)
         .threads(spec.threads)
         .build()?;
     let tp = Instant::now();
-    let plane = match &spec.landmarks {
-        Some(cfg) => Some(Arc::new(LandmarkPlane::build(&oracle, cfg)?)),
-        None => None,
-    };
+    let plane = Arc::new(LandmarkPlane::build(&oracle, &spec.landmarks)?);
     Ok(Stack {
         oracle: Arc::new(oracle),
         plane,
@@ -491,7 +408,7 @@ pub fn run(cfg: &RunConfig) -> Result<Report, String> {
     bench.check(&stack);
 
     let mut metrics = Vec::new();
-    for d in metrics_for(spec, cfg.trace) {
+    for d in metrics_for(cfg.trace) {
         match bench.values.get(d.name) {
             Some(&v) if v.is_finite() => metrics.push((d.name, d.unit, v)),
             _ => bench
@@ -528,8 +445,6 @@ struct Gate {
     served_bound: f64,
     /// Hot rows as the served stack returns them.
     served_rows: Vec<(VId, Vec<Weight>)>,
-    /// Answered SPTs.
-    spts: Vec<SptResult>,
     /// One oracle reloaded from the snapshot.
     reloaded: Option<Oracle>,
 }
@@ -594,9 +509,7 @@ impl Bench<'_> {
         ] {
             self.set(name, layers::phase_seconds(phase));
         }
-        if self.spec().serves() {
-            self.set("landmark.build_s", s.plane_s);
-        }
+        self.set("landmark.build_s", s.plane_s);
         Ok(s)
     }
 
@@ -604,13 +517,9 @@ impl Bench<'_> {
     /// admission gate that queues beyond one exploration (nothing is
     /// refused). The hot rows are made resident before any timing.
     fn served(&mut self, stack: &Stack) -> Result<Served, String> {
-        let plane = stack
-            .plane
-            .as_ref()
-            .ok_or("the workload has no landmark plane")?;
         let cfg = CacheConfig::new(8)
             .policy(FillPolicy::LandmarkOnly)
-            .landmark_plane(Arc::clone(plane))
+            .landmark_plane(Arc::clone(&stack.plane))
             .admission(1, true);
         let s = CachedOracle::with_config(Arc::clone(&stack.oracle), cfg)
             .map_err(|e| format!("served stack: {e}"))?;
@@ -686,29 +595,6 @@ impl Bench<'_> {
         })
     }
 
-    /// Time `Oracle::spt`.
-    fn spts(&mut self, o: &Oracle, budget: Duration, min: usize, next: &mut usize) -> Vec<f64> {
-        let (inputs, ops, gate) = (&self.inputs, &mut self.ops, &mut self.gate);
-        sample(budget, min, next, |i| {
-            let r = inputs.vertex(Stream::Roots, i);
-            ops.issue();
-            let t = Instant::now();
-            match o.spt(r) {
-                Ok(tree) => {
-                    let el = ms(t);
-                    if gate.spts.len() < GATE_SPTS {
-                        gate.spts.push(tree);
-                    }
-                    Some(el)
-                }
-                Err(e) => {
-                    ops.fail(format!("spt {r}: {e}"));
-                    None
-                }
-            }
-        })
-    }
-
     /// Time `OracleBuilder::from_snapshot_on` of the saved oracle (restart
     /// cost); the first reload is kept for the bit-identity check.
     fn loads(
@@ -777,18 +663,12 @@ impl Bench<'_> {
     /// Untraced: [`ROUNDS`] rounds of set-up plus one slice of every
     /// phase; returns the last stack.
     fn end_to_end(&mut self, snap: &Path) -> Result<Stack, String> {
-        let sh = Shares::of(self.spec());
-        let (t_rows, t_p2p, t_spt) = (self.slice(sh.rows), self.slice(sh.p2p), self.slice(sh.spt));
-        let t_snap = self.slice(sh.snapshot);
-        // The closed loop runs once per round: a window must hold many
-        // explorations for its completion count to be steady.
-        let t_cap = self.slice(sh.capacity) * SLICES as u32;
-        let (paths, serves) = (self.spec().paths, self.spec().serves());
-        let (mut requests, mut cold) = (Vec::new(), Vec::new());
-        let mut next = [0usize; 5];
-        let (mut setups, mut row_ms, mut p2p_ms, mut spt_ms) = (vec![], vec![], vec![], vec![]);
+        let (t_rows, t_p2p) = (self.slice(SHARE_ROWS), self.slice(SHARE_P2P));
+        let t_snap = self.slice(SHARE_SNAPSHOT);
+        let mut requests = Vec::new();
+        let mut next = [0usize; 3];
+        let (mut setups, mut row_ms, mut p2p_ms) = (vec![], vec![], vec![]);
         let (mut served_s, mut load_ms) = (Vec::new(), Vec::new());
-        let (mut done, mut window) = (0usize, 0.0f64);
         let mut last: Option<Stack> = None;
         for r in 0..ROUNDS {
             drop(last.take());
@@ -797,67 +677,39 @@ impl Bench<'_> {
             setups.push(stack.setup_s);
             if r == 0 {
                 self.save_snapshot(&stack, snap)?;
-                if let Some(plane) = &stack.plane {
-                    requests = self.requests(sh.served, plane);
-                    cold = self.cold_pairs(Stream::Capacity, plane);
-                }
+                requests = self.requests(SHARE_SERVED, &stack.plane);
             }
             let o = &stack.oracle;
             self.warm_up(o);
-            let served = match stack.plane {
-                Some(_) => Some(self.served(&stack)?),
-                None => None,
-            };
+            let served = self.served(&stack)?;
             for k in 0..SLICES {
                 row_ms.extend(
                     self.rows(o, t_rows, 1, &mut next[0])
                         .into_iter()
                         .map(|x| x.0),
                 );
-                if paths {
-                    spt_ms.extend(self.spts(o, t_spt, 1, &mut next[1]));
-                }
-                if let Some(served) = &served {
-                    p2p_ms.extend(self.p2ps(o, t_p2p, 2, &mut next[2]));
-                    let (i, parts) = (r * SLICES + k, ROUNDS * SLICES);
-                    let part =
-                        &requests[i * requests.len() / parts..(i + 1) * requests.len() / parts];
-                    served_s.extend(self.play(served, part).latency);
-                }
-                load_ms.extend(self.loads(o, snap, t_snap, 1, &mut next[4]));
+                p2p_ms.extend(self.p2ps(o, t_p2p, 2, &mut next[1]));
+                let (i, parts) = (r * SLICES + k, ROUNDS * SLICES);
+                let part = &requests[i * requests.len() / parts..(i + 1) * requests.len() / parts];
+                served_s.extend(self.play(&served, part).latency);
+                load_ms.extend(self.loads(o, snap, t_snap, 1, &mut next[2]));
             }
-            if let Some(served) = &served {
-                let (issued, d, errors) =
-                    load::closed_loop(served, &self.inputs, &cold, &mut next[3], 2, t_cap);
-                self.ops.issue_many(issued);
-                for e in errors {
-                    self.ops.fail(e);
-                }
-                done += d;
-                window += t_cap.as_secs_f64();
-                if r + 1 == ROUNDS {
-                    self.keep_served_rows(served);
-                }
+            if r + 1 == ROUNDS {
+                self.keep_served_rows(&served);
             }
             last = Some(stack);
         }
         self.set_quantile("setup_s", &mut setups, 0.5, 1.0);
         self.set_quantile("row_p50_ms", &mut row_ms, 0.5, 1.0);
         self.set_quantile("row_p90_ms", &mut row_ms, 0.9, 1.0);
-        self.set_quantile("spt_p50_ms", &mut spt_ms, 0.5, 1.0);
-        self.set_quantile("spt_p90_ms", &mut spt_ms, 0.9, 1.0);
         self.set_quantile("p2p_p50_ms", &mut p2p_ms, 0.5, 1.0);
         self.set_quantile("p2p_p90_ms", &mut p2p_ms, 0.9, 1.0);
         self.set_quantile("served_p50_us", &mut served_s, 0.5, 1e6);
-        self.set_quantile("served_p99_ms", &mut served_s, 0.99, 1e3);
         if !load_ms.is_empty() {
             // A load is fast or slow depending on whether the host lets
             // both executor threads run; the trimmed mean follows the mix
             // smoothly where the median would jump between the modes.
             self.set("snapshot_load_ms", trimmed_mean(&mut load_ms, 0.1));
-        }
-        if serves {
-            self.set("mix_capacity_qps", done as f64 / window);
         }
         Ok(last.expect("ROUNDS > 0"))
     }
@@ -979,59 +831,70 @@ impl Bench<'_> {
         self.set("hopset.p0_ruling_s", p0.ruling_s);
         self.set("hopset.p0_bfs_s", p0.bfs_s);
 
-        if let Some(plane) = &stack.plane {
-            // Certification over a fixed probe set, timed in batches (one
-            // call takes tens of nanoseconds).
-            let probes: Vec<(VId, VId)> = (0..4096)
-                .map(|i| self.inputs.pair(Stream::Probes, i))
-                .collect();
-            let (mut certified, mut per_call) = (0usize, Vec::new());
-            for chunk in probes.chunks(64) {
-                let t = Instant::now();
-                for &(u, v) in chunk {
-                    certified += black_box(plane.certify(u, v)).is_some() as usize;
-                }
-                per_call.push(secs(t) * 1e9 / chunk.len() as f64);
+        // Certification over a fixed probe set, timed in batches (one call
+        // takes tens of nanoseconds).
+        let plane = &stack.plane;
+        let probes: Vec<(VId, VId)> = (0..4096)
+            .map(|i| self.inputs.pair(Stream::Probes, i))
+            .collect();
+        let (mut certified, mut per_call) = (0usize, Vec::new());
+        for chunk in probes.chunks(64) {
+            let t = Instant::now();
+            for &(u, v) in chunk {
+                certified += black_box(plane.certify(u, v)).is_some() as usize;
             }
-            self.ops.issue_many(probes.len());
-            self.set(
-                "landmark.certified_share",
-                certified as f64 / probes.len() as f64,
-            );
-            self.set_quantile("landmark.certify_ns_p50", &mut per_call, 0.5, 1.0);
-
-            let s = self.served(stack)?;
-            let requests = self.requests(0.5, plane);
-            let before = s.stats();
-            let open = self.play(&s, &requests);
-            let after = s.stats();
-            self.set("cache.hits", (after.hits - before.hits) as f64);
-            self.set(
-                "cache.landmark_answers",
-                (after.landmark_answers - before.landmark_answers) as f64,
-            );
-            self.set(
-                "cache.fallbacks",
-                (after.fallbacks - before.fallbacks) as f64,
-            );
-            let (mut service, mut late) = (open.service, open.late);
-            self.set_quantile("served.service_p99_ms", &mut service, 0.99, 1e3);
-            self.set_quantile("loadgen.late_p50_us", &mut late, 0.5, 1e6);
-            self.set_quantile("loadgen.late_p99_ms", &mut late, 0.99, 1e3);
-
-            // Hit path: batches of hot-row lookups, per-call median.
-            let hot = self.inputs.hot().to_vec();
-            let mut per_call = sample(Duration::ZERO, 200, &mut 0, |b| {
-                let t = Instant::now();
-                for k in 0..64 {
-                    black_box(s.row(hot[(b + k) % hot.len()]).ok());
-                }
-                Some(secs(t) * 1e9 / 64.0)
-            });
-            self.ops.issue_many(per_call.len() * 64);
-            self.set_quantile("cache.hit_ns_p50", &mut per_call, 0.5, 1.0);
-            self.keep_served_rows(&s);
+            per_call.push(secs(t) * 1e9 / chunk.len() as f64);
         }
+        self.ops.issue_many(probes.len());
+        self.set(
+            "landmark.certified_share",
+            certified as f64 / probes.len() as f64,
+        );
+        self.set_quantile("landmark.certify_ns_p50", &mut per_call, 0.5, 1.0);
+
+        let s = self.served(stack)?;
+        let requests = self.requests(TRACE_SHARE_SERVED, plane);
+        let before = s.stats();
+        let open = self.play(&s, &requests);
+        let after = s.stats();
+        self.set("cache.hits", (after.hits - before.hits) as f64);
+        self.set(
+            "cache.landmark_answers",
+            (after.landmark_answers - before.landmark_answers) as f64,
+        );
+        self.set(
+            "cache.fallbacks",
+            (after.fallbacks - before.fallbacks) as f64,
+        );
+        let (mut latency, mut service, mut late) = (open.latency, open.service, open.late);
+        self.set_quantile("served.latency_p99_ms", &mut latency, 0.99, 1e3);
+        self.set_quantile("served.service_p99_ms", &mut service, 0.99, 1e3);
+        self.set_quantile("loadgen.late_p50_us", &mut late, 0.5, 1e6);
+        self.set_quantile("loadgen.late_p99_ms", &mut late, 0.99, 1e3);
+
+        // The same mix closed loop: two clients, each issuing its next
+        // request when the previous one is answered.
+        let cold = self.cold_pairs(Stream::Capacity, plane);
+        let window = Duration::from_secs_f64(self.cfg.seconds * TRACE_SHARE_CAPACITY);
+        let (issued, done, errors) = load::closed_loop(&s, &self.inputs, &cold, &mut 0, 2, window);
+        self.ops.issue_many(issued);
+        for e in errors {
+            self.ops.fail(e);
+        }
+        self.set("served.capacity_qps", done as f64 / window.as_secs_f64());
+
+        // Hit path: batches of hot-row lookups, per-call median.
+        let hot = self.inputs.hot().to_vec();
+        let mut per_call = sample(Duration::ZERO, 200, &mut 0, |b| {
+            let t = Instant::now();
+            for k in 0..64 {
+                black_box(s.row(hot[(b + k) % hot.len()]).ok());
+            }
+            Some(secs(t) * 1e9 / 64.0)
+        });
+        self.ops.issue_many(per_call.len() * 64);
+        self.set_quantile("cache.hit_ns_p50", &mut per_call, 0.5, 1.0);
+        self.keep_served_rows(&s);
         self.loads(o, snap, Duration::ZERO, 1, &mut 0);
         Ok(())
     }
@@ -1050,8 +913,8 @@ impl Bench<'_> {
     }
 
     /// The correctness gate, outside every timed region: sampled answers
-    /// against exact Dijkstra, SPTs through `validate_spt`, and reloaded
-    /// rows bit for bit against the built oracle's.
+    /// against exact Dijkstra, and reloaded rows bit for bit against the
+    /// built oracle's.
     fn check(&mut self, stack: &Stack) {
         let o = &stack.oracle;
         let g = o.graph();
@@ -1087,14 +950,6 @@ impl Bench<'_> {
                     "served ({u}, {v}) = {d} outside [{d_g}, {}x]",
                     gate.served_bound
                 ));
-            }
-        }
-        for tree in &gate.spts {
-            let val = validate_spt(g, tree);
-            let bad =
-                val.non_graph_edges + val.weight_mismatches + val.distance_mismatches + val.missing;
-            if bad > 0 || val.max_stretch > stretch * (1.0 + 1e-9) {
-                self.ops.fail(format!("spt {}: {val:?}", tree.source));
             }
         }
         let Some(re) = &gate.reloaded else {

@@ -1,7 +1,7 @@
 //! Command line of the benchmark:
 //!
 //! ```text
-//! perfbench --workload <road|gnm|road-paths> --seed <n> --seconds <s> --trace <0|1>
+//! perfbench --workload <road|gnm> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
 //! Prints context lines starting with `#`, then one JSON object as the
@@ -11,8 +11,7 @@
 use perfbench::{run, RunConfig, Size, Spec, Workload};
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: perfbench --workload <road|gnm|road-paths> --seed <n> --seconds <s> --trace <0|1>";
+const USAGE: &str = "usage: perfbench --workload <road|gnm> --seed <n> --seconds <s> --trace <0|1>";
 
 fn parse(args: &[String]) -> Result<RunConfig, String> {
     let (mut workload, mut seed, mut seconds, mut trace) = (None, 1u64, 10.0f64, false);

@@ -25,7 +25,7 @@ fn tiny(workload: Workload, trace: bool) -> Report {
     );
     assert!(report.ops.attempted > 0);
     let json = report.to_json();
-    for d in metrics_for(&cfg.spec, trace) {
+    for d in metrics_for(trace) {
         assert!(
             report.get(d.name).is_some_and(f64::is_finite),
             "{} (trace {trace}) did not report {}",
@@ -42,7 +42,7 @@ fn tiny(workload: Workload, trace: bool) -> Report {
             d.name
         );
     }
-    assert_eq!(report.metrics.len(), metrics_for(&cfg.spec, trace).count());
+    assert_eq!(report.metrics.len(), metrics_for(trace).len());
     report
 }
 
