@@ -6,14 +6,29 @@
 //! (1+ε)-SPT of §4 (Algorithm 1, line 3).
 //!
 //! Implementation notes:
-//! * *pull style*: each round, every vertex scans its (undirected) neighbors
-//!   and takes the best tentative distance. Pull keeps every write owned by
-//!   a single vertex — CREW-clean and trivially parallel;
-//! * *determinism*: the per-vertex minimum is taken over a totally ordered
-//!   key `(distance, parent id, edge layer, overlay index)`, so parent trees
-//!   are unique regardless of thread count;
+//! * *frontier-driven rounds*: only a vertex whose distance changed in the
+//!   previous round can offer a candidate that beats its neighbor's label
+//!   (an unchanged vertex offered the same candidate last round, where it
+//!   was taken or rejected). The kernel keeps those vertices as a list,
+//!   the frontier `F`, and picks each round's kind from its union degree
+//!   `touched = Σ_{u∈F} deg(u)`:
+//!   - *sparse* (`4·touched < 2|E∪H|`): every frontier vertex pushes its
+//!     improving candidates into a per-chunk buffer, and the caller folds
+//!     the buffers into a per-target minimum. The round costs the
+//!     frontier's slots, not `|E∪H|`;
+//!   - *dense* (otherwise): every vertex pulls over all its neighbors.
+//!     Each write is owned by one vertex — CREW-clean and trivially
+//!     parallel;
+//! * *determinism*: both kinds take the per-vertex minimum over the
+//!   totally ordered key `(distance, parent id, edge layer, overlay
+//!   index)`, and the set they minimize over is the same, so distances and
+//!   parent trees are unique regardless of round kind or thread count
+//!   (DESIGN.md §9 has the argument);
 //! * *double buffering*: reads go to the previous round's array, exactly
-//!   like the PRAM's odd/even read/write rounds (§1.5.1).
+//!   like the PRAM's odd/even read/write rounds (§1.5.1);
+//! * *cost accounting*: the [`Ledger`] still charges Theorem 3.8's
+//!   `2|E∪H| + n` work per round of either kind; wall time follows the
+//!   slots the frontier actually touches.
 
 use crate::pool::Executor;
 use crate::{prim, Ledger};
@@ -63,15 +78,29 @@ impl BellmanFordResult {
     }
 }
 
+/// A relaxation candidate: the distance it offers and the edge it comes
+/// through. Candidates compare by [`cand_key`].
+type Candidate = (Weight, ParentEdge);
+
 /// Reusable buffers for repeated explorations over graphs of the same
 /// size: the three `n`-sized arrays (distances, parents, per-round
-/// updates) live here, so a serving batch pays one allocation set for the
-/// whole batch instead of one per query ([`bellman_ford_into`]).
+/// updates), the frontier lists and the sparse rounds' candidate buffers
+/// live here, so a serving batch pays one allocation set for the whole
+/// batch instead of one per query ([`bellman_ford_into`]).
 #[derive(Clone, Debug, Default)]
 pub struct BfordScratch {
     dist: Vec<Weight>,
     parent: Vec<Option<ParentEdge>>,
-    updates: Vec<Option<(Weight, ParentEdge)>>,
+    /// This round's best candidate per vertex; every slot is `None`
+    /// between rounds.
+    updates: Vec<Option<Candidate>>,
+    /// The vertices written in the previous round (before round 1: the
+    /// sorted, deduplicated sources).
+    frontier: Vec<VId>,
+    /// The vertices written in this round.
+    next: Vec<VId>,
+    /// One `(target, candidate)` buffer per sparse-round chunk.
+    pushed: Vec<Vec<(VId, Candidate)>>,
 }
 
 impl BfordScratch {
@@ -103,6 +132,10 @@ impl BfordScratch {
         for &s in sources {
             self.dist[s as usize] = 0.0;
         }
+        self.frontier.clear();
+        self.frontier.extend_from_slice(sources);
+        self.frontier.sort_unstable();
+        self.frontier.dedup();
     }
 }
 
@@ -124,9 +157,10 @@ pub struct TargetResult {
 /// the serving-plane settle criterion (DESIGN.md §9): stop after round `r`
 /// once `dist[t]` is finite and `min_changed_r ≥ dist[t]`, where
 /// `min_changed_r` is the smallest distance written in round `r`. Safety:
-/// a pull-update can only apply through a neighbor whose distance changed
-/// in the previous round (an unchanged neighbor's candidate was already
-/// considered and rejected), so every distance written after round `r` is
+/// an update can only apply through a neighbor whose distance changed in
+/// the previous round (an unchanged neighbor's candidate was already
+/// considered and rejected — the same fact that lets sparse rounds push
+/// from the frontier alone), so every distance written after round `r` is
 /// `> min_changed_r` — edge weights are strictly positive, a `pgraph`
 /// construction invariant — and therefore can never undercut `dist[t]`.
 /// The early answer is the full-β answer bit for bit.
@@ -157,56 +191,36 @@ fn explore(
 
     for round in 1..=max_hops {
         ledger.step(edge_slots + n as u64);
-        // Each vertex pulls the best (distance, parent) over its neighbors,
-        // reading only the previous round's distances (double buffering:
-        // `updates` is the write side, applied below in vertex order).
+        // Both round kinds read only the previous round's distances and
+        // write the round's best candidates into `updates` (double
+        // buffering), listing the written vertices in `next`.
         let BfordScratch {
             dist,
             parent,
             updates,
+            frontier,
+            next,
+            pushed,
         } = scratch;
-        let prev: &[Weight] = dist;
-        prim::par_fill(exec, updates, |v| {
-            let vid = v as VId;
-            let mut best: Option<(Weight, ParentEdge)> = None;
-            view.for_each_neighbor(vid, |u, w, tag| {
-                let du = prev[u as usize];
-                if du == INF {
-                    return;
-                }
-                let nd = du + w;
-                if nd >= prev[v] {
-                    return;
-                }
-                let cand = (
-                    nd,
-                    ParentEdge {
-                        parent: u,
-                        weight: w,
-                        tag,
-                    },
-                );
-                best = Some(match best.take() {
-                    None => cand,
-                    Some(cur) => min_candidate(cur, cand),
-                });
-            });
-            best
-        });
-        let mut changed = false;
+        next.clear();
+        if is_sparse(view, frontier, edge_slots) {
+            push_round(exec, view, dist, frontier, updates, next, pushed);
+        } else {
+            pull_round(exec, view, dist, updates);
+            next.extend((0..n as VId).filter(|&v| updates[v as usize].is_some()));
+        }
         let mut min_changed = INF;
-        for v in 0..n {
-            if let Some((nd, pe)) = updates[v] {
-                dist[v] = nd;
-                parent[v] = Some(pe);
-                changed = true;
-                if nd < min_changed {
-                    min_changed = nd;
-                }
+        for &v in next.iter() {
+            let (nd, pe) = updates[v as usize].take().expect("written this round");
+            dist[v as usize] = nd;
+            parent[v as usize] = Some(pe);
+            if nd < min_changed {
+                min_changed = nd;
             }
         }
+        std::mem::swap(frontier, next);
         rounds_run = round;
-        if !changed {
+        if frontier.is_empty() {
             converged_at = Some(round);
             break;
         }
@@ -219,6 +233,113 @@ fn explore(
         }
     }
     (rounds_run, converged_at, settled)
+}
+
+/// The round-kind rule, a pure function of the data: sparse iff the
+/// frontier's union degree is under a quarter of the union's slots,
+/// `4·Σ_{u∈F} deg(u) < 2|E∪H|`. Stops summing once the answer is known.
+fn is_sparse(view: &UnionView<'_>, frontier: &[VId], edge_slots: u64) -> bool {
+    let mut touched = 0u64;
+    for &u in frontier {
+        touched += view.degree(u) as u64;
+        if 4 * touched >= edge_slots {
+            return false;
+        }
+    }
+    4 * touched < edge_slots
+}
+
+/// Sparse round: each chunk of the frontier pushes every candidate that
+/// beats its target's previous label into its own buffer; the buffers are
+/// then folded, in chunk order, into a per-target minimum under
+/// [`cand_key`]. A total-order minimum does not depend on the fold order,
+/// so the result is the same for every chunking, i.e. at every thread
+/// count. Leaves the written targets in `next` in first-write order; the
+/// chunks are contiguous pieces of the frontier folded in chunk order, so
+/// that order is the frontier scan's at every thread count too.
+fn push_round(
+    exec: &Executor,
+    view: &UnionView<'_>,
+    prev: &[Weight],
+    frontier: &[VId],
+    updates: &mut [Option<Candidate>],
+    next: &mut Vec<VId>,
+    pushed: &mut Vec<Vec<(VId, Candidate)>>,
+) {
+    let bounds = exec.round_bounds(frontier.len());
+    if pushed.len() < bounds.len() {
+        pushed.resize_with(bounds.len(), Vec::new);
+    }
+    let bufs = &mut pushed[..bounds.len()];
+    // One unit range per buffer: chunk `ci` owns buffer `ci`.
+    let owners: Vec<_> = (0..bounds.len()).map(|ci| ci..ci + 1).collect();
+    exec.for_each_chunk_mut(bufs, &owners, |ci, buf| {
+        let buf = &mut buf[0];
+        buf.clear();
+        for &u in &frontier[bounds[ci].clone()] {
+            let du = prev[u as usize];
+            view.for_each_neighbor(u, |v, w, tag| {
+                let nd = du + w;
+                if nd < prev[v as usize] {
+                    let pe = ParentEdge {
+                        parent: u,
+                        weight: w,
+                        tag,
+                    };
+                    buf.push((v, (nd, pe)));
+                }
+            });
+        }
+    });
+    for buf in bufs.iter() {
+        for &(v, cand) in buf {
+            let slot = &mut updates[v as usize];
+            *slot = Some(match *slot {
+                None => {
+                    next.push(v);
+                    cand
+                }
+                Some(cur) => min_candidate(cur, cand),
+            });
+        }
+    }
+}
+
+/// Dense round: every vertex pulls the best candidate over all its
+/// neighbors (`None` where nothing beats its previous label).
+fn pull_round(
+    exec: &Executor,
+    view: &UnionView<'_>,
+    prev: &[Weight],
+    updates: &mut [Option<Candidate>],
+) {
+    prim::par_fill(exec, updates, |v| {
+        let vid = v as VId;
+        let mut best: Option<Candidate> = None;
+        view.for_each_neighbor(vid, |u, w, tag| {
+            let du = prev[u as usize];
+            if du == INF {
+                return;
+            }
+            let nd = du + w;
+            if nd >= prev[v] {
+                return;
+            }
+            let cand = (
+                nd,
+                ParentEdge {
+                    parent: u,
+                    weight: w,
+                    tag,
+                },
+            );
+            best = Some(match best.take() {
+                None => cand,
+                Some(cur) => min_candidate(cur, cand),
+            });
+        });
+        best
+    });
 }
 
 /// Run a hop-limited multi-source Bellman–Ford exploration.
@@ -300,7 +421,7 @@ pub fn bellman_ford_to(
 /// Total order on relaxation candidates: distance, then parent id, then base
 /// edges before overlay, then overlay index. Deterministic tie-breaking.
 #[inline]
-fn min_candidate(a: (Weight, ParentEdge), b: (Weight, ParentEdge)) -> (Weight, ParentEdge) {
+fn min_candidate(a: Candidate, b: Candidate) -> Candidate {
     let ka = cand_key(&a);
     let kb = cand_key(&b);
     if kb < ka {
@@ -311,7 +432,7 @@ fn min_candidate(a: (Weight, ParentEdge), b: (Weight, ParentEdge)) -> (Weight, P
 }
 
 #[inline]
-fn cand_key(c: &(Weight, ParentEdge)) -> (u64, VId, u8, u32) {
+fn cand_key(c: &Candidate) -> (u64, VId, u8, u32) {
     let (d, pe) = c;
     let (layer, idx) = match pe.tag {
         EdgeTag::Base => (0u8, 0u32),

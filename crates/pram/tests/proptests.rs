@@ -5,9 +5,12 @@
 //! arbitrary inputs, at arbitrary thread counts, with lengths specifically
 //! straddling `PAR_THRESHOLD` (the sequential/parallel gate, including the
 //! exact-threshold edge) and chunk boundaries (`len = threads·k ± 1`).
+//!
+//! The last block pins the frontier-driven Bellman–Ford kernel against
+//! the full-pull round loop it replaced, kept here as the reference.
 
-use pgraph::{gen, Graph, UnionView, VId};
-use pram::{cc, jump, prim, scan, sort, Executor, Ledger};
+use pgraph::{gen, EdgeTag, Graph, UnionView, VId, Weight, INF};
+use pram::{cc, jump, prim, scan, sort, BfordScratch, Executor, Ledger, ParentEdge};
 use proptest::prelude::*;
 
 /// Lengths the pool proptests probe: tiny, straddling `PAR_THRESHOLD`,
@@ -296,4 +299,353 @@ proptest! {
         sort::sort_by(&Executor::shared(threads), &mut got, &mut l, |a, b| a.0.cmp(&b.0));
         prop_assert_eq!(got, expect);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The Bellman–Ford kernel against the full-pull reference
+// ---------------------------------------------------------------------------
+
+type Candidate = (Weight, ParentEdge);
+
+/// The kernel's tie-break order: distance, then parent id, then base edges
+/// before overlay edges, then overlay index.
+fn cand_key(c: &Candidate) -> (u64, VId, u8, u32) {
+    let (layer, idx) = match c.1.tag {
+        EdgeTag::Base => (0u8, 0u32),
+        EdgeTag::Extra(i) => (1u8, i),
+    };
+    (c.0.to_bits(), c.1.parent, layer, idx)
+}
+
+/// Everything an exploration reports, plus the frontier of every round.
+struct PullRun {
+    dist: Vec<Weight>,
+    parent: Vec<Option<ParentEdge>>,
+    rounds_run: usize,
+    converged_at: Option<usize>,
+    settled: bool,
+    ledger: Ledger,
+    /// `(|F|, Σ_{u∈F} deg(u))` per round, where `F` holds the vertices
+    /// written in the round before (the sources before round 1).
+    frontiers: Vec<(usize, u64)>,
+}
+
+/// The reference: the Bellman–Ford round loop as it was before rounds
+/// became frontier-driven. Every round, every vertex pulls the best
+/// candidate over all its neighbors from the previous round's distances;
+/// the ledger is charged `2|E∪H| + n` per round. With a target, the run
+/// stops once the target is finite and no label written in the round is
+/// below it.
+fn pull_reference(
+    view: &UnionView<'_>,
+    sources: &[VId],
+    target: Option<VId>,
+    max_hops: usize,
+) -> PullRun {
+    let n = view.num_vertices();
+    let mut run = PullRun {
+        dist: vec![INF; n],
+        parent: vec![None; n],
+        rounds_run: 0,
+        converged_at: None,
+        settled: false,
+        ledger: Ledger::new(),
+        frontiers: Vec::new(),
+    };
+    for &s in sources {
+        run.dist[s as usize] = 0.0;
+    }
+    if target.is_some_and(|t| run.dist[t as usize] == 0.0) {
+        run.settled = true;
+        return run;
+    }
+    let edge_slots = 2 * view.num_edges() as u64;
+    let mut frontier: Vec<VId> = sources.to_vec();
+    frontier.sort_unstable();
+    frontier.dedup();
+    for round in 1..=max_hops {
+        run.ledger.step(edge_slots + n as u64);
+        let touched = frontier.iter().map(|&u| view.degree(u) as u64).sum();
+        run.frontiers.push((frontier.len(), touched));
+        let prev = run.dist.clone();
+        let updates: Vec<Option<Candidate>> = (0..n)
+            .map(|v| {
+                let mut best: Option<Candidate> = None;
+                view.for_each_neighbor(v as VId, |u, w, tag| {
+                    let nd = prev[u as usize] + w;
+                    if prev[u as usize] == INF || nd >= prev[v] {
+                        return;
+                    }
+                    let cand = (
+                        nd,
+                        ParentEdge {
+                            parent: u,
+                            weight: w,
+                            tag,
+                        },
+                    );
+                    if best.is_none_or(|b| cand_key(&cand) < cand_key(&b)) {
+                        best = Some(cand);
+                    }
+                });
+                best
+            })
+            .collect();
+        frontier.clear();
+        let mut min_changed = INF;
+        for (v, update) in updates.into_iter().enumerate() {
+            if let Some((nd, pe)) = update {
+                run.dist[v] = nd;
+                run.parent[v] = Some(pe);
+                frontier.push(v as VId);
+                min_changed = min_changed.min(nd);
+            }
+        }
+        run.rounds_run = round;
+        if frontier.is_empty() {
+            run.converged_at = Some(round);
+            break;
+        }
+        if let Some(t) = target {
+            let dt = run.dist[t as usize];
+            if dt.is_finite() && min_changed >= dt {
+                run.settled = true;
+                break;
+            }
+        }
+    }
+    run
+}
+
+/// The kernel's documented round-kind rule, `4·touched < 2|E∪H|`; used
+/// only to check that an instance really mixes both kinds of round.
+fn sparse_round(touched: u64, view: &UnionView<'_>) -> bool {
+    4 * touched < 2 * view.num_edges() as u64
+}
+
+/// SplitMix64, the instance generator's stream.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, k: usize) -> usize {
+        (self.next() % k as u64) as usize
+    }
+}
+
+/// A union view whose explorations mix sparse and dense rounds. The base
+/// is a `rows × cols` grid with integer weights 1–4, so equal distances
+/// through different parents are common. The overlay joins `hubs` hub
+/// vertices to every `stride`-th vertex (a hub in the frontier makes the
+/// round dense), and adds a parallel copy of every fourth base edge at
+/// the base weight (a tie only the edge layer breaks), half a unit
+/// lighter, or one heavier.
+fn hub_instance(
+    rows: usize,
+    cols: usize,
+    hubs: usize,
+    stride: usize,
+    seed: u64,
+) -> (Graph, Vec<(VId, VId, Weight)>) {
+    let g = gen::grid(rows, cols, |u, v| {
+        let mut m = Mix(seed ^ ((u as u64) << 32 | v as u64));
+        1.0 + m.below(4) as f64
+    });
+    let n = g.num_vertices();
+    let mut mix = Mix(seed);
+    let mut extra = Vec::new();
+    for _ in 0..hubs {
+        let hub = mix.below(n) as VId;
+        for v in (mix.below(stride)..n).step_by(stride) {
+            if v as VId != hub {
+                extra.push((hub, v as VId, 2.0 + mix.below(12) as f64));
+            }
+        }
+    }
+    let mut i = 0usize;
+    for u in 0..n as VId {
+        for (v, w) in g.neighbors(u).filter(|&(v, _)| v > u) {
+            if i.is_multiple_of(4) {
+                let w2 = [w, w - 0.5, w + 1.0][mix.below(3)];
+                extra.push((u, v, w2));
+            }
+            i += 1;
+        }
+    }
+    (g, extra)
+}
+
+/// Assert one `bellman_ford` run (and a `bellman_ford_into` run through a
+/// reused scratch) against the reference at the same hop budget.
+fn check_full_run(
+    exec: &Executor,
+    view: &UnionView<'_>,
+    sources: &[VId],
+    hops: usize,
+    scratch: &mut BfordScratch,
+) -> Result<(), TestCaseError> {
+    let want = pull_reference(view, sources, None, hops);
+    let mut ledger = Ledger::new();
+    let got = pram::bellman_ford(exec, view, sources, hops, &mut ledger);
+    let bits = |d: &[Weight]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let ctx = format!("threads={} hops={hops}", exec.threads());
+    prop_assert_eq!(bits(&got.dist), bits(&want.dist), "dist {}", ctx);
+    prop_assert_eq!(&got.parent, &want.parent, "parent {}", ctx);
+    prop_assert_eq!(got.rounds_run, want.rounds_run, "rounds_run {}", ctx);
+    prop_assert_eq!(got.converged_at, want.converged_at, "converged_at {}", ctx);
+    prop_assert_eq!(&ledger, &want.ledger, "ledger {}", ctx);
+    let mut ledger = Ledger::new();
+    let (rounds, conv) = pram::bellman_ford_into(exec, view, sources, hops, &mut ledger, scratch);
+    prop_assert_eq!(
+        (rounds, conv),
+        (want.rounds_run, want.converged_at),
+        "into {}",
+        ctx
+    );
+    prop_assert_eq!(bits(scratch.dist()), bits(&want.dist), "into dist {}", ctx);
+    prop_assert_eq!(scratch.parent(), &want.parent[..], "into parent {}", ctx);
+    prop_assert_eq!(&ledger, &want.ledger, "into ledger {}", ctx);
+    Ok(())
+}
+
+/// Assert one early-exit `bellman_ford_to` run against the reference.
+fn check_target_run(
+    exec: &Executor,
+    view: &UnionView<'_>,
+    sources: &[VId],
+    target: VId,
+    hops: usize,
+) -> Result<(), TestCaseError> {
+    let want = pull_reference(view, sources, Some(target), hops);
+    let mut ledger = Ledger::new();
+    let got = pram::bellman_ford_to(exec, view, sources, target, hops, &mut ledger);
+    let ctx = format!("threads={} hops={hops} target={target}", exec.threads());
+    prop_assert_eq!(
+        got.dist.to_bits(),
+        want.dist[target as usize].to_bits(),
+        "dist {}",
+        ctx
+    );
+    prop_assert_eq!(got.rounds_run, want.rounds_run, "rounds_run {}", ctx);
+    prop_assert_eq!(
+        got.settled_early,
+        want.settled || want.converged_at.is_some(),
+        "settled_early {}",
+        ctx
+    );
+    prop_assert_eq!(&ledger, &want.ledger, "ledger {}", ctx);
+    Ok(())
+}
+
+/// Hop budgets to probe: 1, 2, a drawn one, and the last rounds up to one
+/// past convergence (`rounds` is the converged run's round count).
+fn hop_budgets(rounds: usize, pick: usize) -> Vec<usize> {
+    let mut hops = vec![
+        1,
+        2,
+        1 + pick % rounds,
+        rounds.saturating_sub(1),
+        rounds,
+        rounds + 1,
+    ];
+    hops.retain(|&h| h >= 1);
+    hops.sort_unstable();
+    hops.dedup();
+    hops
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The frontier-driven kernel equals the full-pull reference bit for
+    /// bit: distances, parents, `rounds_run`, `converged_at`, the
+    /// early-exit answer with its `settled_early`, and the ledger. Checked
+    /// at 1/2/4/8 threads, at hop budgets from 1 through convergence,
+    /// with duplicate sources, on hub overlays with base/overlay parallel
+    /// edges.
+    #[test]
+    fn bellman_ford_kernel_matches_full_pull(
+        rows in 2usize..16,
+        cols in 2usize..16,
+        hubs in 0usize..4,
+        stride in 1usize..6,
+        nsrc in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        let (g, extra) = hub_instance(rows, cols, hubs, stride, seed);
+        let view = UnionView::with_extra(&g, &extra);
+        let n = g.num_vertices();
+        let mut mix = Mix(seed ^ 0x5EED);
+        let mut sources: Vec<VId> = (0..nsrc).map(|_| mix.below(n) as VId).collect();
+        sources.push(sources[0]);
+        let target = mix.below(n) as VId;
+        let pick = mix.next() as usize;
+        let full = pull_reference(&view, &sources, None, n + 1);
+        let rounds = full.converged_at.expect("n + 1 rounds always converge");
+        let mut scratch = BfordScratch::new();
+        for threads in [1usize, 2, 4, 8] {
+            let exec = Executor::shared(threads);
+            for hops in hop_budgets(rounds, pick) {
+                check_full_run(&exec, &view, &sources, hops, &mut scratch)?;
+            }
+            for hops in [1 + pick % rounds, rounds + 1] {
+                check_target_run(&exec, &view, &sources, target, hops)?;
+            }
+        }
+    }
+}
+
+/// The chunked sparse path: a sparse round whose frontier reaches
+/// `PAR_THRESHOLD` splits into one candidate buffer per chunk at two or
+/// more threads. Ten hubs joined to every vertex hold most of the slots,
+/// so ~4 500 grid sources (hubs left out) stay under a quarter of them;
+/// the round after has every hub in its frontier and is dense.
+#[test]
+fn bellman_ford_kernel_chunks_large_sparse_frontiers() {
+    let (g, extra) = hub_instance(120, 100, 10, 1, 7);
+    let view = UnionView::with_extra(&g, &extra);
+    let n = g.num_vertices();
+    let mut sources: Vec<VId> = (0..n as VId)
+        .filter(|&v| v % 8 < 3 && view.degree(v) < 100)
+        .collect();
+    sources.push(sources[sources.len() / 2]);
+    let full = pull_reference(&view, &sources, None, n + 1);
+    let rounds = full.converged_at.expect("converges");
+    let (f0, t0) = full.frontiers[0];
+    assert!(
+        f0 >= prim::PAR_THRESHOLD && sparse_round(t0, &view),
+        "|F|={f0}"
+    );
+    assert!(full.frontiers.iter().any(|&(_, t)| !sparse_round(t, &view)));
+    let target = (n / 2) as VId;
+    let mut scratch = BfordScratch::new();
+    for threads in [1usize, 2, 4, 8] {
+        let exec = Executor::shared(threads);
+        for hops in [1, 2, rounds + 1] {
+            check_full_run(&exec, &view, &sources, hops, &mut scratch).unwrap();
+        }
+        check_target_run(&exec, &view, &sources, target, rounds + 1).unwrap();
+    }
+}
+
+/// The proptest instances do mix round kinds: one run over a hub overlay
+/// has both sparse and dense rounds.
+#[test]
+fn hub_instances_mix_sparse_and_dense_rounds() {
+    let (g, extra) = hub_instance(14, 14, 2, 1, 3);
+    let view = UnionView::with_extra(&g, &extra);
+    let run = pull_reference(&view, &[0], None, g.num_vertices() + 1);
+    let kinds: Vec<bool> = run
+        .frontiers
+        .iter()
+        .map(|&(_, t)| sparse_round(t, &view))
+        .collect();
+    assert!(kinds.contains(&true) && kinds.contains(&false), "{kinds:?}");
 }
