@@ -254,9 +254,36 @@ pub fn take_phase_report() -> Vec<PhaseStats> {
     }
 }
 
-/// Only the monotone allocation counter is safe to test next to other test
-/// threads. The checks that read live bytes, the watermark or the phase
-/// collector live in `tests/heap_audit.rs`.
+/// Run the test `name` (its path in this test binary, e.g.
+/// `alloc::tests::watermark_resets_but_peak_does_not`) with `body` as its
+/// body, in a child process of the test binary that runs that test alone.
+///
+/// The live-byte counter, the watermark and the phase collector are global
+/// to the process. Next to other tests, another test thread can free
+/// memory between two reads of the live-byte counter, or drain the phase
+/// report a test is about to read. In the child no other test runs, so
+/// those reads see only `body`'s own heap traffic.
+#[cfg(test)]
+pub(crate) fn run_alone(name: &str, body: fn()) {
+    const ALONE: &str = "XBENCH_TEST_ALONE";
+    if std::env::var_os(ALONE).is_some_and(|v| v == name) {
+        body();
+        return;
+    }
+    let exe = std::env::current_exe().expect("path of the test binary");
+    let out = std::process::Command::new(exe)
+        .args([name, "--exact", "--test-threads=1"])
+        .env(ALONE, name)
+        .output()
+        .expect("spawn the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "{name} failed when run alone:\n{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,5 +294,80 @@ mod tests {
         let v: Vec<u64> = (0..1024).collect();
         std::hint::black_box(&v);
         assert!(alloc_count() > before);
+    }
+
+    #[test]
+    fn bytes_track_live_heap_and_peak_is_monotone() {
+        run_alone(
+            "alloc::tests::bytes_track_live_heap_and_peak_is_monotone",
+            || {
+                let live0 = current_bytes();
+                let peak0 = peak_bytes();
+                let v: Vec<u64> = vec![0; 1 << 16]; // 512 KiB
+                std::hint::black_box(&v);
+                let live1 = current_bytes();
+                assert!(
+                    live1 >= live0 + (1 << 19),
+                    "512 KiB allocation must show up in live bytes ({live0} -> {live1})"
+                );
+                assert!(peak_bytes() >= peak0.max(live1));
+                drop(v);
+                assert!(current_bytes() < live1, "dealloc must subtract");
+                assert!(peak_bytes() >= live1, "absolute peak never decreases");
+            },
+        );
+    }
+
+    #[test]
+    fn watermark_resets_but_peak_does_not() {
+        run_alone("alloc::tests::watermark_resets_but_peak_does_not", || {
+            let v: Vec<u8> = vec![0; 1 << 20];
+            std::hint::black_box(&v);
+            drop(v);
+            let peak = peak_bytes();
+            reset_watermark();
+            let w = watermark();
+            // Watermark restarts from current live bytes, strictly below the
+            // 1 MiB spike we just freed; absolute peak keeps it.
+            assert!(
+                w <= current_bytes() + (1 << 16),
+                "watermark {w} should restart near live"
+            );
+            assert!(peak_bytes() >= peak);
+            let v2: Vec<u8> = vec![0; 1 << 18];
+            std::hint::black_box(&v2);
+            assert!(watermark() >= current_bytes());
+        });
+    }
+
+    #[test]
+    fn phase_collector_attributes_spikes() {
+        run_alone("alloc::tests::phase_collector_attributes_spikes", || {
+            install_phase_collector();
+            let _ = take_phase_report();
+            {
+                let _outer = pram::phase::PhaseScope::enter("t-outer");
+                {
+                    let _inner = pram::phase::PhaseScope::enter("t-inner");
+                    let v: Vec<u8> = vec![0; 1 << 21]; // 2 MiB spike inside inner
+                    std::hint::black_box(&v);
+                }
+            }
+            let report = take_phase_report();
+            // Run alone, this collector is the process's only phase hook,
+            // so both scopes must be in the report.
+            let inner = report.iter().find(|s| s.name == "t-inner");
+            let outer = report.iter().find(|s| s.name == "t-outer");
+            let (inner, outer) = inner.zip(outer).expect("both phases reported");
+            assert_eq!(inner.count, 1);
+            assert!(inner.allocs >= 1);
+            assert!(
+                inner.peak_bytes >= (1 << 21),
+                "2 MiB spike must be visible in inner peak ({})",
+                inner.peak_bytes
+            );
+            // Folding: the parent's peak must cover the child's.
+            assert!(outer.peak_bytes >= inner.peak_bytes);
+        });
     }
 }

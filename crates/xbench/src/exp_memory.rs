@@ -30,21 +30,14 @@ use pgraph::gen;
 use sssp::Oracle;
 
 /// One size's measurement.
-pub struct SizeRow {
-    /// Vertices.
-    pub n: usize,
-    /// Edges (`2n`).
-    pub m: usize,
-    /// Hopset edges.
-    pub hopset: usize,
-    /// Construction wall time, graph generation included.
-    pub ms: f64,
-    /// Live-heap high-water mark over the construction.
-    pub peak_bytes: u64,
-    /// The process's peak RSS so far (`VmHWM`).
-    pub vm_hwm: u64,
-    /// `m` over the construction time.
-    pub edges_per_sec: f64,
+struct SizeRow {
+    n: usize,
+    m: usize,
+    hopset: usize,
+    ms: f64,
+    peak_bytes: u64,
+    vm_hwm: u64,
+    edges_per_sec: f64,
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
@@ -72,11 +65,7 @@ fn fmt_mib_i(bytes: i64) -> String {
 
 /// Build one gnm oracle at size `n` with the phase collector armed and
 /// return the summary row plus the drained per-phase report.
-///
-/// Reads the process-global heap counters and drains the phase collector,
-/// so its test lives in `tests/heap_audit.rs`, where no other test thread
-/// allocates meanwhile.
-pub fn measure(n: usize, seed: u64) -> (SizeRow, Vec<alloc::PhaseStats>) {
+fn measure(n: usize, seed: u64) -> (SizeRow, Vec<alloc::PhaseStats>) {
     let m = 2 * n;
     let _ = alloc::take_phase_report(); // drop stats from a previous size
     alloc::reset_watermark();
@@ -194,6 +183,34 @@ pub fn memory(cfg: &Config) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quick_memory_runs_and_reports_phases() {
+        alloc::run_alone(
+            "exp_memory::tests::quick_memory_runs_and_reports_phases",
+            || {
+                alloc::install_phase_collector();
+                let (row, phases) = measure(2_048, 7);
+                assert_eq!(row.m, 4_096);
+                assert!(row.hopset > 0, "a 2k gnm oracle must have hopset edges");
+                assert!(row.peak_bytes > 0 && row.edges_per_sec > 0.0);
+                // The construction phases must all have fired under the collector.
+                for want in [
+                    "gen",
+                    "detect",
+                    "supercluster",
+                    "interconnect",
+                    "oracle-assembly",
+                ] {
+                    assert!(
+                        phases.iter().any(|p| p.name == want),
+                        "phase {want} missing from report: {:?}",
+                        phases.iter().map(|p| p.name).collect::<Vec<_>>()
+                    );
+                }
+            },
+        );
+    }
 
     #[test]
     fn vm_hwm_parses_on_linux() {
