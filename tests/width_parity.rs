@@ -117,3 +117,67 @@ fn oracle_outputs_are_width_independent() {
         f.0
     );
 }
+
+/// Fingerprint of a path-recording oracle build: every hopset edge as
+/// `(u, v, w bits, scale)` followed by its materialized memory path —
+/// vertex count, vertices, and every link's tag and weight bits.
+fn memory_path_fingerprint(g: Graph, hop_cap: usize) -> u64 {
+    let oracle = Oracle::builder(g)
+        .eps(0.25)
+        .kappa(4)
+        .hop_cap(hop_cap)
+        .paths(true)
+        .build()
+        .expect("params");
+    let built = oracle.built().expect("constructed oracle keeps its hopset");
+    let h = &built.hopset;
+    assert!(!h.is_empty(), "instance must produce hopset edges");
+    assert!(h.all_paths_recorded(), "every edge carries a memory path");
+    let mut f = Fnv::new();
+    f.push(h.len() as u64);
+    for i in 0..h.len() as u32 {
+        let e = h.edge(i);
+        f.push(e.u as u64);
+        f.push(e.v as u64);
+        f.push(e.w.to_bits());
+        f.push(e.scale as u64);
+        let p = h.path_of(i).expect("path recorded");
+        f.push(p.verts.len() as u64);
+        for &v in &p.verts {
+            f.push(v as u64);
+        }
+        for &(tag, w) in &p.links {
+            match tag {
+                hopset::MemEdge::Base => f.push(u64::MAX),
+                hopset::MemEdge::Hop(j) => f.push(j as u64),
+            }
+            f.push(w.to_bits());
+        }
+    }
+    f.0
+}
+
+/// Memory paths of a unit-weight torus: distance ties are everywhere, so
+/// the label propagation's adjacency-order tie-break decides which of the
+/// equally short paths each hopset edge records. The hop cap of 8 puts the
+/// first scale at k₀ = 3, so the build spans seven scales and most
+/// explorations run over the previous scale's overlay (base/overlay
+/// parallel edges included).
+#[test]
+fn torus_memory_paths_are_pinned() {
+    let got = memory_path_fingerprint(gen::torus(24, 24), 8);
+    assert_eq!(
+        got, 0x311f_f1e3_288c_293b,
+        "unit-weight torus memory-path fingerprint drifted (got {got:#x})"
+    );
+}
+
+/// Memory paths of a small weighted road grid.
+#[test]
+fn road_grid_memory_paths_are_pinned() {
+    let got = memory_path_fingerprint(gen::road_grid(14, 14, 3, 1.0, 10.0), 16);
+    assert_eq!(
+        got, 0x4df3_16ed_831c_1c91,
+        "road-grid memory-path fingerprint drifted (got {got:#x})"
+    );
+}
