@@ -105,7 +105,8 @@ pub fn build_single_scale(
     let edges_before = hopset.len();
     let mut violations = 0usize;
     // One scratch serves every exploration of the scale (per-pulse label
-    // tables and changed flags are reset, not reallocated).
+    // tables and both propagation kernels' step buffers are reset, not
+    // reallocated).
     let mut scratch = ExploreScratch::new();
 
     for i in 0..=p.ell {

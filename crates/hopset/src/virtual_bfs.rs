@@ -20,17 +20,35 @@
 //! persistent pool of `pram::pool`); every propagation step is one parallel
 //! round on it. Callers also pass an [`ExploreScratch`] down with the
 //! executor: the label table is a flat [`LabelArena`] (one `n·x` slot
-//! buffer + length array — see DESIGN.md §8) and the changed-flag double
-//! buffer lives beside it, both reused across pulses, ruling-set levels,
-//! and phases. The pulse inner loop allocates **nothing per vertex**: each
-//! parallel chunk reuses one candidate buffer plus one
-//! [`ReduceScratch`], the packed-key reduction sorts in place, and
-//! reduced lists are written back into the arena's fixed per-vertex
-//! regions. In path-free mode the candidate loop is **column-shaped**
-//! (three plain `src`/`dist`/`pw` columns, no per-candidate branch on the
-//! label kind) so the relaxation arithmetic autovectorizes; pulse rounds
-//! use the executor's autotuned bounds (`round_bounds_auto`), switching
-//! to fine chunks + donation when the changed-vertex frontier is skewed.
+//! buffer + length array — see DESIGN.md §8), and each kernel's
+//! per-vertex arrays live beside it, all reused across pulses, ruling-set
+//! levels, and phases. Propagation has two kernels:
+//!
+//! * **push, `x = 1`** — every [`Explorer::bfs`] pulse (so the ruling set,
+//!   the superclustering BFS, `verify_ruling` and the sampling baseline)
+//!   and `detect_neighbors(1)`. Only the vertices written in the previous
+//!   step (the frontier) offer candidates; each target keeps the minimum
+//!   offer under Algorithm 3's order and is written only if that beats its
+//!   label. With one label per vertex the reduction is a plain minimum, so
+//!   a step costs the frontier's union slots — no sort, no pass over `n`;
+//! * **pull, `x ≥ 2`** — detection. Every vertex with a changed neighbor
+//!   recomputes its list from its own and all its neighbors' records
+//!   through the packed-key reduction, tracked by a changed-flag double
+//!   buffer. Rounds use the executor's autotuned bounds
+//!   (`round_bounds_auto`), switching to fine chunks + donation when the
+//!   changed-vertex frontier is skewed. The inner loop allocates
+//!   **nothing per vertex**: each parallel chunk reuses one candidate
+//!   buffer plus one [`ReduceScratch`], the reduction sorts in place, and
+//!   reduced lists are written back into the arena's fixed per-vertex
+//!   regions. In path-free mode the candidate loop is **column-shaped**
+//!   (three plain `src`/`dist`/`pw` columns, no per-candidate branch on
+//!   the label kind) so the relaxation arithmetic autovectorizes.
+//!
+//! Both kernels compute the same labels, memory paths and step counts:
+//! the push kernel's written set is the pull's changed set at every step
+//! (the frontier lemma of DESIGN.md §9), and the tests below pin it to the
+//! pull loop run at `x = 1`. The [`Ledger`] charges Lemma A.3's
+//! `O((|E|+|H_{k-1}|)·x)` work per step under either kernel.
 //!
 //! Edge provenance: overlay adjacency entries carry **global** hopset edge
 //! ids directly (the scale-block CSRs of `pgraph::OverlayCsrBuilder` tag
@@ -39,9 +57,10 @@
 //!
 //! Determinism: every per-vertex/per-cluster reduction uses the total order
 //! of Algorithm 3 (see [`crate::label::reduce_labels_in_place_scratch`]);
-//! propagation is double-buffered (reads see only the previous step — the
-//! CREW discipline of §1.5.1), so results are identical for any thread
-//! count.
+//! the push kernel's per-target minimum uses the same order, which does not
+//! depend on how the frontier is chunked. Propagation reads only the
+//! previous step's labels (the CREW discipline of §1.5.1), so results are
+//! identical for any thread count.
 //!
 //! Early exit: propagation stops once no label list changes. This computes
 //! the fixpoint `d^{(h*)}` for some `h* ≤` the hop budget; allowing *more*
@@ -63,20 +82,109 @@ use pram::{prim, Executor, Ledger};
 /// Length sentinel for "vertex not recomputed this step".
 const SKIP: u32 = u32::MAX;
 
+/// One candidate of the push kernel: frontier vertex `from` offers its
+/// previous-step label, relaxed over one union edge, to `target`. The
+/// relaxed record is recomputed from `from`'s label when needed (the same
+/// two additions, so the same bits), which keeps a buffered offer at 24
+/// bytes.
+#[derive(Clone, Copy, Debug)]
+struct Offer {
+    target: VId,
+    from: VId,
+    /// Weight and layer of the relaxed edge.
+    w: Weight,
+    tag: EdgeTag,
+}
+
+impl Offer {
+    /// The offered record `(src, dist, pw)`, read off `from`'s label in
+    /// `prev`.
+    #[inline]
+    fn record(&self, prev: &LabelArena) -> (VId, Weight, Weight) {
+        let l = &prev.labels(self.from as usize)[0];
+        (l.src, l.dist + self.w, l.pw + self.w)
+    }
+
+    /// Algorithm 3's order with one label per list: `(dist, src, pw)`,
+    /// then the pull's candidate index — base edges before overlay edges,
+    /// then neighbor id, then overlay index. That is `for_each_neighbor`'s
+    /// order on every single-block view, which is what construction
+    /// explores. Only the index part can tell equal records apart, and it
+    /// only decides which memory path a winner records.
+    #[inline]
+    fn key(&self, prev: &LabelArena) -> (u64, VId, u64, u32, VId, u32) {
+        let (src, dist, pw) = self.record(prev);
+        let (layer, idx) = match self.tag {
+            EdgeTag::Base => (0, 0),
+            EdgeTag::Extra(i) => (1, i),
+        };
+        (dist.to_bits(), src, pw.to_bits(), layer, self.from, idx)
+    }
+}
+
+/// Empty per-target slot of the push kernel; a full slot holds
+/// `chunk << 32 | position` of the best offer in the chunk buffers.
+const NO_OFFER: u64 = u64::MAX;
+
+/// The buffered offer a per-target slot points at.
+#[inline]
+fn offer_at(bufs: &[Vec<Offer>], slot: u64) -> &Offer {
+    &bufs[(slot >> 32) as usize][(slot & u32::MAX as u64) as usize]
+}
+
+/// True if the record `(src, dist, pw)` replaces the single-label list
+/// `cur`: it is empty, or the record is strictly smaller on
+/// `(dist, src, pw)`. An equal record is no change (`labels_equal`).
+#[inline]
+fn improves(src: VId, dist: Weight, pw: Weight, cur: &[Label]) -> bool {
+    match cur.first() {
+        None => true,
+        Some(l) => (dist.to_bits(), src, pw.to_bits()) < (l.dist.to_bits(), l.src, l.pw.to_bits()),
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only switch behind [`pull_reference`].
+    static PULL_REFERENCE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// True while a test runs `x = 1` through the pull loop, the push
+/// kernel's reference; always false outside tests.
+#[inline]
+fn pull_reference() -> bool {
+    #[cfg(test)]
+    return PULL_REFERENCE.with(|c| c.get());
+    #[cfg(not(test))]
+    false
+}
+
 /// Caller-owned scratch for the exploration engine: the flat label arena
-/// and the double-buffered changed flags. One instance serves any number of
-/// [`Explorer::detect_neighbors`] / [`Explorer::bfs`] calls (on graphs of
-/// any size — buffers are resized on demand and retain their allocations),
-/// so the hot construction loop allocates these once per scale instead of
-/// once per pulse.
+/// plus each propagation kernel's per-vertex arrays (the pull loop's
+/// changed flags; the push kernel's frontier lists and per-target slots).
+/// One instance serves any number of [`Explorer::detect_neighbors`] /
+/// [`Explorer::bfs`] calls (on graphs of any size — buffers are resized on
+/// demand and retain their allocations), so the hot construction loop
+/// allocates these once per scale instead of once per pulse. The push
+/// kernel's offer buffers scale with a step's offers rather than with `n`
+/// and live for one propagation only.
 #[derive(Default)]
 pub struct ExploreScratch {
     /// `labels.labels(v)`: up to `x` records sorted by `(dist, src)`.
     labels: LabelArena,
-    /// Vertices whose label list changed in the previous step.
+    /// Pull loop (`x ≥ 2`): vertices whose label list changed in the
+    /// previous step.
     changed: Vec<bool>,
-    /// Write buffer for the current step's changed flags.
+    /// Pull loop: write buffer for the current step's changed flags.
     next_changed: Vec<bool>,
+    /// Push kernel (`x = 1`): the vertices written in the previous step,
+    /// ascending (before step 1: the seeded vertices).
+    frontier: Vec<VId>,
+    /// Push kernel: the vertices written in this step.
+    written: Vec<VId>,
+    /// Push kernel: this step's best offer per target (see [`NO_OFFER`]);
+    /// every slot is empty between steps.
+    best: Vec<u64>,
 }
 
 impl ExploreScratch {
@@ -318,17 +426,160 @@ impl<'a> Explorer<'a> {
     }
 
     /// Propagate `scratch.labels` to a fixpoint (≤ `hop_limit` steps),
-    /// each step one parallel round on `self.exec`. The changed-flag
-    /// double buffer lives in the scratch too. Per step, each chunk
-    /// produces one flat `(lens, labels)` buffer pair (no per-vertex
-    /// vectors), which is then compared against — and moved into — the
-    /// arena's fixed regions in vertex order.
+    /// each step one parallel round on `self.exec`. Single-label lists
+    /// (`x = 1`: every [`Explorer::bfs`] pulse and `detect_neighbors(1)`)
+    /// take the push kernel; longer lists take the pull loop.
     fn propagate(&self, scratch: &mut ExploreScratch, x: usize, ledger: &mut Ledger) {
+        if x == 1 && !pull_reference() {
+            self.propagate_push(scratch, ledger);
+        } else {
+            self.propagate_pull(scratch, x, ledger);
+        }
+    }
+
+    /// The push kernel for `x = 1`. Only a vertex written in the previous
+    /// step (the frontier; before step 1, the seeded vertices) can offer a
+    /// label its neighbor does not already dominate — the frontier lemma
+    /// of DESIGN.md §9, with labels ordered by `(dist, src, pw)`. So each
+    /// step splits the frontier with `round_bounds`, every chunk pushes
+    /// the offers that improve their target's previous label into its own
+    /// buffer, and the caller folds the buffers into a per-target minimum
+    /// under [`Offer::key`]. A total-order minimum does not depend on the
+    /// fold order, so chunking cannot show. Every winner is built from the
+    /// previous step's labels before any is written (CREW), and the
+    /// written set, ascending, is the next frontier. It is exactly the
+    /// pull loop's changed set, so labels, paths, step counts and ledger
+    /// charges are the pull's, while a step costs the frontier's slots.
+    fn propagate_push(&self, scratch: &mut ExploreScratch, ledger: &mut Ledger) {
+        let n = self.view.num_vertices();
+        let ExploreScratch {
+            labels,
+            frontier,
+            written,
+            best,
+            ..
+        } = scratch;
+        debug_assert_eq!(labels.num_lists(), n);
+        debug_assert_eq!(labels.x(), 1);
+        best.clear();
+        best.resize(n, NO_OFFER);
+        // One offer buffer per frontier chunk, and the step's new labels.
+        // Both scale with a step's offers, not with `n`, so they live for
+        // one propagation: kept in the scratch, the largest step's
+        // capacity would ride along into the scale's later phases.
+        let mut pushed: Vec<Vec<Offer>> = Vec::new();
+        let mut winners: Vec<Label> = Vec::new();
+        frontier.clear();
+        frontier.extend((0..n as VId).filter(|&v| labels.len_of(v as usize) > 0));
+        for _step in 0..self.hop_limit {
+            if frontier.is_empty() {
+                break;
+            }
+            self.charge_step(1, ledger);
+            let bounds = self.exec.round_bounds(frontier.len());
+            if pushed.len() < bounds.len() {
+                pushed.resize_with(bounds.len(), Vec::new);
+            }
+            let bufs = &mut pushed[..bounds.len()];
+            let prev = &*labels;
+            if let [buf] = bufs {
+                self.push_chunk(prev, frontier, buf);
+            } else {
+                // One unit range per buffer: chunk `ci` owns buffer `ci`.
+                let owners: Vec<_> = (0..bounds.len()).map(|ci| ci..ci + 1).collect();
+                let from = &*frontier;
+                self.exec.for_each_chunk_mut(bufs, &owners, |ci, buf| {
+                    self.push_chunk(prev, &from[bounds[ci].clone()], &mut buf[0]);
+                });
+            }
+            let bufs = &*bufs;
+            written.clear();
+            for (ci, buf) in bufs.iter().enumerate() {
+                for (pos, offer) in buf.iter().enumerate() {
+                    let slot = &mut best[offer.target as usize];
+                    if *slot == NO_OFFER {
+                        written.push(offer.target);
+                    } else if offer.key(prev) >= offer_at(bufs, *slot).key(prev) {
+                        continue;
+                    }
+                    *slot = ((ci as u64) << 32) | pos as u64;
+                }
+            }
+            written.sort_unstable();
+            winners.clear();
+            for &v in written.iter() {
+                let slot = std::mem::replace(&mut best[v as usize], NO_OFFER);
+                winners.push(self.winner_label(prev, v, offer_at(bufs, slot)));
+            }
+            for (&v, l) in written.iter().zip(winners.drain(..)) {
+                labels.set_list(v as usize, std::iter::once(l));
+            }
+            std::mem::swap(frontier, written);
+        }
+    }
+
+    /// One chunk of a push step: every frontier vertex `u` offers its label,
+    /// relaxed over each union edge within the threshold, to every
+    /// neighbor whose previous label it improves.
+    fn push_chunk(&self, prev: &LabelArena, frontier: &[VId], buf: &mut Vec<Offer>) {
+        buf.clear();
+        for &u in frontier {
+            let l = &prev.labels(u as usize)[0];
+            self.view.for_each_neighbor(u, |v, w, tag| {
+                let dist = l.dist + w;
+                if dist > self.threshold {
+                    return;
+                }
+                if improves(l.src, dist, l.pw + w, prev.labels(v as usize)) {
+                    buf.push(Offer {
+                        target: v,
+                        from: u,
+                        w,
+                        tag,
+                    });
+                }
+            });
+        }
+        assert!(
+            buf.len() <= u32::MAX as usize,
+            "offer position must fit its slot"
+        );
+    }
+
+    /// The label `v` takes from its winning offer, read off the offering
+    /// vertex's previous-step label. In path mode its path extends that
+    /// label's by the relaxed edge — one `path_extend` per written vertex.
+    fn winner_label(&self, prev: &LabelArena, v: VId, offer: &Offer) -> Label {
+        let (src, dist, pw) = offer.record(prev);
+        let path = self.record_paths.then(|| {
+            let base = prev.labels(offer.from as usize)[0]
+                .path
+                .as_ref()
+                .expect("path recorded");
+            path_extend(base, v, self.mem_edge(offer.tag), offer.w)
+        });
+        Label {
+            src,
+            dist,
+            pw,
+            path,
+        }
+    }
+
+    /// The pull loop for `x ≥ 2`: every vertex with a changed neighbor
+    /// recomputes its list from its own records plus every neighbor's,
+    /// reduced by Algorithm 3. The changed-flag double buffer lives in
+    /// the scratch. Per step, each chunk produces one flat
+    /// `(lens, labels)` buffer pair (no per-vertex vectors), which is
+    /// then compared against — and moved into — the arena's fixed regions
+    /// in vertex order.
+    fn propagate_pull(&self, scratch: &mut ExploreScratch, x: usize, ledger: &mut Ledger) {
         let n = self.view.num_vertices();
         let ExploreScratch {
             labels,
             changed,
             next_changed,
+            ..
         } = scratch;
         debug_assert_eq!(labels.num_lists(), n);
         for (v, c) in changed.iter_mut().enumerate() {
@@ -891,5 +1142,320 @@ mod tests {
         let p = HopsetParams::new(64, 0.25, 4, 0.3, ParamMode::Practical, 64.0, None).unwrap();
         assert!(p.hop_limit <= 64);
         assert!(p.degrees[0] >= 2);
+    }
+
+    // ---- The x = 1 push kernel, pinned to the pull loop ---------------
+
+    /// Run `f` with `x = 1` routed through the pull loop, the reference
+    /// every output below is pinned to: it recomputes each vertex with a
+    /// changed neighbor from all of its neighbors, so it does not lean on
+    /// the frontier lemma the push kernel needs.
+    fn with_pull_reference<R>(f: impl FnOnce() -> R) -> R {
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                PULL_REFERENCE.with(|c| c.set(false));
+            }
+        }
+        PULL_REFERENCE.with(|c| c.set(true));
+        let _reset = Reset;
+        f()
+    }
+
+    /// A materialized memory path as plain data (weights as bits).
+    type PathPrint = (Vec<VId>, Vec<(MemEdge, u64)>);
+
+    /// A detection as `(src_cluster, src_center, pulse, pw bits, path)`.
+    type DetectionPrint = (u32, VId, usize, u64, Option<PathPrint>);
+
+    /// A label as `(src, dist bits, pw bits, path)`.
+    type LabelPrint = (VId, u64, u64, Option<PathPrint>);
+
+    fn path_print(p: &Option<PathHandle>) -> Option<PathPrint> {
+        p.as_ref().map(|h| {
+            let mp = crate::path::path_materialize(h);
+            let links = mp.links.iter().map(|&(e, w)| (e, w.to_bits())).collect();
+            (mp.verts, links)
+        })
+    }
+
+    /// Everything the `x = 1` explorations expose, as comparable data:
+    /// `bfs` detections, `detect_neighbors(1)` lists, the ruling set with
+    /// its trace, `verify_ruling`'s answer, and one ledger per call.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        bfs: Vec<Option<DetectionPrint>>,
+        detect: Vec<Vec<LabelPrint>>,
+        ruling: Vec<u32>,
+        trace: Vec<(usize, usize, usize, usize, usize)>,
+        verify: Option<(usize, usize)>,
+        ledgers: Vec<Ledger>,
+    }
+
+    /// One exploration instance. Non-center members reach their center
+    /// through a cluster-memory detour that walks the grid row first,
+    /// then the column (`cols` is the grid width; 0 for singletons).
+    struct Case {
+        name: &'static str,
+        g: Graph,
+        extra: Vec<(VId, VId, Weight)>,
+        part: Partition,
+        cols: usize,
+        threshold: Weight,
+        sources: Vec<u32>,
+        pulses: usize,
+        verify: bool,
+    }
+
+    impl Case {
+        fn singletons(name: &'static str, g: Graph, threshold: Weight, sources: Vec<u32>) -> Case {
+            Case {
+                name,
+                part: Partition::singletons(g.num_vertices()),
+                g,
+                extra: Vec::new(),
+                cols: 0,
+                threshold,
+                sources,
+                pulses: 3,
+                verify: true,
+            }
+        }
+
+        fn memory(&self, record_paths: bool) -> ClusterMemory {
+            let mut cm = ClusterMemory::trivial(self.g.num_vertices(), record_paths);
+            for cl in &self.part.clusters {
+                for &v in &cl.members {
+                    if v == cl.center {
+                        continue;
+                    }
+                    let path = self.grid_detour(v, cl.center);
+                    cm.extend(v, record_paths.then_some(&path), path.weight());
+                }
+            }
+            cm
+        }
+
+        fn grid_detour(&self, v: VId, center: VId) -> crate::path::MemoryPath {
+            let cols = self.cols as VId;
+            let mut verts = vec![v];
+            let mut cur = v;
+            while cur % cols != center % cols {
+                cur = if cur % cols > center % cols {
+                    cur - 1
+                } else {
+                    cur + 1
+                };
+                verts.push(cur);
+            }
+            while cur != center {
+                cur = if cur > center { cur - cols } else { cur + cols };
+                verts.push(cur);
+            }
+            let links = verts
+                .windows(2)
+                .map(|e| {
+                    let w = self.g.edge_weight(e[0], e[1]).expect("grid edge");
+                    (MemEdge::Base, w)
+                })
+                .collect();
+            crate::path::MemoryPath { verts, links }
+        }
+
+        fn run(&self, threads: usize, record_paths: bool, hop_limit: usize) -> Outcome {
+            let exec = Executor::shared(threads);
+            let view = UnionView::with_extra(&self.g, &self.extra);
+            let cm = self.memory(record_paths);
+            let ex = Explorer {
+                exec: &exec,
+                view: &view,
+                part: &self.part,
+                cm: &cm,
+                threshold: self.threshold,
+                hop_limit,
+                record_paths,
+            };
+            let mut scratch = ExploreScratch::new();
+            let mut ledgers = vec![Ledger::new(); 4];
+            let det = ex.bfs(&self.sources, self.pulses, &mut scratch, &mut ledgers[0]);
+            let bfs = det
+                .iter()
+                .map(|d| {
+                    d.as_ref().map(|d| {
+                        let path = path_print(&d.path);
+                        (d.src_cluster, d.src_center, d.pulse, d.pw.to_bits(), path)
+                    })
+                })
+                .collect();
+            let m = ex.detect_neighbors(1, &mut scratch, &mut ledgers[1]);
+            let detect = m
+                .iter_lists()
+                .map(|list| {
+                    list.iter()
+                        .map(|l| (l.src, l.dist.to_bits(), l.pw.to_bits(), path_print(&l.path)))
+                        .collect()
+                })
+                .collect();
+            let w_set: Vec<u32> = (0..self.part.len() as u32).collect();
+            let mut trace = crate::ruling::RulingTrace::default();
+            let ruling = crate::ruling::ruling_set(
+                &ex,
+                &w_set,
+                &mut scratch,
+                &mut ledgers[2],
+                Some(&mut trace),
+            );
+            let verify = self.verify.then(|| {
+                crate::ruling::verify_ruling(&ex, &ruling, &w_set, 4, &mut scratch, &mut ledgers[3])
+            });
+            let trace = trace
+                .levels
+                .iter()
+                .map(|l| {
+                    (
+                        l.level,
+                        l.sources,
+                        l.candidates,
+                        l.knocked_out,
+                        l.alive_after,
+                    )
+                })
+                .collect();
+            Outcome {
+                bfs,
+                detect,
+                ruling,
+                trace,
+                verify,
+                ledgers,
+            }
+        }
+
+        /// Pin the push kernel to the pull reference at threads 1/2/4/8,
+        /// with and without paths, at every hop limit in `hop_limits`.
+        fn assert_push_matches_pull(&self, hop_limits: impl Iterator<Item = usize> + Clone) {
+            for record_paths in [false, true] {
+                for hop_limit in hop_limits.clone() {
+                    let reference = with_pull_reference(|| self.run(1, record_paths, hop_limit));
+                    for threads in [1usize, 2, 4, 8] {
+                        let got = self.run(threads, record_paths, hop_limit);
+                        assert!(
+                            got == reference,
+                            "{}: threads={threads} record_paths={record_paths} \
+                             hop_limit={hop_limit}\n push: {got:?}\n pull: {reference:?}",
+                            self.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn push_kernel_matches_pull_on_unit_grids_and_tori() {
+        // Unit weights: distance ties everywhere, so the adjacency-order
+        // tie-break decides every recorded path.
+        let torus = Case::singletons("unit torus", gen::torus(8, 8), 4.0, vec![0, 27, 45]);
+        torus.assert_push_matches_pull(1..=10);
+        let grid = Case::singletons("unit grid", gen::unit_grid(7, 9), 3.0, vec![4, 40]);
+        grid.assert_push_matches_pull(1..=8);
+    }
+
+    #[test]
+    fn push_kernel_matches_pull_on_weighted_graphs() {
+        // Random weights make labels arrive in hop order, not distance
+        // order: a vertex can improve in consecutive steps while its older
+        // label's offer still wins a neighbor. That winner's path must
+        // extend the older label, not the one written in the same step.
+        // Smallest case: 0–2 costs 10 but 0–1–2 costs 4, so at step 2
+        // vertex 2 improves while its step-1 label still reaches 3 first.
+        let g =
+            Graph::from_edges(4, [(0, 2, 10.0), (0, 1, 2.0), (1, 2, 2.0), (2, 3, 1.0)]).unwrap();
+        let shortcut = Case::singletons("shortcut", g, 20.0, vec![0]);
+        shortcut.assert_push_matches_pull(1..=4);
+        let g = gen::gnm_connected(48, 120, 7, 1.0, 10.0);
+        let sources = (0..48).step_by(5).collect();
+        let gnm = Case::singletons("weighted gnm", g, 15.0, sources);
+        gnm.assert_push_matches_pull(1..=12);
+    }
+
+    #[test]
+    fn push_kernel_matches_pull_on_a_star_overlay() {
+        // The shape of H_{k-1}: a hub adjacent to every vertex (degree
+        // n − 1) over a unit torus. Star edges to 6 and 30 parallel base
+        // edges of equal weight, (0, 7) and (3, 20) are doubled in the
+        // overlay, so base-before-overlay and overlay-index ties decide.
+        let g = gen::torus(6, 6);
+        let mut extra: Vec<(VId, VId, Weight)> =
+            (1..36).map(|v| (0, v, 1.0 + (v % 3) as Weight)).collect();
+        extra.extend([(0, 7, 2.0), (3, 20, 2.0), (3, 20, 2.0), (10, 25, 1.5)]);
+        let mut case = Case::singletons("star overlay", g, 3.0, vec![3, 17, 29]);
+        case.extra = extra;
+        case.assert_push_matches_pull(1..=6);
+    }
+
+    #[test]
+    fn push_kernel_matches_pull_on_clustered_partitions() {
+        // 2×2 clusters centered at their top-left corner on a 9×8 unit
+        // grid; the last row stays unclustered and only relays. Members
+        // seed with their detour weight, and in path mode every seed and
+        // every aggregation splices the detour in.
+        let (rows, cols) = (9usize, 8usize);
+        let g = gen::unit_grid(rows, cols);
+        let id = |r: usize, c: usize| (r * cols + c) as VId;
+        let mut cluster_of = vec![None; rows * cols];
+        let mut clusters = Vec::new();
+        for br in (0..rows - 1).step_by(2) {
+            for bc in (0..cols).step_by(2) {
+                let mut members = vec![
+                    id(br, bc),
+                    id(br, bc + 1),
+                    id(br + 1, bc),
+                    id(br + 1, bc + 1),
+                ];
+                members.sort_unstable();
+                for &m in &members {
+                    cluster_of[m as usize] = Some(clusters.len() as u32);
+                }
+                clusters.push(crate::partition::Cluster {
+                    center: id(br, bc),
+                    members,
+                });
+            }
+        }
+        let part = Partition {
+            cluster_of,
+            clusters,
+        };
+        assert!(part.validate(rows * cols));
+        let case = Case {
+            name: "clustered",
+            g,
+            extra: vec![(0, 30, 2.0), (5, 50, 3.0)],
+            part,
+            cols,
+            threshold: 4.5,
+            sources: vec![0, 5, 14],
+            pulses: 3,
+            verify: true,
+        };
+        case.assert_push_matches_pull(1..=9);
+    }
+
+    #[test]
+    fn push_kernel_chunked_fold_matches_pull() {
+        // A first frontier of at least PAR_THRESHOLD vertices: every
+        // vertex seeds `detect_neighbors(1)`, and the BFS sources cover
+        // all but every 37th cluster. At two or more threads those steps
+        // split into several chunks, so the chunk-order fold really runs.
+        let g = gen::unit_grid(66, 66);
+        let n = g.num_vertices();
+        let sources: Vec<u32> = (0..n as u32).filter(|c| c % 37 != 0).collect();
+        assert!(sources.len() >= pram::pool::PAR_THRESHOLD);
+        assert!(Executor::shared(2).round_bounds(sources.len()).len() > 1);
+        let mut case = Case::singletons("chunked", g, 2.5, sources);
+        case.pulses = 2;
+        case.verify = false;
+        case.assert_push_matches_pull([1usize, 2, 3, 6].into_iter());
     }
 }

@@ -838,7 +838,7 @@ mod tests {
             *backend.gate.lock().unwrap() = true;
             backend.cv.notify_all();
         }
-        assert_eq!(t.join().unwrap().unwrap(), false);
+        assert!(!t.join().unwrap().unwrap());
         // The slot is free again: the once-rejected request now succeeds.
         assert!(c.row(1).is_ok());
     }

@@ -358,22 +358,19 @@ mod tests {
     #[test]
     fn sandwich_is_sound_against_exact_distances() {
         let (oracle, plane) = grid_plane(5, 1.0);
-        let n = oracle.num_vertices();
         for u in [0usize, 13, 40, 80] {
             let exact = exact::dijkstra(oracle.graph(), u as u32).dist;
-            for v in 0..n {
+            for (v, &d) in exact.iter().enumerate() {
                 let b = plane.bounds(u as u32, v as u32).unwrap();
                 assert!(
-                    b.lower <= exact[v] + 1e-9,
-                    "({u},{v}): lower {} > exact {}",
-                    b.lower,
-                    exact[v]
+                    b.lower <= d + 1e-9,
+                    "({u},{v}): lower {} > exact {d}",
+                    b.lower
                 );
                 assert!(
-                    b.upper >= exact[v] - 1e-9,
-                    "({u},{v}): upper {} < exact {}",
-                    b.upper,
-                    exact[v]
+                    b.upper >= d - 1e-9,
+                    "({u},{v}): upper {} < exact {d}",
+                    b.upper
                 );
             }
         }
