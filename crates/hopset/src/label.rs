@@ -15,7 +15,12 @@
 //! [`reduce_labels_in_place`] implements Algorithm 3 ("Sort Array"): sort by
 //! source (ties by distance), drop duplicate sources, re-sort by distance
 //! (ties by id), keep the best `x` — **in place** on the caller's buffer, so
-//! the exploration inner loop never allocates per candidate set.
+//! a caller looping over candidate sets never allocates per set. It serves
+//! the `m(C)` aggregation of detection and the full-pull reference the
+//! exploration tests pin both kernels to; the propagation steps themselves
+//! no longer sort (`virtual_bfs`: the `x = 1` push kernel keeps a
+//! per-target minimum, the `x ≥ 2` pull merges into a bounded list under
+//! the same order).
 //!
 //! PR 9 reshaped the reduction for the hardware: instead of two
 //! comparator sorts over 32-byte `Label` records (pointer-heavy, branchy
@@ -100,9 +105,8 @@ fn dedup_pack(src: VId, dist: Weight, idx: usize) -> u128 {
 }
 
 /// Reusable buffers for the packed-key reduction. One instance per
-/// parallel chunk (the pulse engine keeps it beside the candidate buffer),
-/// so the reduction stays allocation-free in the hot loop — the PR-5
-/// "nothing per vertex" claim extends to the PR-9 rewrite.
+/// parallel chunk (the `m(C)` aggregation keeps it beside the candidate
+/// buffer), so the reduction allocates nothing per candidate set.
 #[derive(Default)]
 pub struct ReduceScratch {
     /// Packed keys, reused for the dedup sort and then the rank sort.
@@ -221,10 +225,10 @@ pub fn reduce_labels_in_place(cands: &mut Vec<Label>, x: usize) {
     reduce_labels_in_place_scratch(cands, x, &mut ReduceScratch::new());
 }
 
-/// The column (SoA) variant of the packed-key reduction, for the
-/// path-free pulse fast path: candidates arrive as three parallel columns
-/// (`srcs[i]`, `dists[i]`, `pws[i]`), and the columns are reduced in
-/// place to the `≤ x` survivors in rank order. Same algorithm, same
+/// The column (SoA) variant of the packed-key reduction (nothing in the
+/// workspace calls it outside its test): candidates arrive as three
+/// parallel columns (`srcs[i]`, `dists[i]`, `pws[i]`), and the columns are
+/// reduced in place to the `≤ x` survivors in rank order. Same algorithm, same
 /// determinism argument, same reference semantics as
 /// [`reduce_labels_in_place_scratch`] — pinned by the proptests — but no
 /// 32-byte record or `Option<PathHandle>` is ever touched, so both the

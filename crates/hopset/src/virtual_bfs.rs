@@ -31,24 +31,25 @@
 //!   offer under Algorithm 3's order and is written only if that beats its
 //!   label. With one label per vertex the reduction is a plain minimum, so
 //!   a step costs the frontier's union slots — no sort, no pass over `n`;
-//! * **pull, `x ≥ 2`** — detection. Every vertex with a changed neighbor
-//!   recomputes its list from its own and all its neighbors' records
-//!   through the packed-key reduction, tracked by a changed-flag double
+//! * **pull, `x ≥ 2`** — detection: a merge over changed neighbors only.
+//!   Every vertex with a changed neighbor starts from its own list and
+//!   streams in the records of the neighbors whose list changed in the
+//!   previous step, keeping a sorted list of at most `x` records
+//!   (`merge`); most records are rejected with one comparison, and only
+//!   survivors materialize a label. Changed flags live in a double
 //!   buffer. Rounds use the executor's autotuned bounds
 //!   (`round_bounds_auto`), switching to fine chunks + donation when the
-//!   changed-vertex frontier is skewed. The inner loop allocates
-//!   **nothing per vertex**: each parallel chunk reuses one candidate
-//!   buffer plus one [`ReduceScratch`], the reduction sorts in place, and
-//!   reduced lists are written back into the arena's fixed per-vertex
-//!   regions. In path-free mode the candidate loop is **column-shaped**
-//!   (three plain `src`/`dist`/`pw` columns, no per-candidate branch on
-//!   the label kind) so the relaxation arithmetic autovectorizes.
+//!   changed-vertex frontier is skewed. Each parallel chunk reuses one
+//!   bounded list, and new lists are written back into the arena's fixed
+//!   per-vertex regions.
 //!
-//! Both kernels compute the same labels, memory paths and step counts:
-//! the push kernel's written set is the pull's changed set at every step
-//! (the frontier lemma of DESIGN.md §9), and the tests below pin it to the
-//! pull loop run at `x = 1`. The [`Ledger`] charges Lemma A.3's
-//! `O((|E|+|H_{k-1}|)·x)` work per step under either kernel.
+//! Both kernels compute the labels, memory paths and step counts of the
+//! full pull — every recomputed vertex reducing its own and all its
+//! neighbors' records with Algorithm 3 — by the frontier lemma of
+//! DESIGN.md §9: a neighbor unchanged since the previous step has nothing
+//! left to offer. The tests below pin both to that full pull. The
+//! [`Ledger`] charges Lemma A.3's `O((|E|+|H_{k-1}|)·x)` work per step
+//! under either kernel.
 //!
 //! Edge provenance: overlay adjacency entries carry **global** hopset edge
 //! ids directly (the scale-block CSRs of `pgraph::OverlayCsrBuilder` tag
@@ -57,8 +58,9 @@
 //!
 //! Determinism: every per-vertex/per-cluster reduction uses the total order
 //! of Algorithm 3 (see [`crate::label::reduce_labels_in_place_scratch`]);
-//! the push kernel's per-target minimum uses the same order, which does not
-//! depend on how the frontier is chunked. Propagation reads only the
+//! the pull kernel's merge folds each vertex's candidates in a fixed order,
+//! and the push kernel's per-target minimum does not depend on how the
+//! frontier is chunked. Propagation reads only the
 //! previous step's labels (the CREW discipline of §1.5.1), so results are
 //! identical for any thread count.
 //!
@@ -71,8 +73,7 @@
 //! fixpoint distances are. (The hop budget still caps every exploration.)
 
 use crate::label::{
-    labels_equal, reduce_labels_columns, reduce_labels_in_place_scratch, Label, LabelArena,
-    ReduceScratch,
+    labels_equal, reduce_labels_in_place_scratch, Label, LabelArena, ReduceScratch,
 };
 use crate::partition::{ClusterMemory, Partition};
 use crate::path::{path_extend, path_splice, path_start, MemEdge, PathHandle};
@@ -143,24 +144,56 @@ fn improves(src: VId, dist: Weight, pw: Weight, cur: &[Label]) -> bool {
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Test-only switch behind [`pull_reference`].
-    static PULL_REFERENCE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+/// One record `(src, dist, pw)` of the pull kernel's bounded list, and
+/// where it came from: slot `pos` of the recomputed vertex's own list
+/// (`via = None`), or of neighbor `u`'s list relaxed over an edge of
+/// weight `w` and layer `tag` (`via = Some((u, w, tag))`).
+#[derive(Clone, Copy)]
+struct Kept {
+    src: VId,
+    dist: Weight,
+    pw: Weight,
+    pos: usize,
+    via: Option<(VId, Weight, EdgeTag)>,
 }
 
-/// True while a test runs `x = 1` through the pull loop, the push
-/// kernel's reference; always false outside tests.
-#[inline]
-fn pull_reference() -> bool {
-    #[cfg(test)]
-    return PULL_REFERENCE.with(|c| c.get());
-    #[cfg(not(test))]
-    false
+impl Kept {
+    /// Algorithm 3's rank: nearest first, ties by source id.
+    #[inline]
+    fn rank(&self) -> (u64, VId) {
+        (self.dist.to_bits(), self.src)
+    }
+}
+
+/// Fold candidate `k` into `list` (rank-sorted, one record per source, at
+/// most `x`) as Algorithm 3 treats the whole candidate set: a source keeps
+/// its least `(dist, pw)` record, the earlier one on a tie, and the `x`
+/// best-ranked sources stay. A source cut off by a full list can only come
+/// back strictly nearer, so folding one candidate at a time is exact. The
+/// caller skips a `k` that ranks after the last record of a full list.
+fn merge(list: &mut Vec<Kept>, x: usize, k: Kept) {
+    let rank = k.rank();
+    let at = list.partition_point(|e| e.rank() < rank);
+    match list.iter().position(|e| e.src == k.src) {
+        // The source already holds a nearer record, or an equally near one
+        // realizing no larger a weight: `k` changes nothing.
+        Some(p) if p < at => {}
+        Some(p) if list[p].rank() == rank && list[p].pw.to_bits() <= k.pw.to_bits() => {}
+        // `k` is strictly better: the source's record moves up to its rank.
+        Some(p) => {
+            list[at..=p].rotate_right(1);
+            list[at] = k;
+        }
+        // A new source: a full list drops its last record.
+        None => {
+            list.truncate(x - 1);
+            list.insert(at, k);
+        }
+    }
 }
 
 /// Caller-owned scratch for the exploration engine: the flat label arena
-/// plus each propagation kernel's per-vertex arrays (the pull loop's
+/// plus each propagation kernel's per-vertex arrays (the pull kernel's
 /// changed flags; the push kernel's frontier lists and per-target slots).
 /// One instance serves any number of [`Explorer::detect_neighbors`] /
 /// [`Explorer::bfs`] calls (on graphs of any size — buffers are resized on
@@ -172,10 +205,10 @@ fn pull_reference() -> bool {
 pub struct ExploreScratch {
     /// `labels.labels(v)`: up to `x` records sorted by `(dist, src)`.
     labels: LabelArena,
-    /// Pull loop (`x ≥ 2`): vertices whose label list changed in the
+    /// Pull kernel (`x ≥ 2`): vertices whose label list changed in the
     /// previous step.
     changed: Vec<bool>,
-    /// Pull loop: write buffer for the current step's changed flags.
+    /// Pull kernel: write buffer for the current step's changed flags.
     next_changed: Vec<bool>,
     /// Push kernel (`x = 1`): the vertices written in the previous step,
     /// ascending (before step 1: the seeded vertices).
@@ -305,11 +338,17 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// One chunk of a propagation step, **path-recording** variant: the
-    /// candidate loop materializes full [`Label`] records (each neighbor
-    /// relaxation extends a path handle) and reduces with the packed-key
-    /// sort through a per-chunk [`ReduceScratch`].
-    fn relax_chunk_paths(
+    /// One chunk of a pull step. A vertex is recomputed iff a neighbor
+    /// changed in the previous step: it starts from its own list and
+    /// [`merge`]s in its changed neighbors' records in adjacency order. A
+    /// neighbor's records are dist-ascending, and relaxing keeps them so:
+    /// a neighbor stops at its first record past the threshold or past a
+    /// full list's last distance, so most records cost one comparison.
+    /// Relaxing can make distances equal and reorder them by source, so a
+    /// record ranking after a full list's last is skipped, not stopped at.
+    /// Survivors materialize last, in path mode with one `path_extend`
+    /// each if pulled from a neighbor.
+    fn relax_chunk(
         &self,
         r: std::ops::Range<usize>,
         cur: &LabelArena,
@@ -318,109 +357,61 @@ impl<'a> Explorer<'a> {
     ) -> (Vec<u32>, Vec<Label>) {
         let mut lens: Vec<u32> = Vec::with_capacity(r.len());
         let mut out: Vec<Label> = Vec::new();
-        let mut cands: Vec<Label> = Vec::new();
-        let mut scratch = ReduceScratch::new();
+        let mut list: Vec<Kept> = Vec::with_capacity(x);
         for v in r {
             let vid = v as VId;
             let mut any = false;
-            self.view.for_each_neighbor(vid, |u, _, _| {
-                any |= prev_changed[u as usize];
-            });
+            self.view
+                .for_each_neighbor(vid, |u, _, _| any |= prev_changed[u as usize]);
             if !any {
                 lens.push(SKIP);
                 continue;
             }
-            cands.clear();
-            cands.extend_from_slice(cur.labels(v));
+            let own = cur.labels(v);
+            list.clear();
+            list.extend(own.iter().enumerate().map(|(pos, l)| Kept {
+                src: l.src,
+                dist: l.dist,
+                pw: l.pw,
+                pos,
+                via: None,
+            }));
             self.view.for_each_neighbor(vid, |u, w, tag| {
-                for l in cur.labels(u as usize) {
-                    let nd = l.dist + w;
-                    if nd > self.threshold {
+                if !prev_changed[u as usize] {
+                    return;
+                }
+                for (pos, l) in cur.labels(u as usize).iter().enumerate() {
+                    let dist = l.dist + w;
+                    let last = list.get(x - 1);
+                    if dist > last.map_or(self.threshold, |k| k.dist) {
+                        break;
+                    }
+                    if last.is_some_and(|k| (dist.to_bits(), l.src) > k.rank()) {
                         continue;
                     }
-                    cands.push(Label {
+                    let k = Kept {
                         src: l.src,
-                        dist: nd,
+                        dist,
                         pw: l.pw + w,
-                        path: Some(path_extend(
-                            l.path.as_ref().expect("path recorded"),
-                            vid,
-                            self.mem_edge(tag),
-                            w,
-                        )),
-                    });
+                        pos,
+                        via: Some((u, w, tag)),
+                    };
+                    merge(&mut list, x, k);
                 }
             });
-            reduce_labels_in_place_scratch(&mut cands, x, &mut scratch);
-            lens.push(cands.len() as u32);
-            out.append(&mut cands);
-        }
-        (lens, out)
-    }
-
-    /// One chunk of a propagation step, **path-free** fast path: the
-    /// candidate loop accumulates three plain columns (`src`, `dist`,
-    /// `pw`) — no 32-byte record writes, no per-candidate branch on the
-    /// label kind (the `record_paths` decision is hoisted to the chunk
-    /// dispatch) — and reduces them with [`reduce_labels_columns`].
-    /// Survivor lists are ≤ `x` long, so re-materializing them as arena
-    /// records afterwards is off the critical loop. Results are pinned
-    /// bit-identical to the path-recording variant's `(src, dist, pw)`
-    /// projection (`flat_fast_path_matches_path_recording` below).
-    fn relax_chunk_flat(
-        &self,
-        r: std::ops::Range<usize>,
-        cur: &LabelArena,
-        prev_changed: &[bool],
-        x: usize,
-    ) -> (Vec<u32>, Vec<Label>) {
-        let mut lens: Vec<u32> = Vec::with_capacity(r.len());
-        let mut out: Vec<Label> = Vec::new();
-        let mut srcs: Vec<VId> = Vec::new();
-        let mut dists: Vec<Weight> = Vec::new();
-        let mut pws: Vec<Weight> = Vec::new();
-        let mut scratch = ReduceScratch::new();
-        for v in r {
-            let vid = v as VId;
-            let mut any = false;
-            self.view.for_each_neighbor(vid, |u, _, _| {
-                any |= prev_changed[u as usize];
-            });
-            if !any {
-                lens.push(SKIP);
-                continue;
-            }
-            srcs.clear();
-            dists.clear();
-            pws.clear();
-            for l in cur.labels(v) {
-                srcs.push(l.src);
-                dists.push(l.dist);
-                pws.push(l.pw);
-            }
-            self.view.for_each_neighbor(vid, |u, w, _tag| {
-                for l in cur.labels(u as usize) {
-                    let nd = l.dist + w;
-                    if nd <= self.threshold {
-                        srcs.push(l.src);
-                        dists.push(nd);
-                        pws.push(l.pw + w);
-                    }
+            lens.push(list.len() as u32);
+            out.extend(list.iter().map(|k| {
+                Label {
+                    src: k.src,
+                    dist: k.dist,
+                    pw: k.pw,
+                    path: match k.via {
+                        None => own[k.pos].path.clone(),
+                        Some((u, w, tag)) => (cur.labels(u as usize)[k.pos].path.as_ref())
+                            .map(|p| path_extend(p, vid, self.mem_edge(tag), w)),
+                    },
                 }
-            });
-            reduce_labels_columns(&mut srcs, &mut dists, &mut pws, x, &mut scratch);
-            lens.push(srcs.len() as u32);
-            out.extend(
-                srcs.iter()
-                    .zip(dists.iter())
-                    .zip(pws.iter())
-                    .map(|((&s, &d), &p)| Label {
-                        src: s,
-                        dist: d,
-                        pw: p,
-                        path: None,
-                    }),
-            );
+            }));
         }
         (lens, out)
     }
@@ -428,9 +419,13 @@ impl<'a> Explorer<'a> {
     /// Propagate `scratch.labels` to a fixpoint (≤ `hop_limit` steps),
     /// each step one parallel round on `self.exec`. Single-label lists
     /// (`x = 1`: every [`Explorer::bfs`] pulse and `detect_neighbors(1)`)
-    /// take the push kernel; longer lists take the pull loop.
+    /// take the push kernel; longer lists take the pull kernel.
     fn propagate(&self, scratch: &mut ExploreScratch, x: usize, ledger: &mut Ledger) {
-        if x == 1 && !pull_reference() {
+        #[cfg(test)]
+        if tests::FULL_PULL.with(|c| c.get()) {
+            return tests::propagate_full_pull(self, scratch, x, ledger);
+        }
+        if x == 1 {
             self.propagate_push(scratch, ledger);
         } else {
             self.propagate_pull(scratch, x, ledger);
@@ -448,7 +443,7 @@ impl<'a> Explorer<'a> {
     /// fold order, so chunking cannot show. Every winner is built from the
     /// previous step's labels before any is written (CREW), and the
     /// written set, ascending, is the next frontier. It is exactly the
-    /// pull loop's changed set, so labels, paths, step counts and ledger
+    /// full pull's changed set, so labels, paths, step counts and ledger
     /// charges are the pull's, while a step costs the frontier's slots.
     fn propagate_push(&self, scratch: &mut ExploreScratch, ledger: &mut Ledger) {
         let n = self.view.num_vertices();
@@ -566,13 +561,16 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// The pull loop for `x ≥ 2`: every vertex with a changed neighbor
-    /// recomputes its list from its own records plus every neighbor's,
-    /// reduced by Algorithm 3. The changed-flag double buffer lives in
-    /// the scratch. Per step, each chunk produces one flat
-    /// `(lens, labels)` buffer pair (no per-vertex vectors), which is
-    /// then compared against — and moved into — the arena's fixed regions
-    /// in vertex order.
+    /// The pull kernel for `x ≥ 2`: every vertex with a changed neighbor
+    /// merges its changed neighbors' records into its own list
+    /// ([`Explorer::relax_chunk`]). A neighbor unchanged since the
+    /// previous step was already folded in or had nothing to offer (the
+    /// frontier lemma of DESIGN.md §9), so the result is the full pull's:
+    /// Algorithm 3 over the own and every neighbor's records. The
+    /// changed-flag double buffer lives in the scratch. Per step, each
+    /// chunk produces one flat `(lens, labels)` buffer pair (no
+    /// per-vertex vectors), which is then compared against — and moved
+    /// into — the arena's fixed regions in vertex order.
     fn propagate_pull(&self, scratch: &mut ExploreScratch, x: usize, ledger: &mut Ledger) {
         let n = self.view.num_vertices();
         let ExploreScratch {
@@ -602,13 +600,9 @@ impl<'a> Explorer<'a> {
             let prev_changed = &*changed;
             // Recompute v iff some neighbor changed last step. One output
             // buffer pair per chunk; `SKIP` marks untouched vertices.
-            let chunks: Vec<(Vec<u32>, Vec<Label>)> = self.exec.run_chunks(&bounds, |r| {
-                if self.record_paths {
-                    self.relax_chunk_paths(r, cur, prev_changed, x)
-                } else {
-                    self.relax_chunk_flat(r, cur, prev_changed, x)
-                }
-            });
+            let chunks: Vec<(Vec<u32>, Vec<Label>)> = self
+                .exec
+                .run_chunks(&bounds, |r| self.relax_chunk(r, cur, prev_changed, x));
             // Apply: one pass per chunk — compare each new list against the
             // arena (the iterator's unconsumed slice), set the fixpoint
             // flag, then move it into the arena's region (overwriting a
@@ -1026,11 +1020,9 @@ mod tests {
 
     #[test]
     fn flat_fast_path_matches_path_recording() {
-        // The column-shaped fast path (record_paths = false) and the
-        // path-recording loop are separate implementations of the same
-        // pulse; their (src, dist, pw) projections must be bit-identical
-        // on every vertex. This pins the SIMD-shaped rewrite to the
-        // reference semantics end to end, not just per reduction call.
+        // Path-free and path-recording pulls share one chunk function and
+        // differ only in how survivors materialize; their (src, dist, pw)
+        // projections must be bit-identical on every vertex, end to end.
         let g = gen::gnm_connected(80, 220, 13, 1.0, 4.0);
         let view = UnionView::base_only(&g);
         let part = Partition::singletons(g.num_vertices());
@@ -1144,20 +1136,78 @@ mod tests {
         assert!(p.degrees[0] >= 2);
     }
 
-    // ---- The x = 1 push kernel, pinned to the pull loop ---------------
+    // ---- Both kernels, pinned to the full pull ------------------------
 
-    /// Run `f` with `x = 1` routed through the pull loop, the reference
-    /// every output below is pinned to: it recomputes each vertex with a
-    /// changed neighbor from all of its neighbors, so it does not lean on
-    /// the frontier lemma the push kernel needs.
+    thread_local! {
+        /// Routes every propagation through [`propagate_full_pull`].
+        pub(super) static FULL_PULL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// The full pull, the reference both kernels are pinned to: in each
+    /// step, every vertex with a changed neighbor reduces its own records
+    /// and all of its neighbors' relaxed records with Algorithm 3. It
+    /// leans on no frontier lemma, and it charges the ledger as the
+    /// kernels do.
+    pub(super) fn propagate_full_pull(
+        ex: &Explorer,
+        scratch: &mut ExploreScratch,
+        x: usize,
+        ledger: &mut Ledger,
+    ) {
+        let n = ex.view.num_vertices();
+        let labels = &mut scratch.labels;
+        let mut changed: Vec<bool> = (0..n).map(|v| labels.len_of(v) > 0).collect();
+        let mut reduce = ReduceScratch::new();
+        for _step in 0..ex.hop_limit {
+            if !changed.contains(&true) {
+                break;
+            }
+            ex.charge_step(x, ledger);
+            let mut next: Vec<Option<Vec<Label>>> = vec![None; n];
+            for (v, new) in next.iter_mut().enumerate() {
+                let vid = v as VId;
+                if !ex.view.neighbors(vid).any(|(u, _, _)| changed[u as usize]) {
+                    continue;
+                }
+                let mut cands = labels.labels(v).to_vec();
+                for (u, w, tag) in ex.view.neighbors(vid) {
+                    for l in labels.labels(u as usize) {
+                        let dist = l.dist + w;
+                        if dist <= ex.threshold {
+                            let path =
+                                (l.path.as_ref()).map(|p| path_extend(p, vid, ex.mem_edge(tag), w));
+                            let pw = l.pw + w;
+                            cands.push(Label {
+                                src: l.src,
+                                dist,
+                                pw,
+                                path,
+                            });
+                        }
+                    }
+                }
+                reduce_labels_in_place_scratch(&mut cands, x, &mut reduce);
+                *new = Some(cands);
+            }
+            for (v, new) in next.into_iter().enumerate() {
+                changed[v] = new.is_some_and(|new| {
+                    let differs = !labels_equal(&new, labels.labels(v));
+                    labels.set_list(v, new.into_iter());
+                    differs
+                });
+            }
+        }
+    }
+
+    /// Run `f` with every propagation routed through the full pull.
     fn with_pull_reference<R>(f: impl FnOnce() -> R) -> R {
         struct Reset;
         impl Drop for Reset {
             fn drop(&mut self) {
-                PULL_REFERENCE.with(|c| c.set(false));
+                FULL_PULL.with(|c| c.set(false));
             }
         }
-        PULL_REFERENCE.with(|c| c.set(true));
+        FULL_PULL.with(|c| c.set(true));
         let _reset = Reset;
         f()
     }
@@ -1262,11 +1312,18 @@ mod tests {
             crate::path::MemoryPath { verts, links }
         }
 
-        fn run(&self, threads: usize, record_paths: bool, hop_limit: usize) -> Outcome {
+        /// Run `f` on an explorer over this case.
+        fn explore<R>(
+            &self,
+            threads: usize,
+            record_paths: bool,
+            hop_limit: usize,
+            f: impl FnOnce(&Explorer) -> R,
+        ) -> R {
             let exec = Executor::shared(threads);
             let view = UnionView::with_extra(&self.g, &self.extra);
             let cm = self.memory(record_paths);
-            let ex = Explorer {
+            f(&Explorer {
                 exec: &exec,
                 view: &view,
                 part: &self.part,
@@ -1274,61 +1331,66 @@ mod tests {
                 threshold: self.threshold,
                 hop_limit,
                 record_paths,
-            };
-            let mut scratch = ExploreScratch::new();
-            let mut ledgers = vec![Ledger::new(); 4];
-            let det = ex.bfs(&self.sources, self.pulses, &mut scratch, &mut ledgers[0]);
-            let bfs = det
-                .iter()
-                .map(|d| {
-                    d.as_ref().map(|d| {
-                        let path = path_print(&d.path);
-                        (d.src_cluster, d.src_center, d.pulse, d.pw.to_bits(), path)
+            })
+        }
+
+        fn run(&self, threads: usize, record_paths: bool, hop_limit: usize) -> Outcome {
+            self.explore(threads, record_paths, hop_limit, |ex| {
+                let mut scratch = ExploreScratch::new();
+                let mut ledgers = vec![Ledger::new(); 4];
+                let det = ex.bfs(&self.sources, self.pulses, &mut scratch, &mut ledgers[0]);
+                let bfs = det
+                    .iter()
+                    .map(|d| {
+                        d.as_ref().map(|d| {
+                            let path = path_print(&d.path);
+                            (d.src_cluster, d.src_center, d.pulse, d.pw.to_bits(), path)
+                        })
                     })
-                })
-                .collect();
-            let m = ex.detect_neighbors(1, &mut scratch, &mut ledgers[1]);
-            let detect = m
-                .iter_lists()
-                .map(|list| {
-                    list.iter()
-                        .map(|l| (l.src, l.dist.to_bits(), l.pw.to_bits(), path_print(&l.path)))
-                        .collect()
-                })
-                .collect();
-            let w_set: Vec<u32> = (0..self.part.len() as u32).collect();
-            let mut trace = crate::ruling::RulingTrace::default();
-            let ruling = crate::ruling::ruling_set(
-                &ex,
-                &w_set,
-                &mut scratch,
-                &mut ledgers[2],
-                Some(&mut trace),
-            );
-            let verify = self.verify.then(|| {
-                crate::ruling::verify_ruling(&ex, &ruling, &w_set, 4, &mut scratch, &mut ledgers[3])
-            });
-            let trace = trace
-                .levels
-                .iter()
-                .map(|l| {
-                    (
-                        l.level,
-                        l.sources,
-                        l.candidates,
-                        l.knocked_out,
-                        l.alive_after,
+                    .collect();
+                let m = ex.detect_neighbors(1, &mut scratch, &mut ledgers[1]);
+                let detect = lists_print(&m);
+                let w_set: Vec<u32> = (0..self.part.len() as u32).collect();
+                let mut trace = crate::ruling::RulingTrace::default();
+                let ruling = crate::ruling::ruling_set(
+                    ex,
+                    &w_set,
+                    &mut scratch,
+                    &mut ledgers[2],
+                    Some(&mut trace),
+                );
+                let verify = self.verify.then(|| {
+                    crate::ruling::verify_ruling(
+                        ex,
+                        &ruling,
+                        &w_set,
+                        4,
+                        &mut scratch,
+                        &mut ledgers[3],
                     )
-                })
-                .collect();
-            Outcome {
-                bfs,
-                detect,
-                ruling,
-                trace,
-                verify,
-                ledgers,
-            }
+                });
+                let trace = trace
+                    .levels
+                    .iter()
+                    .map(|l| {
+                        (
+                            l.level,
+                            l.sources,
+                            l.candidates,
+                            l.knocked_out,
+                            l.alive_after,
+                        )
+                    })
+                    .collect();
+                Outcome {
+                    bfs,
+                    detect,
+                    ruling,
+                    trace,
+                    verify,
+                    ledgers,
+                }
+            })
         }
 
         /// Pin the push kernel to the pull reference at threads 1/2/4/8,
@@ -1349,16 +1411,173 @@ mod tests {
                 }
             }
         }
+
+        /// `detect_neighbors(x)`: every `m(C)` with its memory paths, and
+        /// the ledger.
+        fn detect(
+            &self,
+            threads: usize,
+            record_paths: bool,
+            hop_limit: usize,
+            x: usize,
+        ) -> (Vec<Vec<LabelPrint>>, Ledger) {
+            self.explore(threads, record_paths, hop_limit, |ex| {
+                let mut ledger = Ledger::new();
+                let m = ex.detect_neighbors(x, &mut ExploreScratch::new(), &mut ledger);
+                (lists_print(&m), ledger)
+            })
+        }
+
+        /// Pin `detect_neighbors(x)` under the merge kernel to the full
+        /// pull for every `x` in `xs`, at threads 1/2/4/8, with and without
+        /// paths, at every hop limit in `1..=max_hops`. The full pull must
+        /// have converged before `max_hops`.
+        fn assert_merge_matches_pull(&self, max_hops: usize, xs: &[usize]) {
+            for &x in xs {
+                assert!(x >= 2, "x = 1 takes the push kernel");
+                for record_paths in [false, true] {
+                    let mut previous = None;
+                    let mut converged = false;
+                    for hop_limit in 1..=max_hops {
+                        let reference =
+                            with_pull_reference(|| self.detect(1, record_paths, hop_limit, x));
+                        for threads in [1usize, 2, 4, 8] {
+                            let got = self.detect(threads, record_paths, hop_limit, x);
+                            assert!(
+                                got == reference,
+                                "{}: x={x} threads={threads} record_paths={record_paths} \
+                                 hop_limit={hop_limit}\n merge: {got:?}\n pull: {reference:?}",
+                                self.name
+                            );
+                        }
+                        converged = previous.as_ref() == Some(&reference);
+                        previous = Some(reference);
+                    }
+                    assert!(
+                        converged,
+                        "{}: x={x} has not converged within {max_hops} hops",
+                        self.name
+                    );
+                }
+            }
+        }
+
+        /// Unit weights: distance ties everywhere, so the adjacency-order
+        /// tie-break decides every recorded path.
+        fn unit_torus() -> Case {
+            Case::singletons("unit torus", gen::torus(8, 8), 4.0, vec![0, 27, 45])
+        }
+
+        fn unit_grid() -> Case {
+            Case::singletons("unit grid", gen::unit_grid(7, 9), 3.0, vec![4, 40])
+        }
+
+        /// 0–2 costs 10 but 0–1–2 costs 4, so at step 2 vertex 2 improves
+        /// while its step-1 label still reaches 3 first.
+        fn shortcut() -> Case {
+            let g = Graph::from_edges(4, [(0, 2, 10.0), (0, 1, 2.0), (1, 2, 2.0), (2, 3, 1.0)])
+                .unwrap();
+            Case::singletons("shortcut", g, 20.0, vec![0])
+        }
+
+        fn weighted_gnm() -> Case {
+            let g = gen::gnm_connected(48, 120, 7, 1.0, 10.0);
+            let sources = (0..48).step_by(5).collect();
+            Case::singletons("weighted gnm", g, 15.0, sources)
+        }
+
+        /// The shape of H_{k-1}: a hub adjacent to every vertex (degree
+        /// n − 1) over a unit torus. Star edges to 6 and 30 parallel base
+        /// edges of equal weight, (0, 7) and (3, 20) are doubled in the
+        /// overlay, so base-before-overlay and overlay-index ties decide.
+        fn star_overlay() -> Case {
+            let g = gen::torus(6, 6);
+            let mut extra: Vec<(VId, VId, Weight)> =
+                (1..36).map(|v| (0, v, 1.0 + (v % 3) as Weight)).collect();
+            extra.extend([(0, 7, 2.0), (3, 20, 2.0), (3, 20, 2.0), (10, 25, 1.5)]);
+            let mut case = Case::singletons("star overlay", g, 3.0, vec![3, 17, 29]);
+            case.extra = extra;
+            case
+        }
+
+        /// 2×2 clusters centered at their top-left corner on a 9×8 unit
+        /// grid; the last row stays unclustered and only relays. Members
+        /// seed with their detour weight, and in path mode every seed and
+        /// every aggregation splices the detour in.
+        fn clustered() -> Case {
+            let (rows, cols) = (9usize, 8usize);
+            let g = gen::unit_grid(rows, cols);
+            let id = |r: usize, c: usize| (r * cols + c) as VId;
+            let mut cluster_of = vec![None; rows * cols];
+            let mut clusters = Vec::new();
+            for br in (0..rows - 1).step_by(2) {
+                for bc in (0..cols).step_by(2) {
+                    let mut members = vec![
+                        id(br, bc),
+                        id(br, bc + 1),
+                        id(br + 1, bc),
+                        id(br + 1, bc + 1),
+                    ];
+                    members.sort_unstable();
+                    for &m in &members {
+                        cluster_of[m as usize] = Some(clusters.len() as u32);
+                    }
+                    clusters.push(crate::partition::Cluster {
+                        center: id(br, bc),
+                        members,
+                    });
+                }
+            }
+            let part = Partition {
+                cluster_of,
+                clusters,
+            };
+            assert!(part.validate(rows * cols));
+            Case {
+                name: "clustered",
+                g,
+                extra: vec![(0, 30, 2.0), (5, 50, 3.0)],
+                part,
+                cols,
+                threshold: 4.5,
+                sources: vec![0, 5, 14],
+                pulses: 3,
+                verify: true,
+            }
+        }
+
+        /// A first frontier of at least PAR_THRESHOLD vertices: every
+        /// vertex seeds `detect_neighbors`, and the BFS sources cover all
+        /// but every 37th cluster. At two or more threads those steps
+        /// split into several chunks.
+        fn chunked() -> Case {
+            let g = gen::unit_grid(66, 66);
+            let n = g.num_vertices();
+            let sources: Vec<u32> = (0..n as u32).filter(|c| c % 37 != 0).collect();
+            assert!(sources.len() >= pram::pool::PAR_THRESHOLD);
+            assert!(Executor::shared(2).round_bounds(sources.len()).len() > 1);
+            let mut case = Case::singletons("chunked", g, 2.5, sources);
+            case.pulses = 2;
+            case.verify = false;
+            case
+        }
+    }
+
+    /// Every list of `m` as comparable data.
+    fn lists_print(m: &LabelArena) -> Vec<Vec<LabelPrint>> {
+        m.iter_lists()
+            .map(|list| {
+                list.iter()
+                    .map(|l| (l.src, l.dist.to_bits(), l.pw.to_bits(), path_print(&l.path)))
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
     fn push_kernel_matches_pull_on_unit_grids_and_tori() {
-        // Unit weights: distance ties everywhere, so the adjacency-order
-        // tie-break decides every recorded path.
-        let torus = Case::singletons("unit torus", gen::torus(8, 8), 4.0, vec![0, 27, 45]);
-        torus.assert_push_matches_pull(1..=10);
-        let grid = Case::singletons("unit grid", gen::unit_grid(7, 9), 3.0, vec![4, 40]);
-        grid.assert_push_matches_pull(1..=8);
+        Case::unit_torus().assert_push_matches_pull(1..=10);
+        Case::unit_grid().assert_push_matches_pull(1..=8);
     }
 
     #[test]
@@ -1367,95 +1586,112 @@ mod tests {
         // order: a vertex can improve in consecutive steps while its older
         // label's offer still wins a neighbor. That winner's path must
         // extend the older label, not the one written in the same step.
-        // Smallest case: 0–2 costs 10 but 0–1–2 costs 4, so at step 2
-        // vertex 2 improves while its step-1 label still reaches 3 first.
-        let g =
-            Graph::from_edges(4, [(0, 2, 10.0), (0, 1, 2.0), (1, 2, 2.0), (2, 3, 1.0)]).unwrap();
-        let shortcut = Case::singletons("shortcut", g, 20.0, vec![0]);
-        shortcut.assert_push_matches_pull(1..=4);
-        let g = gen::gnm_connected(48, 120, 7, 1.0, 10.0);
-        let sources = (0..48).step_by(5).collect();
-        let gnm = Case::singletons("weighted gnm", g, 15.0, sources);
-        gnm.assert_push_matches_pull(1..=12);
+        Case::shortcut().assert_push_matches_pull(1..=4);
+        Case::weighted_gnm().assert_push_matches_pull(1..=12);
     }
 
     #[test]
     fn push_kernel_matches_pull_on_a_star_overlay() {
-        // The shape of H_{k-1}: a hub adjacent to every vertex (degree
-        // n − 1) over a unit torus. Star edges to 6 and 30 parallel base
-        // edges of equal weight, (0, 7) and (3, 20) are doubled in the
-        // overlay, so base-before-overlay and overlay-index ties decide.
-        let g = gen::torus(6, 6);
-        let mut extra: Vec<(VId, VId, Weight)> =
-            (1..36).map(|v| (0, v, 1.0 + (v % 3) as Weight)).collect();
-        extra.extend([(0, 7, 2.0), (3, 20, 2.0), (3, 20, 2.0), (10, 25, 1.5)]);
-        let mut case = Case::singletons("star overlay", g, 3.0, vec![3, 17, 29]);
-        case.extra = extra;
-        case.assert_push_matches_pull(1..=6);
+        Case::star_overlay().assert_push_matches_pull(1..=6);
     }
 
     #[test]
     fn push_kernel_matches_pull_on_clustered_partitions() {
-        // 2×2 clusters centered at their top-left corner on a 9×8 unit
-        // grid; the last row stays unclustered and only relays. Members
-        // seed with their detour weight, and in path mode every seed and
-        // every aggregation splices the detour in.
-        let (rows, cols) = (9usize, 8usize);
-        let g = gen::unit_grid(rows, cols);
-        let id = |r: usize, c: usize| (r * cols + c) as VId;
-        let mut cluster_of = vec![None; rows * cols];
-        let mut clusters = Vec::new();
-        for br in (0..rows - 1).step_by(2) {
-            for bc in (0..cols).step_by(2) {
-                let mut members = vec![
-                    id(br, bc),
-                    id(br, bc + 1),
-                    id(br + 1, bc),
-                    id(br + 1, bc + 1),
-                ];
-                members.sort_unstable();
-                for &m in &members {
-                    cluster_of[m as usize] = Some(clusters.len() as u32);
-                }
-                clusters.push(crate::partition::Cluster {
-                    center: id(br, bc),
-                    members,
-                });
-            }
-        }
-        let part = Partition {
-            cluster_of,
-            clusters,
-        };
-        assert!(part.validate(rows * cols));
-        let case = Case {
-            name: "clustered",
-            g,
-            extra: vec![(0, 30, 2.0), (5, 50, 3.0)],
-            part,
-            cols,
-            threshold: 4.5,
-            sources: vec![0, 5, 14],
-            pulses: 3,
-            verify: true,
-        };
-        case.assert_push_matches_pull(1..=9);
+        Case::clustered().assert_push_matches_pull(1..=9);
     }
 
     #[test]
     fn push_kernel_chunked_fold_matches_pull() {
-        // A first frontier of at least PAR_THRESHOLD vertices: every
-        // vertex seeds `detect_neighbors(1)`, and the BFS sources cover
-        // all but every 37th cluster. At two or more threads those steps
-        // split into several chunks, so the chunk-order fold really runs.
-        let g = gen::unit_grid(66, 66);
-        let n = g.num_vertices();
-        let sources: Vec<u32> = (0..n as u32).filter(|c| c % 37 != 0).collect();
-        assert!(sources.len() >= pram::pool::PAR_THRESHOLD);
-        assert!(Executor::shared(2).round_bounds(sources.len()).len() > 1);
-        let mut case = Case::singletons("chunked", g, 2.5, sources);
-        case.pulses = 2;
-        case.verify = false;
-        case.assert_push_matches_pull([1usize, 2, 3, 6].into_iter());
+        // At two or more threads the chunk-order fold really runs.
+        Case::chunked().assert_push_matches_pull([1usize, 2, 3, 6].into_iter());
+    }
+
+    // ---- The x ≥ 2 merge kernel, pinned to the full pull --------------
+    //
+    // Each case runs x = 2, 3, 5 and an x no list can fill (at least the
+    // cluster count, or the number of sources within the threshold).
+
+    #[test]
+    fn merge_kernel_matches_pull_on_unit_grids_and_tori() {
+        Case::unit_torus().assert_merge_matches_pull(7, &[2, 3, 5, 64]);
+        Case::unit_grid().assert_merge_matches_pull(6, &[2, 3, 5, 63]);
+    }
+
+    #[test]
+    fn merge_kernel_matches_pull_on_weighted_graphs() {
+        Case::shortcut().assert_merge_matches_pull(5, &[2, 3, 5, 4]);
+        Case::weighted_gnm().assert_merge_matches_pull(12, &[2, 3, 5, 48]);
+    }
+
+    #[test]
+    fn merge_kernel_matches_pull_on_a_star_overlay() {
+        Case::star_overlay().assert_merge_matches_pull(6, &[2, 3, 5, 36]);
+    }
+
+    #[test]
+    fn merge_kernel_matches_pull_on_clustered_partitions() {
+        Case::clustered().assert_merge_matches_pull(8, &[2, 3, 5, 16]);
+    }
+
+    #[test]
+    fn merge_kernel_chunked_rounds_match_pull() {
+        // 4 356 clusters, but at most 13 sources lie within 2.5 of any
+        // vertex, so x = 16 never fills a list.
+        Case::chunked().assert_merge_matches_pull(4, &[2, 3, 5, 16]);
+    }
+
+    #[test]
+    fn merge_kernel_ranks_relaxed_ties_by_source() {
+        // Sources 9 and 3 reach vertex 1 at 1.0 and 1.0 + 2⁻⁵², so 1's
+        // list holds 9 before 3. Over the unit edge 1–2 both arrive at 2
+        // as exactly 2.0, where 3 must rank first. Vertex 2 hears of 5 at
+        // 2.0 through 0 before 1, and of 4 at 2.0 through 6 after it.
+        // With x = 5 its list is full when 9 arrives, 9 ranks after the
+        // last record, and 3 must still displace 5. With x = 6, 9 enters
+        // and 3 must go in front of it, or 4 would be cut.
+        let ulp = Weight::EPSILON;
+        assert_eq!((1.0 + ulp) + 1.0, 2.0);
+        let edges = [
+            (5, 0, 1.0),
+            (0, 2, 1.0),
+            (9, 1, 1.0),
+            (3, 1, 1.0 + ulp),
+            (1, 2, 1.0),
+            (4, 6, 1.0),
+            (6, 2, 1.0),
+        ];
+        let g = Graph::from_edges(10, edges).unwrap();
+        let case = Case::singletons("relaxed ties", g, 2.5, vec![]);
+        case.assert_merge_matches_pull(5, &[2, 3, 4, 5, 6, 10]);
+        let srcs = |x: usize| -> Vec<VId> {
+            let (m, _) = case.detect(2, false, 5, x);
+            m[2].iter().map(|l| l.0).collect()
+        };
+        assert_eq!(srcs(5), vec![2, 0, 1, 6, 3]);
+        assert_eq!(srcs(6), vec![2, 0, 1, 6, 3, 4]);
+        assert_eq!(srcs(10), vec![2, 0, 1, 6, 3, 4, 5, 9]);
+    }
+
+    #[test]
+    fn merge_kernel_lightens_the_last_record_at_equal_rank() {
+        // Cluster {0, 1} centered at 0 (member 1 seeds with its 1.0
+        // detour) and cluster {4}; 3 only relays. Vertex 4 hears of
+        // cluster 0 at 1.0 through 1 first (pw 2.0), then at 1.0 through
+        // 3 (pw 1.0). With x = 2 that record is the last of a full list,
+        // and the lighter one must replace it.
+        let g = Graph::from_edges(5, [(0, 1, 1.0), (0, 3, 0.5), (1, 4, 1.0), (3, 4, 0.5)]).unwrap();
+        let cluster = |center, members| crate::partition::Cluster { center, members };
+        let part = Partition {
+            cluster_of: vec![Some(0), Some(0), None, None, Some(1)],
+            clusters: vec![cluster(0, vec![0, 1]), cluster(4, vec![4])],
+        };
+        assert!(part.validate(5));
+        let mut case = Case::singletons("lighter last record", g, 2.5, vec![]);
+        (case.part, case.cols) = (part, 3);
+        case.assert_merge_matches_pull(4, &[2, 3, 4]);
+        let (m, _) = case.detect(2, false, 4, 2);
+        let one = 1.0f64.to_bits();
+        let last = m[1].last().map(|l| (l.0, l.1, l.2));
+        assert_eq!(last, Some((0, one, one)));
     }
 }

@@ -67,14 +67,14 @@ pub const GRAPH_MAGIC: [u8; 8] = *b"PSSGRAPH";
 
 /// Size of the fixed prelude before the header block (magic + version +
 /// header length + checksum).
-const PRELUDE_BYTES: u64 = 24;
+pub const PRELUDE_BYTES: u64 = 24;
 
 /// Per-section descriptor size in the header block.
 const SECTION_DESC_BYTES: u64 = 24;
 
 /// Hard sanity cap on the header block (params + section table are always
 /// tiny; a multi-megabyte header is corruption, not data).
-const MAX_HEADER_BYTES: u32 = 1 << 24;
+pub const MAX_HEADER_BYTES: u32 = 1 << 24;
 
 // ---------------------------------------------------------------------------
 // Errors

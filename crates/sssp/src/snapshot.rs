@@ -28,10 +28,14 @@ use crate::oracle::{Oracle, OracleBackend, OracleBuilder, Pipeline};
 use hopset::multi_scale::BuiltHopset;
 use hopset::params::{DeltaSchedule, HopsetParams, ParamMode};
 use hopset::reduction::ReducedHopset;
-use hopset::snapshot::{hopset_snapshot_size, read_hopset_snapshot, write_hopset_snapshot};
+use hopset::snapshot::{
+    hopset_snapshot_size, read_hopset_snapshot, write_hopset_snapshot, HOPSET_MAGIC,
+};
+use hopset::Hopset;
 use pgraph::snapshot::{
     container_size, graph_snapshot_size, read_graph_snapshot, write_graph_snapshot,
-    ContainerReader, ContainerWriter, ParamsBuf, ParamsReader, SectionDecl,
+    ContainerReader, ContainerWriter, ParamsBuf, ParamsReader, SectionDecl, MAX_HEADER_BYTES,
+    PRELUDE_BYTES,
 };
 use pgraph::{OverlayCsr, UnionGraph};
 use pram::pool::Executor;
@@ -154,6 +158,34 @@ fn decode_hopset_params(p: &mut ParamsReader<'_>) -> Result<HopsetParams, Snapsh
     })
 }
 
+/// Read the nested hopset container, refusing quantized weights: they
+/// decode as `round(w / scale)·scale`, which can undershoot `w`, and an
+/// oracle's answers must never undershoot. The nested prelude and header
+/// are buffered and checked before any column is read, then replayed
+/// ahead of the rest of the section.
+fn read_exact_hopset(r: &mut dyn Read) -> Result<Hopset, SnapshotError> {
+    let mut head = Vec::new();
+    (&mut *r).take(PRELUDE_BYTES).read_to_end(&mut head)?;
+    // The prelude is magic (8), version (4), header length (4) and
+    // checksum (8); `open` rejects a header over the cap unread.
+    if let Some(hlen) = head.get(12..16) {
+        let hlen = u32::from_le_bytes(hlen.try_into().expect("four bytes"));
+        if hlen <= MAX_HEADER_BYTES {
+            (&mut *r).take(u64::from(hlen)).read_to_end(&mut head)?;
+        }
+    }
+    let nested = ContainerReader::open(head.as_slice(), &HOPSET_MAGIC)?;
+    if let Some(w) = nested.sections().iter().find(|s| &s.tag == b"wgts") {
+        if w.elem_size != 8 {
+            return Err(corrupt(format!(
+                "nested hopset stores {}-byte quantized weights; an oracle needs exact 8-byte weights",
+                w.elem_size
+            )));
+        }
+    }
+    read_hopset_snapshot(head.as_slice().chain(r))
+}
+
 fn oracle_sections(o: &Oracle) -> Vec<SectionDecl> {
     let h = match &o.backend {
         OracleBackend::Plain(b) => &b.hopset,
@@ -271,7 +303,7 @@ impl OracleBuilder {
         }?;
 
         let graph = cr.raw(*b"grph", |r| read_graph_snapshot(r))?;
-        let hopset = cr.raw(*b"hops", |r| read_hopset_snapshot(r))?;
+        let hopset = cr.raw(*b"hops", read_exact_hopset)?;
         let n = graph.num_vertices();
 
         // Cross-container validation the standalone hopset loader cannot do
@@ -338,6 +370,7 @@ impl OracleBuilder {
 mod tests {
     use super::*;
     use crate::oracle::DistanceOracle;
+    use hopset::snapshot::{hopset_snapshot_size_quantized, write_hopset_snapshot_quantized};
     use pgraph::gen;
 
     fn roundtrip(o: &Oracle) -> Oracle {
@@ -400,6 +433,35 @@ mod tests {
         assert_eq!(a.parent, b.parent);
         for (x, y) in a.dist.iter().zip(&b.dist) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn rejects_a_nested_hopset_with_quantized_weights() {
+        let g = gen::road_grid(12, 12, 7, 1.0, 8.0);
+        let o = Oracle::builder(g).eps(0.25).kappa(4).build().unwrap();
+        let OracleBackend::Plain(b) = &o.backend else {
+            panic!("road grid builds the plain pipeline")
+        };
+        assert!(!b.hopset.is_empty());
+        let mut params = ParamsBuf::new();
+        encode_params(&mut params, &o);
+        let mut sections = oracle_sections(&o);
+        sections[1].count = hopset_snapshot_size_quantized(&b.hopset);
+        let mut buf = Vec::new();
+        let mut cw =
+            ContainerWriter::begin(&mut buf, &ORACLE_MAGIC, params.as_slice(), sections).unwrap();
+        cw.raw(*b"grph", |out| write_graph_snapshot(o.graph(), out))
+            .unwrap();
+        cw.raw(*b"hops", |out| {
+            write_hopset_snapshot_quantized(&b.hopset, out)
+        })
+        .unwrap();
+        cw.finish().unwrap();
+        // xlint: allow(ambient-threads, test loads onto the process default executor)
+        match OracleBuilder::from_snapshot_reader(buf.as_slice(), Executor::current()) {
+            Err(SnapshotError::Corrupt { what }) => assert!(what.contains("4-byte"), "{what}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
         }
     }
 
