@@ -111,12 +111,8 @@ fn dedup_pack(src: VId, dist: Weight, idx: usize) -> u128 {
 pub struct ReduceScratch {
     /// Packed keys, reused for the dedup sort and then the rank sort.
     keys: Vec<u128>,
-    /// Survivor gather buffer for the label (AoS) variant.
+    /// Survivor gather buffer.
     tmp: Vec<Label>,
-    /// Survivor gather buffers for the column (SoA) variant.
-    tmp_src: Vec<VId>,
-    tmp_dist: Vec<Weight>,
-    tmp_pw: Vec<Weight>,
 }
 
 impl ReduceScratch {
@@ -126,7 +122,7 @@ impl ReduceScratch {
     }
 }
 
-/// Shared core of the packed-key reduction: given dedup keys for `n`
+/// Core of the packed-key reduction: given dedup keys for `n`
 /// candidates and a `pw`-by-index accessor, leave in `keys[..r]` the `≤ x`
 /// survivors' **rank** keys (`dist_bits·2⁶⁴ | src·2³² | index`) in final
 /// rank order, returning `r`.
@@ -223,56 +219,6 @@ pub fn reduce_labels_in_place_scratch(
 /// [`ReduceScratch`] per chunk instead.
 pub fn reduce_labels_in_place(cands: &mut Vec<Label>, x: usize) {
     reduce_labels_in_place_scratch(cands, x, &mut ReduceScratch::new());
-}
-
-/// The column (SoA) variant of the packed-key reduction (nothing in the
-/// workspace calls it outside its test): candidates arrive as three
-/// parallel columns (`srcs[i]`, `dists[i]`, `pws[i]`), and the columns are
-/// reduced in place to the `≤ x` survivors in rank order. Same algorithm, same
-/// determinism argument, same reference semantics as
-/// [`reduce_labels_in_place_scratch`] — pinned by the proptests — but no
-/// 32-byte record or `Option<PathHandle>` is ever touched, so both the
-/// caller's accumulation loop and the key build vectorize.
-pub fn reduce_labels_columns(
-    srcs: &mut Vec<VId>,
-    dists: &mut Vec<Weight>,
-    pws: &mut Vec<Weight>,
-    x: usize,
-    scratch: &mut ReduceScratch,
-) {
-    let n = srcs.len();
-    debug_assert!(n == dists.len() && n == pws.len(), "columns must align");
-    if n == 0 {
-        return;
-    }
-    assert!(
-        n <= u32::MAX as usize,
-        "candidate index must fit the packed key"
-    );
-    let keys = &mut scratch.keys;
-    keys.clear();
-    keys.extend(
-        srcs.iter()
-            .zip(dists.iter())
-            .enumerate()
-            .map(|(i, (&s, &d))| dedup_pack(s, d, i)),
-    );
-    let r = reduce_keys(keys, n, x, |idx| pws[idx].to_bits());
-    scratch.tmp_src.clear();
-    scratch.tmp_dist.clear();
-    scratch.tmp_pw.clear();
-    for &k in &keys[..r] {
-        let idx = (k & IDX_MASK) as usize;
-        scratch.tmp_src.push(srcs[idx]);
-        scratch.tmp_dist.push(dists[idx]);
-        scratch.tmp_pw.push(pws[idx]);
-    }
-    srcs.clear();
-    srcs.append(&mut scratch.tmp_src);
-    dists.clear();
-    dists.append(&mut scratch.tmp_dist);
-    pws.clear();
-    pws.append(&mut scratch.tmp_pw);
 }
 
 /// [`reduce_labels_in_place`] on an owned vector (the non-hot-path
@@ -527,28 +473,6 @@ mod tests {
                         .map(|l| (l.src, l.dist, l.pw))
                         .collect::<Vec<_>>(),
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn columns_reduce_is_pinned_to_the_reference() {
-        let mut scratch = ReduceScratch::new();
-        for len in 0..64usize {
-            for x in [1usize, 3, 16] {
-                let cands = mixed_cands(len, (len * 17 + x) as u64);
-                let mut reference = cands.clone();
-                reduce_labels_two_sort(&mut reference, x);
-                let mut srcs: Vec<VId> = cands.iter().map(|l| l.src).collect();
-                let mut dists: Vec<Weight> = cands.iter().map(|l| l.dist).collect();
-                let mut pws: Vec<Weight> = cands.iter().map(|l| l.pw).collect();
-                reduce_labels_columns(&mut srcs, &mut dists, &mut pws, x, &mut scratch);
-                assert_eq!(srcs.len(), reference.len(), "len={len} x={x}");
-                for (i, r) in reference.iter().enumerate() {
-                    assert_eq!(srcs[i], r.src, "len={len} x={x} i={i}");
-                    assert_eq!(dists[i].to_bits(), r.dist.to_bits());
-                    assert_eq!(pws[i].to_bits(), r.pw.to_bits());
-                }
             }
         }
     }

@@ -71,8 +71,8 @@ pub mod virtual_bfs;
 
 pub use io::{read_hopset, write_hopset};
 pub use label::{
-    reduce_labels, reduce_labels_columns, reduce_labels_in_place, reduce_labels_in_place_scratch,
-    reduce_labels_two_sort, Label, LabelArena, ReduceScratch,
+    reduce_labels, reduce_labels_in_place, reduce_labels_in_place_scratch, reduce_labels_two_sort,
+    Label, LabelArena, ReduceScratch,
 };
 pub use multi_scale::{build_hopset, build_hopset_on, BuildOptions, BuiltHopset};
 pub use params::{DeltaSchedule, HopsetParams, ParamError, ParamMode, ScaleParams};
@@ -82,7 +82,6 @@ pub use ruling::{ruling_set, RulingTrace};
 pub use single_scale::{PhaseStats, ScaleReport};
 pub use snapshot::{
     load_hopset_snapshot, read_hopset_snapshot, save_hopset_snapshot, write_hopset_snapshot,
-    write_hopset_snapshot_quantized,
 };
 pub use store::{EdgeKind, Hopset, HopsetEdge, ScaleSlice};
 pub use virtual_bfs::{ExploreScratch, Explorer};

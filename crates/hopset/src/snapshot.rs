@@ -8,8 +8,8 @@
 //! structural validation pass (scale order, offset-table consistency, kind
 //! tally, path-link bounds).
 //!
-//! Sections, in order: `us  `/`vs  ` (u32 endpoints), `wgts` (f64, or
-//! u32 when quantized — see below), `scal` (u32), `kind`/`phas` (u8 each
+//! Sections, in order: `us  `/`vs  ` (u32 endpoints), `wgts` (f64 — see
+//! below), `scal` (u32), `kind`/`phas` (u8 each
 //! — [`EdgeKind`] split into a code and a phase byte), `path` (u32,
 //! [`Hopset::NO_PATH`] = none), `sstr` (u32, the `(scale, start)` offset
 //! table interleaved), and `prec` — the memory-path arena as
@@ -18,16 +18,15 @@
 //! anything else a hopset edge index, bounds-checked against the edge
 //! count exactly like the text loader.
 //!
-//! ## Quantized weights (format v2, DESIGN.md §12)
+//! ## Weight width (format v2, DESIGN.md §12)
 //!
-//! [`write_hopset_snapshot_quantized`] stores the weight column as `u32`
-//! at half the bytes: `q = round(w / scale)` clamped to `1..=u32::MAX`
-//! with `scale = w_max / u32::MAX`, decoded as `ŵ = q · scale` (absolute
-//! error ≤ `scale / 2`). Quantization is **storage-only and opt-in**: the
-//! default writer stays exact (`f64` bit patterns), nothing in the
-//! compute path ever sees a quantized value unless a quantized file is
-//! explicitly loaded, and the determinism contract (§5) is stated over
-//! exact snapshots. Path-record link weights stay f64 either way.
+//! A v2 header records the weight column's width and a quantization
+//! scale. The writer always stores exact `f64` bit patterns (width 8,
+//! scale 0). [`read_hopset_snapshot`] rejects width 4 — `u32` weights
+//! decoded as `round(w / scale) · scale` — with [`SnapshotError::Corrupt`]
+//! before any column is read: a decoded weight can land below the stored
+//! hopset weight, which may equal the true distance, so answers over such
+//! a hopset could undershoot.
 
 use crate::path::{MemEdge, MemoryPath};
 use crate::store::{EdgeKind, Hopset};
@@ -42,7 +41,7 @@ use std::path::Path;
 pub const HOPSET_MAGIC: [u8; 8] = *b"PSSHOPST";
 
 // v1: ne, np, tally[3] (5×u64). v2 appends weight_width u8 + qscale f64
-// (qscale is 0 when weights are exact f64).
+// (written as 8 and 0: weights are exact f64).
 const PARAMS_BYTES: usize = 8 * 5 + 1 + 8;
 
 /// Link tag meaning "base-graph edge" in `prec` records.
@@ -65,7 +64,7 @@ fn path_record_bytes(p: &MemoryPath) -> u64 {
     8 + 16 * p.links.len() as u64
 }
 
-fn sections(h: &Hopset, weight_width: u32) -> Vec<SectionDecl> {
+fn sections(h: &Hopset) -> Vec<SectionDecl> {
     let ne = h.len() as u64;
     let prec_bytes: u64 = h.paths.iter().map(path_record_bytes).sum();
     vec![
@@ -81,7 +80,7 @@ fn sections(h: &Hopset, weight_width: u32) -> Vec<SectionDecl> {
         },
         SectionDecl {
             tag: *b"wgts",
-            elem_size: weight_width,
+            elem_size: 8,
             count: ne,
         },
         SectionDecl {
@@ -119,50 +118,13 @@ fn sections(h: &Hopset, weight_width: u32) -> Vec<SectionDecl> {
 
 /// Exact byte size [`write_hopset_snapshot`] will emit for `h`.
 pub fn hopset_snapshot_size(h: &Hopset) -> u64 {
-    container_size(PARAMS_BYTES, &sections(h, 8))
-}
-
-/// Exact byte size [`write_hopset_snapshot_quantized`] will emit for `h`.
-pub fn hopset_snapshot_size_quantized(h: &Hopset) -> u64 {
-    container_size(PARAMS_BYTES, &sections(h, 4))
-}
-
-/// The quantization step for `h`'s weight column: `w_max / u32::MAX`
-/// (1.0 for an empty store, so the scale is always positive).
-fn quantize_scale(ws: &[f64]) -> f64 {
-    // xlint: allow(float-fold, sequential max is order-independent; no parallel chunking here)
-    let wmax = ws.iter().copied().fold(0.0f64, f64::max);
-    if wmax > 0.0 {
-        wmax / u32::MAX as f64
-    } else {
-        1.0
-    }
+    container_size(PARAMS_BYTES, &sections(h))
 }
 
 /// Write `h` as a binary snapshot (columns streamed verbatim; weights
 /// exact f64 bit patterns — round-trips bit-identically).
-pub fn write_hopset_snapshot(h: &Hopset, w: impl Write) -> Result<(), SnapshotError> {
-    write_hopset_snapshot_with(h, w, false)
-}
-
-/// Write `h` with the weight column quantized to `u32` (half the weight
-/// bytes; lossy — see the module docs for the rule and the error bound).
-pub fn write_hopset_snapshot_quantized(h: &Hopset, w: impl Write) -> Result<(), SnapshotError> {
-    write_hopset_snapshot_with(h, w, true)
-}
-
-fn write_hopset_snapshot_with(
-    h: &Hopset,
-    mut w: impl Write,
-    quantize: bool,
-) -> Result<(), SnapshotError> {
+pub fn write_hopset_snapshot(h: &Hopset, mut w: impl Write) -> Result<(), SnapshotError> {
     let (ts, ti, tt) = h.kind_counts();
-    let weight_width: u32 = if quantize { 4 } else { 8 };
-    let qscale = if quantize {
-        quantize_scale(h.ws())
-    } else {
-        0.0
-    };
     let mut params = ParamsBuf::new();
     params
         .u64(h.len() as u64)
@@ -170,25 +132,11 @@ fn write_hopset_snapshot_with(
         .u64(ts as u64)
         .u64(ti as u64)
         .u64(tt as u64);
-    params.u8(weight_width as u8).f64(qscale);
-    let mut cw = ContainerWriter::begin(
-        &mut w,
-        &HOPSET_MAGIC,
-        params.as_slice(),
-        sections(h, weight_width),
-    )?;
+    params.u8(8).f64(0.0);
+    let mut cw = ContainerWriter::begin(&mut w, &HOPSET_MAGIC, params.as_slice(), sections(h))?;
     cw.col_u32(*b"us  ", h.us())?;
     cw.col_u32(*b"vs  ", h.vs())?;
-    if quantize {
-        let q: Vec<u32> = h
-            .ws()
-            .iter()
-            .map(|&wv| ((wv / qscale).round() as u64).clamp(1, u32::MAX as u64) as u32)
-            .collect();
-        cw.col_u32(*b"wgts", &q)?;
-    } else {
-        cw.col_f64(*b"wgts", h.ws())?;
-    }
+    cw.col_f64(*b"wgts", h.ws())?;
     cw.col_u32(*b"scal", h.scales())?;
     let (kinds, phases): (Vec<u8>, Vec<u8>) = h.kinds().iter().map(|&k| kind_code(k)).unzip();
     cw.col_u8(*b"kind", &kinds)?;
@@ -269,35 +217,26 @@ pub fn read_hopset_snapshot(r: impl Read) -> Result<Hopset, SnapshotError> {
     let np = usize::try_from(p.u64()?).map_err(|_| corrupt("path count overflows usize"))?;
     let tally = [p.u64()? as usize, p.u64()? as usize, p.u64()? as usize];
 
-    // v1 always stored exact f64 weights; v2 records the width (+ scale).
-    let (weight_width, qscale) = if version >= 2 {
+    // v1 always stored exact f64 weights; v2 records the width (+ a
+    // quantization scale, which only width 4 used).
+    if version >= 2 {
         let ww = p.u8()?;
-        let qs = p.f64()?;
+        p.f64()?;
         match ww {
             8 => {}
-            4 if qs.is_finite() && qs > 0.0 => {}
-            4 => return Err(corrupt(format!("quantized weights with bad scale {qs}"))),
-            _ => {
-                return Err(corrupt(format!(
-                    "hopset weight width {ww} (expected 4 or 8)"
-                )))
+            4 => {
+                return Err(corrupt(
+                    "hopset stores 4-byte quantized weights, which can decode below the \
+                     stored weights and make answers undershoot; only exact 8-byte weights load",
+                ))
             }
+            _ => return Err(corrupt(format!("hopset weight width {ww} (expected 8)"))),
         }
-        (u32::from(ww), qs)
-    } else {
-        (8, 0.0)
-    };
+    }
 
     let us = cr.col_u32(*b"us  ")?;
     let vs = cr.col_u32(*b"vs  ")?;
-    let ws: Vec<f64> = if weight_width == 4 {
-        cr.col_u32(*b"wgts")?
-            .into_iter()
-            .map(|q| q as f64 * qscale)
-            .collect()
-    } else {
-        cr.col_f64(*b"wgts")?
-    };
+    let ws = cr.col_f64(*b"wgts")?;
     let scales = cr.col_u32(*b"scal")?;
     let kind_codes = cr.col_u8(*b"kind")?;
     let phases = cr.col_u8(*b"phas")?;
@@ -480,42 +419,8 @@ mod tests {
         assert!(h2.paths.is_empty());
     }
 
-    #[test]
-    fn quantized_roundtrip_is_structurally_identical_and_weights_close() {
-        let h = sample_hopset(true);
-        assert!(!h.is_empty());
-        let mut buf = Vec::new();
-        write_hopset_snapshot_quantized(&h, &mut buf).unwrap();
-        assert_eq!(buf.len() as u64, hopset_snapshot_size_quantized(&h));
-        assert!(
-            hopset_snapshot_size_quantized(&h) < hopset_snapshot_size(&h),
-            "u32 weights must shrink the file"
-        );
-        let h2 = read_hopset_snapshot(buf.as_slice()).unwrap();
-        // Everything except the weight column is exact.
-        assert_eq!(h.us(), h2.us());
-        assert_eq!(h.vs(), h2.vs());
-        assert_eq!(h.scales(), h2.scales());
-        assert_eq!(h.kinds(), h2.kinds());
-        assert_eq!(h.path_ids(), h2.path_ids());
-        assert_eq!(h.scale_starts(), h2.scale_starts());
-        assert_eq!(h.paths, h2.paths);
-        // Weights reconstruct within half a quantization step.
-        let wmax = h.ws().iter().copied().fold(0.0f64, f64::max);
-        let step = wmax / u32::MAX as f64;
-        for (a, b) in h.ws().iter().zip(h2.ws()) {
-            assert!(
-                (a - b).abs() <= step,
-                "weight {a} decoded as {b} (step {step})"
-            );
-            assert!(*b > 0.0, "decoded weight must stay positive");
-        }
-    }
-
-    #[test]
-    fn v1_hopset_snapshots_still_load() {
-        // A genuine version-1 file: 40-byte params, f64 weights.
-        let h = sample_hopset(false);
+    /// The params every version starts with: ne, np, tally[3].
+    fn v1_params(h: &Hopset) -> ParamsBuf {
         let (ts, ti, tt) = h.kind_counts();
         let mut params = ParamsBuf::new();
         params
@@ -524,18 +429,13 @@ mod tests {
             .u64(ts as u64)
             .u64(ti as u64)
             .u64(tt as u64);
-        let mut buf = Vec::new();
-        let mut cw = ContainerWriter::begin_with_version(
-            &mut buf,
-            &HOPSET_MAGIC,
-            1,
-            params.as_slice(),
-            sections(&h, 8),
-        )
-        .unwrap();
-        cw.col_u32(*b"us  ", h.us()).unwrap();
-        cw.col_u32(*b"vs  ", h.vs()).unwrap();
-        cw.col_f64(*b"wgts", h.ws()).unwrap();
+        params
+    }
+
+    /// Write every column after `wgts` of a hopset without memory paths,
+    /// the way the writer does.
+    fn write_tail_columns(cw: &mut ContainerWriter<'_, Vec<u8>>, h: &Hopset) {
+        assert!(h.paths.is_empty());
         cw.col_u32(*b"scal", h.scales()).unwrap();
         let (kinds, phases): (Vec<u8>, Vec<u8>) = h.kinds().iter().map(|&k| kind_code(k)).unzip();
         cw.col_u8(*b"kind", &kinds).unwrap();
@@ -548,6 +448,52 @@ mod tests {
             .collect();
         cw.col_u32(*b"sstr", &sstr).unwrap();
         cw.raw(*b"prec", |_| Ok(())).unwrap(); // no paths recorded
+    }
+
+    #[test]
+    fn rejects_a_v2_header_declaring_quantized_weights() {
+        // A v2 file whose header declares 4-byte weights, encoded as
+        // `round(w / scale)`: every column is well-formed, but the reader
+        // must refuse the width before reading any of them.
+        let h = sample_hopset(false);
+        let scale = 1.0 / 1024.0;
+        let mut params = v1_params(&h);
+        params.u8(4).f64(scale);
+        let mut decl = sections(&h);
+        decl[2].elem_size = 4;
+        let mut buf = Vec::new();
+        let mut cw =
+            ContainerWriter::begin(&mut buf, &HOPSET_MAGIC, params.as_slice(), decl).unwrap();
+        cw.col_u32(*b"us  ", h.us()).unwrap();
+        cw.col_u32(*b"vs  ", h.vs()).unwrap();
+        let q: Vec<u32> = h.ws().iter().map(|&w| (w / scale).round() as u32).collect();
+        cw.col_u32(*b"wgts", &q).unwrap();
+        write_tail_columns(&mut cw, &h);
+        cw.finish().unwrap();
+        match read_hopset_snapshot(buf.as_slice()) {
+            Err(SnapshotError::Corrupt { what }) => assert!(what.contains("4-byte"), "{what}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn v1_hopset_snapshots_still_load() {
+        // A genuine version-1 file: 40-byte params, f64 weights.
+        let h = sample_hopset(false);
+        let params = v1_params(&h);
+        let mut buf = Vec::new();
+        let mut cw = ContainerWriter::begin_with_version(
+            &mut buf,
+            &HOPSET_MAGIC,
+            1,
+            params.as_slice(),
+            sections(&h),
+        )
+        .unwrap();
+        cw.col_u32(*b"us  ", h.us()).unwrap();
+        cw.col_u32(*b"vs  ", h.vs()).unwrap();
+        cw.col_f64(*b"wgts", h.ws()).unwrap();
+        write_tail_columns(&mut cw, &h);
         cw.finish().unwrap();
 
         let h2 = read_hopset_snapshot(buf.as_slice()).unwrap();

@@ -54,9 +54,10 @@ use std::path::Path;
 /// * 2 — compact data plane (DESIGN.md §12). Graph params grow trailing
 ///   `id_width`/`offset_width`/`weight_width` bytes and the offsets column
 ///   is stored at `offset_width` (u32 when `2m ≤ u32::MAX`); the hopset
-///   container grows `weight_width` (+ a quantization scale when weights
-///   are stored as u32). Widths are properties of the *data*, not of the
-///   writing build, so files are byte-identical across feature flags.
+///   container grows `weight_width` and a quantization scale, written as
+///   8 and 0 (`hopset::snapshot` rejects 4-byte quantized weights). Widths
+///   are properties of the *data*, not of the writing build, so files are
+///   byte-identical across feature flags.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Oldest container version this build still decodes.
@@ -67,14 +68,14 @@ pub const GRAPH_MAGIC: [u8; 8] = *b"PSSGRAPH";
 
 /// Size of the fixed prelude before the header block (magic + version +
 /// header length + checksum).
-pub const PRELUDE_BYTES: u64 = 24;
+const PRELUDE_BYTES: u64 = 24;
 
 /// Per-section descriptor size in the header block.
 const SECTION_DESC_BYTES: u64 = 24;
 
 /// Hard sanity cap on the header block (params + section table are always
 /// tiny; a multi-megabyte header is corruption, not data).
-pub const MAX_HEADER_BYTES: u32 = 1 << 24;
+const MAX_HEADER_BYTES: u32 = 1 << 24;
 
 // ---------------------------------------------------------------------------
 // Errors

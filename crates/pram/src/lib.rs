@@ -24,9 +24,8 @@
 //! (private pool), `Executor::shared(t)` (process-cached), or
 //! `Executor::current()` — the compatibility default resolved from
 //! `pool::with_threads` / `pool::set_global_threads` / the
-//! `PRAM_SSSP_THREADS` env var / the hardware, in that order. The legacy
-//! sequential execution path survives behind the `seq-shim` feature only
-//! (see `shims/README.md`).
+//! `PRAM_SSSP_THREADS` env var / the hardware, in that order. A one-thread
+//! executor spawns no workers and runs every round inline.
 //!
 //! Modules:
 //! * [`ledger`] — the work/depth ledger,

@@ -86,25 +86,13 @@
 //! Inside a pool task the effective count is pinned to 1: nested
 //! primitives run sequentially instead of deadlocking on their own pool or
 //! fanning out `t²` threads. (Results are unaffected — only the schedule.)
-//!
-//! ## The `seq-shim` feature
-//!
-//! With `--features seq-shim` executors spawn no workers and every round
-//! routes through the sequential `rayon` shim, exactly as before real
-//! threads existed — same results, zero threads (see `shims/README.md`).
 
-#[cfg(not(feature = "seq-shim"))]
 use std::any::Any;
 use std::cell::Cell;
 use std::ops::Range;
-#[cfg(not(feature = "seq-shim"))]
-use std::panic::resume_unwind;
-#[cfg(any(test, not(feature = "seq-shim")))]
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-#[cfg(not(feature = "seq-shim"))]
-use std::sync::Condvar;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Inputs shorter than this run sequentially in every `prim` primitive;
 /// inputs of **exactly** this length take the chunked parallel path.
@@ -268,7 +256,6 @@ pub fn task_bounds(len: usize, threads: usize) -> Vec<Range<usize>> {
 
 /// Run `f` with this thread marked as a pool participant (nested
 /// primitives collapse to sequential). Restores the flag on exit.
-#[cfg_attr(feature = "seq-shim", allow(dead_code))]
 fn as_worker<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {
@@ -407,7 +394,6 @@ pub mod overlap {
 /// A one-round job, lifetime-erased. Valid only while its round is in
 /// flight: `dispatch` barriers on worker check-in before the referents
 /// (caller stack data) go away.
-#[cfg(not(feature = "seq-shim"))]
 #[derive(Clone, Copy)]
 struct Job {
     /// The per-chunk task, `task(chunk_index)`.
@@ -418,7 +404,6 @@ struct Job {
     nchunks: usize,
 }
 
-#[cfg(not(feature = "seq-shim"))]
 struct PoolState {
     /// Round generation counter; workers run one job per bump.
     epoch: u64,
@@ -437,7 +422,6 @@ struct PoolState {
     shutdown: bool,
 }
 
-#[cfg(not(feature = "seq-shim"))]
 struct Shared {
     state: Mutex<PoolState>,
     /// Workers wait here for a new epoch (or shutdown).
@@ -450,7 +434,6 @@ struct Shared {
     workers: usize,
 }
 
-#[cfg(not(feature = "seq-shim"))]
 fn worker_loop(shared: Arc<Shared>) {
     // A worker thread is permanently a pool participant: any primitive a
     // task calls transitively sees an effective thread count of 1.
@@ -497,7 +480,6 @@ fn worker_loop(shared: Arc<Shared>) {
 }
 
 /// Claim and run chunks until the round's counter is exhausted.
-#[cfg(not(feature = "seq-shim"))]
 fn run_job(job: &Job) {
     loop {
         let ci = job.next.fetch_add(1, Ordering::Relaxed);
@@ -512,15 +494,12 @@ fn run_job(job: &Job) {
 /// handles. Dropping the last [`Executor`] clone shuts the workers down.
 struct Core {
     threads: usize,
-    #[cfg(not(feature = "seq-shim"))]
     shared: Option<Arc<Shared>>,
-    #[cfg(not(feature = "seq-shim"))]
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Drop for Core {
     fn drop(&mut self) {
-        #[cfg(not(feature = "seq-shim"))]
         if let Some(shared) = &self.shared {
             lock(&shared.state).shutdown = true;
             shared.work_cv.notify_all();
@@ -568,53 +547,44 @@ impl Executor {
     /// inherit (and `tests/executor_isolation.rs` pins).
     ///
     /// Workers park immediately and are woken per round; they are shut
-    /// down and joined when the last clone of the handle drops. Under
-    /// `--features seq-shim` no workers are spawned at all.
+    /// down and joined when the last clone of the handle drops. A
+    /// one-thread executor spawns no workers: every round runs inline.
     pub fn new(threads: usize) -> Executor {
         let threads = threads.max(1);
-        #[cfg(not(feature = "seq-shim"))]
-        {
-            let (shared, handles) = if threads > 1 {
-                let shared = Arc::new(Shared {
-                    state: Mutex::new(PoolState {
-                        epoch: 0,
-                        job: None,
-                        active: 0,
-                        enroll: 0,
-                        panic: None,
-                        shutdown: false,
-                    }),
-                    work_cv: Condvar::new(),
-                    done_cv: Condvar::new(),
-                    round_lock: Mutex::new(()),
-                    workers: threads - 1,
-                });
-                let handles = (0..threads - 1)
-                    .map(|i| {
-                        let shared = Arc::clone(&shared);
-                        std::thread::Builder::new()
-                            .name(format!("pram-worker-{i}"))
-                            .spawn(move || worker_loop(shared))
-                            .expect("spawn pool worker")
-                    })
-                    .collect();
-                (Some(shared), handles)
-            } else {
-                (None, Vec::new())
-            };
-            Executor {
-                core: Arc::new(Core {
-                    threads,
-                    shared,
-                    handles,
+        let (shared, handles) = if threads > 1 {
+            let shared = Arc::new(Shared {
+                state: Mutex::new(PoolState {
+                    epoch: 0,
+                    job: None,
+                    active: 0,
+                    enroll: 0,
+                    panic: None,
+                    shutdown: false,
                 }),
-            }
-        }
-        #[cfg(feature = "seq-shim")]
-        {
-            Executor {
-                core: Arc::new(Core { threads }),
-            }
+                work_cv: Condvar::new(),
+                done_cv: Condvar::new(),
+                round_lock: Mutex::new(()),
+                workers: threads - 1,
+            });
+            let handles = (0..threads - 1)
+                .map(|i| {
+                    let shared = Arc::clone(&shared);
+                    std::thread::Builder::new()
+                        .name(format!("pram-worker-{i}"))
+                        .spawn(move || worker_loop(shared))
+                        .expect("spawn pool worker")
+                })
+                .collect();
+            (Some(shared), handles)
+        } else {
+            (None, Vec::new())
+        };
+        Executor {
+            core: Arc::new(Core {
+                threads,
+                shared,
+                handles,
+            }),
         }
     }
 
@@ -744,7 +714,6 @@ impl Executor {
     /// barrier until all are done. Runs inline (sequentially, in index
     /// order) when the round has ≤ 1 chunk, the executor is sequential, or
     /// the calling thread is itself a pool task.
-    #[cfg(not(feature = "seq-shim"))]
     fn dispatch(&self, nchunks: usize, runner: &(dyn Fn(usize) + Sync)) {
         let pooled = nchunks > 1 && !IN_POOL.with(|c| c.get());
         let shared = match &self.core.shared {
@@ -819,14 +788,6 @@ impl Executor {
         if let Err(payload) = caller {
             resume_unwind(payload);
         }
-    }
-
-    /// `seq-shim` routing: the sequential `rayon` shim runs every chunk on
-    /// the calling thread — same results, no threads.
-    #[cfg(feature = "seq-shim")]
-    fn dispatch(&self, nchunks: usize, runner: &(dyn Fn(usize) + Sync)) {
-        use rayon::prelude::*;
-        (0..nchunks).into_par_iter().for_each(runner);
     }
 
     /// Execute `task` once per chunk and return the per-chunk results **in
@@ -1158,9 +1119,6 @@ mod tests {
         assert_send_sync::<Executor>();
     }
 
-    // Under `seq-shim` everything runs on the calling thread, so the
-    // nested-collapse flag is never set (nothing to collapse).
-    #[cfg(not(feature = "seq-shim"))]
     #[test]
     fn nested_calls_collapse_to_sequential() {
         let exec = Executor::new(4);

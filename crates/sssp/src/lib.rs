@@ -28,7 +28,6 @@
 //! }
 //! ```
 
-pub mod assd;
 pub mod baseline;
 pub mod cache;
 pub mod delta_stepping;
@@ -36,9 +35,7 @@ pub mod eval;
 pub mod landmark;
 pub mod oracle;
 pub mod snapshot;
-pub mod spt;
 
-pub use assd::ApproxShortestPaths;
 pub use cache::{AdmissionConfig, CacheConfig, CacheStats, CachedOracle, CachedRow, FillPolicy};
 pub use delta_stepping::{delta_stepping, DeltaSteppingResult};
 pub use eval::{stretch_vs_hops, HopCurvePoint};
@@ -48,4 +45,3 @@ pub use oracle::{
     OracleBuilder, Pipeline, SsspError,
 };
 pub use snapshot::{SnapshotError, ORACLE_MAGIC};
-pub use spt::ApproxSptEngine;

@@ -1042,6 +1042,13 @@ mod tests {
             assert!(d[v] >= exact[v] - 1e-6 * exact[v].max(1.0));
             assert!(d[v] <= 1.25 * exact[v] + 1e-9, "v={v}");
         }
+        // Vertices no path reaches stay infinite.
+        let g = Graph::from_edges(5, [(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
+        let oracle = Oracle::builder(g).build().unwrap();
+        let d = oracle.distances_from(0).unwrap();
+        assert_eq!(d[3], INF);
+        assert_eq!(d[4], INF);
+        assert!(d[2].is_finite());
     }
 
     #[test]
@@ -1146,6 +1153,7 @@ mod tests {
         assert_eq!(d[0], 0.0);
         assert_eq!(d[29], 0.0);
         assert!(d[15] <= 15.0 * 1.25 + 1e-9);
+        assert!(d[15] >= 14.0 - 1e-9);
     }
 
     #[test]

@@ -28,14 +28,10 @@ use crate::oracle::{Oracle, OracleBackend, OracleBuilder, Pipeline};
 use hopset::multi_scale::BuiltHopset;
 use hopset::params::{DeltaSchedule, HopsetParams, ParamMode};
 use hopset::reduction::ReducedHopset;
-use hopset::snapshot::{
-    hopset_snapshot_size, read_hopset_snapshot, write_hopset_snapshot, HOPSET_MAGIC,
-};
-use hopset::Hopset;
+use hopset::snapshot::{hopset_snapshot_size, read_hopset_snapshot, write_hopset_snapshot};
 use pgraph::snapshot::{
     container_size, graph_snapshot_size, read_graph_snapshot, write_graph_snapshot,
-    ContainerReader, ContainerWriter, ParamsBuf, ParamsReader, SectionDecl, MAX_HEADER_BYTES,
-    PRELUDE_BYTES,
+    ContainerReader, ContainerWriter, ParamsBuf, ParamsReader, SectionDecl,
 };
 use pgraph::{OverlayCsr, UnionGraph};
 use pram::pool::Executor;
@@ -158,34 +154,6 @@ fn decode_hopset_params(p: &mut ParamsReader<'_>) -> Result<HopsetParams, Snapsh
     })
 }
 
-/// Read the nested hopset container, refusing quantized weights: they
-/// decode as `round(w / scale)·scale`, which can undershoot `w`, and an
-/// oracle's answers must never undershoot. The nested prelude and header
-/// are buffered and checked before any column is read, then replayed
-/// ahead of the rest of the section.
-fn read_exact_hopset(r: &mut dyn Read) -> Result<Hopset, SnapshotError> {
-    let mut head = Vec::new();
-    (&mut *r).take(PRELUDE_BYTES).read_to_end(&mut head)?;
-    // The prelude is magic (8), version (4), header length (4) and
-    // checksum (8); `open` rejects a header over the cap unread.
-    if let Some(hlen) = head.get(12..16) {
-        let hlen = u32::from_le_bytes(hlen.try_into().expect("four bytes"));
-        if hlen <= MAX_HEADER_BYTES {
-            (&mut *r).take(u64::from(hlen)).read_to_end(&mut head)?;
-        }
-    }
-    let nested = ContainerReader::open(head.as_slice(), &HOPSET_MAGIC)?;
-    if let Some(w) = nested.sections().iter().find(|s| &s.tag == b"wgts") {
-        if w.elem_size != 8 {
-            return Err(corrupt(format!(
-                "nested hopset stores {}-byte quantized weights; an oracle needs exact 8-byte weights",
-                w.elem_size
-            )));
-        }
-    }
-    read_hopset_snapshot(head.as_slice().chain(r))
-}
-
 fn oracle_sections(o: &Oracle) -> Vec<SectionDecl> {
     let h = match &o.backend {
         OracleBackend::Plain(b) => &b.hopset,
@@ -303,7 +271,7 @@ impl OracleBuilder {
         }?;
 
         let graph = cr.raw(*b"grph", |r| read_graph_snapshot(r))?;
-        let hopset = cr.raw(*b"hops", read_exact_hopset)?;
+        let hopset = cr.raw(*b"hops", |r| read_hopset_snapshot(r))?;
         let n = graph.num_vertices();
 
         // Cross-container validation the standalone hopset loader cannot do
@@ -370,7 +338,7 @@ impl OracleBuilder {
 mod tests {
     use super::*;
     use crate::oracle::DistanceOracle;
-    use hopset::snapshot::{hopset_snapshot_size_quantized, write_hopset_snapshot_quantized};
+    use hopset::snapshot::HOPSET_MAGIC;
     use pgraph::gen;
 
     fn roundtrip(o: &Oracle) -> Oracle {
@@ -444,19 +412,48 @@ mod tests {
             panic!("road grid builds the plain pipeline")
         };
         assert!(!b.hopset.is_empty());
+        // The nested hopset as a v2 container whose header declares 4-byte
+        // weights, `round(w / scale)`; every other column is copied from
+        // the exact file.
+        let mut exact = Vec::new();
+        write_hopset_snapshot(&b.hopset, &mut exact).unwrap();
+        let mut hr = ContainerReader::open(exact.as_slice(), &HOPSET_MAGIC).unwrap();
+        let scale = 1.0f64 / 1024.0;
+        let mut hparams = hr.params()[..40].to_vec(); // ne, np, kind tally
+        hparams.push(4);
+        hparams.extend_from_slice(&scale.to_le_bytes());
+        let mut decl = hr.sections().to_vec();
+        decl[2].elem_size = 4;
+        let mut nested = Vec::new();
+        let mut hw = ContainerWriter::begin(&mut nested, &HOPSET_MAGIC, &hparams, decl).unwrap();
+        for tag in [*b"us  ", *b"vs  "] {
+            hw.col_u32(tag, &hr.col_u32(tag).unwrap()).unwrap();
+        }
+        let ws = hr.col_f64(*b"wgts").unwrap();
+        let q: Vec<u32> = ws.iter().map(|w| (w / scale).round() as u32).collect();
+        hw.col_u32(*b"wgts", &q).unwrap();
+        hw.col_u32(*b"scal", &hr.col_u32(*b"scal").unwrap())
+            .unwrap();
+        for tag in [*b"kind", *b"phas"] {
+            hw.col_u8(tag, &hr.col_u8(tag).unwrap()).unwrap();
+        }
+        for tag in [*b"path", *b"sstr"] {
+            hw.col_u32(tag, &hr.col_u32(tag).unwrap()).unwrap();
+        }
+        assert!(b.hopset.paths.is_empty());
+        hw.raw(*b"prec", |_| Ok(())).unwrap();
+        hw.finish().unwrap();
+
         let mut params = ParamsBuf::new();
         encode_params(&mut params, &o);
         let mut sections = oracle_sections(&o);
-        sections[1].count = hopset_snapshot_size_quantized(&b.hopset);
+        sections[1].count = nested.len() as u64;
         let mut buf = Vec::new();
         let mut cw =
             ContainerWriter::begin(&mut buf, &ORACLE_MAGIC, params.as_slice(), sections).unwrap();
         cw.raw(*b"grph", |out| write_graph_snapshot(o.graph(), out))
             .unwrap();
-        cw.raw(*b"hops", |out| {
-            write_hopset_snapshot_quantized(&b.hopset, out)
-        })
-        .unwrap();
+        cw.raw(*b"hops", |out| Ok(out.write_all(&nested)?)).unwrap();
         cw.finish().unwrap();
         // xlint: allow(ambient-threads, test loads onto the process default executor)
         match OracleBuilder::from_snapshot_reader(buf.as_slice(), Executor::current()) {

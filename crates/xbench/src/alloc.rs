@@ -1,9 +1,8 @@
 //! Counting global allocator + per-phase memory accounting.
 //!
-//! The flat-store experiment's claim is partly an *allocation-count*
-//! reduction (the retired layout allocated per vertex per pulse and per
-//! scale slice); wall-clock alone under-sells it on a noisy container.
-//! PR 9 extends the counter into a full heap audit: live bytes, absolute
+//! Allocation counts show what wall-clock alone under-sells on a noisy
+//! container (the `memory` table's per-phase `allocs` column). Beside
+//! the count, the allocator keeps a full heap audit: live bytes, absolute
 //! peak bytes, and a resettable *high-water mark* that lets a scoped
 //! phase guard (`pram::phase::PhaseScope`) attribute peak usage to one
 //! construction phase

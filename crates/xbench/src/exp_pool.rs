@@ -1,16 +1,12 @@
-//! Pool-overhead experiment: dispatch latency of the retired scoped-spawn
-//! execution model vs the persistent worker pool, on sub-millisecond
-//! rounds — the workload shape of the whole oracle pipeline (thousands of
-//! tiny β-limited Bellman–Ford pulses and ruling-set rounds).
+//! Pool-overhead experiment: dispatch latency of the persistent worker
+//! pool on sub-millisecond rounds — the workload shape of the whole oracle
+//! pipeline (thousands of tiny β-limited Bellman–Ford pulses and
+//! ruling-set rounds).
 //!
 //! This is a **wall-clock** measurement (the one thing the `Ledger`
 //! deliberately does not capture): the per-round cost of *starting* a
-//! parallel round. The scoped reference implementation below reproduces
-//! the pre-persistent-pool execution model exactly — `bounds.len() − 1`
-//! fresh `std::thread::scope` spawns per round, caller takes chunk 0 —
-//! so the comparison isolates dispatch overhead: both sides run the same
-//! chunk boundaries and the same per-chunk work, and both return the same
-//! sum (asserted).
+//! parallel round over a fixed array sum (the warm-up rounds assert the
+//! total).
 
 use crate::table::Table;
 use crate::Config;
@@ -26,36 +22,8 @@ pub struct OverheadRow {
     pub threads: usize,
     /// Chunks per round at this count.
     pub chunks: usize,
-    /// Mean ns per round, scoped-spawn execution (spawn per round).
-    pub scoped_ns: f64,
     /// Mean ns per round, persistent pool (wake + barrier per round).
     pub persistent_ns: f64,
-}
-
-/// One round of the retired scoped-spawn model: spawn a fresh scoped
-/// thread per chunk `1..`, caller takes chunk 0 — exactly what every
-/// primitive call paid before the persistent pool.
-pub fn scoped_round(bounds: &[Range<usize>], data: &[u64]) -> u64 {
-    if bounds.len() <= 1 {
-        return bounds
-            .iter()
-            .map(|r| data[r.clone()].iter().sum::<u64>())
-            .sum();
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = bounds[1..]
-            .iter()
-            .map(|r| {
-                let r = r.clone();
-                s.spawn(move || data[r].iter().sum::<u64>())
-            })
-            .collect();
-        let mut total = data[bounds[0].clone()].iter().sum::<u64>();
-        for h in handles {
-            total += h.join().expect("scoped worker");
-        }
-        total
-    })
 }
 
 /// One round on the persistent pool.
@@ -65,8 +33,8 @@ pub fn persistent_round(exec: &Executor, bounds: &[Range<usize>], data: &[u64]) 
         .sum()
 }
 
-/// Measure mean per-round wall-clock of both models over `rounds` rounds
-/// of a length-`len` reduction, at t ∈ {1, 2, 4, 8}.
+/// Measure mean per-round wall-clock of the pool over `rounds` rounds of a
+/// length-`len` reduction, at t ∈ {1, 2, 4, 8}.
 pub fn measure(len: usize, rounds: usize) -> Vec<OverheadRow> {
     let data: Vec<u64> = (0..len as u64).map(|i| i.wrapping_mul(31) % 257).collect();
     let expect: u64 = data.iter().sum();
@@ -76,53 +44,38 @@ pub fn measure(len: usize, rounds: usize) -> Vec<OverheadRow> {
         let exec = Executor::new(t);
         // Warm-up: fault pages in, park the workers once.
         for _ in 0..3 {
-            assert_eq!(black_box(scoped_round(&bounds, &data)), expect);
             assert_eq!(black_box(persistent_round(&exec, &bounds, &data)), expect);
         }
         let t0 = Instant::now();
         for _ in 0..rounds {
-            black_box(scoped_round(&bounds, &data));
-        }
-        let scoped_ns = t0.elapsed().as_nanos() as f64 / rounds as f64;
-        let t1 = Instant::now();
-        for _ in 0..rounds {
             black_box(persistent_round(&exec, &bounds, &data));
         }
-        let persistent_ns = t1.elapsed().as_nanos() as f64 / rounds as f64;
+        let persistent_ns = t0.elapsed().as_nanos() as f64 / rounds as f64;
         rows.push(OverheadRow {
             threads: t,
             chunks: bounds.len(),
-            scoped_ns,
             persistent_ns,
         });
     }
     rows
 }
 
-/// The `pool-overhead` experiment: print the dispatch-latency table and
-/// the scoped/persistent ratio (recorded in EXPERIMENTS.md).
+/// The `pool-overhead` experiment: print the dispatch-latency table
+/// (recorded in EXPERIMENTS.md).
 pub fn pool_overhead(cfg: &Config) {
     let len = 16 * cfg.sz(4096); // 64k full / 16k quick: sub-ms rounds
     let rounds = if cfg.quick { 200 } else { 1000 };
     let rows = measure(len, rounds);
-    let mut t = Table::new(&[
-        "threads",
-        "chunks",
-        "scoped ns/round",
-        "persistent ns/round",
-        "scoped/persistent",
-    ]);
+    let mut t = Table::new(&["threads", "chunks", "persistent ns/round"]);
     for r in &rows {
         t.row(vec![
             r.threads.to_string(),
             r.chunks.to_string(),
-            format!("{:.0}", r.scoped_ns),
             format!("{:.0}", r.persistent_ns),
-            format!("{:.2}x", r.scoped_ns / r.persistent_ns),
         ]);
     }
     t.print(&format!(
-        "pool-overhead: per-round dispatch latency, scoped spawn vs persistent pool \
+        "pool-overhead: per-round dispatch latency of the persistent pool \
          (len = {len}, {rounds} rounds; wall-clock, not a PRAM claim)"
     ));
     let records: Vec<crate::json::Record> = rows
@@ -132,7 +85,6 @@ pub fn pool_overhead(cfg: &Config) {
                 .u64("n", len as u64)
                 .u64("threads", r.threads as u64)
                 .u64("chunks", r.chunks as u64)
-                .f64("scoped_ns", r.scoped_ns)
                 .f64("persistent_ns", r.persistent_ns)
         })
         .collect();
@@ -144,25 +96,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_models_compute_the_same_reduction() {
-        let data: Vec<u64> = (0..10_000).collect();
-        let bounds = pool::chunk_bounds(data.len(), 4);
-        let exec = Executor::new(4);
-        assert_eq!(
-            scoped_round(&bounds, &data),
-            persistent_round(&exec, &bounds, &data)
-        );
-    }
-
-    #[test]
     fn measure_produces_all_thread_counts() {
         let rows = measure(8192, 5);
         assert_eq!(
             rows.iter().map(|r| r.threads).collect::<Vec<_>>(),
             [1, 2, 4, 8]
         );
-        assert!(rows
-            .iter()
-            .all(|r| r.scoped_ns > 0.0 && r.persistent_ns > 0.0));
+        assert!(rows.iter().all(|r| r.persistent_ns > 0.0));
     }
 }

@@ -14,7 +14,6 @@ pub mod alloc;
 pub mod exp_ablation;
 pub mod exp_core;
 pub mod exp_end;
-pub mod exp_flat;
 pub mod exp_lint;
 pub mod exp_memory;
 pub mod exp_pool;
@@ -133,13 +132,8 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
         ),
         (
             "pool-overhead",
-            "runtime: dispatch latency, scoped spawn vs persistent pool",
+            "runtime: per-round dispatch latency of the persistent pool",
             exp_pool::pool_overhead,
-        ),
-        (
-            "flat-store",
-            "data plane: AoS scans + rebuckets vs SoA slices + label arena",
-            exp_flat::flat_store,
         ),
         (
             "serve",
@@ -180,7 +174,7 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), reg.len());
-        assert_eq!(reg.len(), 24);
+        assert_eq!(reg.len(), 23);
     }
 
     #[test]

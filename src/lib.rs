@@ -91,8 +91,6 @@ pub mod prelude {
         LandmarkBounds, LandmarkConfig, LandmarkPlane, MultiSourceResult, Oracle, OracleBuilder,
         Pipeline, SnapshotError, SsspError,
     };
-    #[allow(deprecated)]
-    pub use sssp::{ApproxShortestPaths, ApproxSptEngine};
 }
 
 #[cfg(test)]

@@ -115,21 +115,39 @@ fn determinism_across_thread_counts() {
 
 #[test]
 fn spt_pipeline_end_to_end() {
-    let g = gen::clique_chain(6, 9, 2.0);
-    let oracle = Oracle::builder(g.clone())
-        .eps(0.25)
-        .kappa(4)
-        .paths(true)
-        .build()
-        .expect("params");
-    for src in [0u32, 26, 53] {
-        let spt = oracle.spt(src).expect("paths recorded");
-        let val = validate_spt(&g, &spt);
-        assert_eq!(val.non_graph_edges, 0, "src {src}: {val:?}");
-        assert_eq!(val.weight_mismatches, 0);
-        assert_eq!(val.distance_mismatches, 0);
-        assert_eq!(val.missing, 0);
-        assert!(val.max_stretch <= 1.25 + 1e-9, "src {src}: {val:?}");
+    // The plain pipeline, and the weight-reduced one on an aspect ratio of
+    // 3^26 (Theorem D.2).
+    let cases = [
+        (
+            gen::clique_chain(6, 9, 2.0),
+            0.25,
+            Pipeline::Auto,
+            vec![0u32, 26, 53],
+        ),
+        (
+            gen::exponential_path(28, 3.0),
+            0.5,
+            Pipeline::Reduced,
+            vec![0],
+        ),
+    ];
+    for (g, eps, pipeline, sources) in cases {
+        let oracle = Oracle::builder(g.clone())
+            .eps(eps)
+            .kappa(4)
+            .paths(true)
+            .pipeline(pipeline)
+            .build()
+            .expect("params");
+        for src in sources {
+            let spt = oracle.spt(src).expect("paths recorded");
+            let val = validate_spt(&g, &spt);
+            assert_eq!(val.non_graph_edges, 0, "src {src}: {val:?}");
+            assert_eq!(val.weight_mismatches, 0);
+            assert_eq!(val.distance_mismatches, 0);
+            assert_eq!(val.missing, 0);
+            assert!(val.max_stretch <= 1.0 + eps + 1e-9, "src {src}: {val:?}");
+        }
     }
 }
 

@@ -1,9 +1,6 @@
-//! The API-redesign contract tests: the owned `Oracle` facade is
-//! thread-safe (compile-time `Send + Sync`), object-safe
-//! (`Box<dyn DistanceOracle>`), and produces **bit-identical** results to
-//! the legacy borrowed engines (`ApproxShortestPaths`, `ApproxSptEngine`)
-//! it supersedes.
-#![allow(deprecated)] // parity tests deliberately exercise the legacy API
+//! The API contract tests: the owned `Oracle` facade is thread-safe
+//! (compile-time `Send + Sync`), object-safe (`Box<dyn DistanceOracle>`),
+//! deterministic when shared, and reports misuse as typed errors.
 
 use pram_sssp::prelude::*;
 use std::sync::Arc;
@@ -91,85 +88,6 @@ fn arc_oracle_concurrent_queries_are_deterministic() {
             assert_eq!(a.to_bits(), b.to_bits(), "thread {i}");
         }
         assert_eq!(spt.parent, ref_spt.parent, "thread {i}");
-    }
-}
-
-/// Parity: the new facade's distance queries are bit-identical to the
-/// legacy `ApproxShortestPaths` on seeded graphs (same construction, same
-/// query engine — the redesign changed ownership, not answers).
-#[test]
-fn new_oracle_matches_legacy_assd_bit_for_bit() {
-    for (seed, eps, kappa) in [(5u64, 0.25, 4usize), (13, 0.4, 3), (21, 0.15, 6)] {
-        let g = gen::gnm_connected(140, 420, seed, 1.0, 9.0);
-        let legacy = ApproxShortestPaths::build(&g, eps, kappa).unwrap();
-        let oracle = Oracle::builder(g.clone())
-            .eps(eps)
-            .kappa(kappa)
-            .build()
-            .unwrap();
-        assert_eq!(oracle.query_hops(), legacy.query_hops());
-        assert_eq!(oracle.hopset_size(), legacy.built().hopset.len());
-        for src in [0u32, 70, 139] {
-            let old = legacy.distances_from(src);
-            let new = oracle.distances_from(src).unwrap();
-            for (a, b) in new.iter().zip(&old) {
-                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} src {src}");
-            }
-        }
-        // Multi-source parity via the nested view of the flat matrix.
-        let sources = [3u32, 99];
-        let old_multi = legacy.distances_multi(&sources);
-        let new_multi = oracle.distances_multi(&sources).unwrap();
-        assert_eq!(old_multi.dist.to_nested(), new_multi.dist.to_nested());
-        // Nearest-source parity.
-        assert_eq!(
-            legacy.distances_to_nearest(&sources),
-            oracle.distances_to_nearest(&sources).unwrap()
-        );
-    }
-}
-
-/// Parity: SPT extraction through the facade is bit-identical to the
-/// legacy `ApproxSptEngine`, on both pipelines.
-#[test]
-fn new_oracle_matches_legacy_spt_engines() {
-    // Plain pipeline.
-    let g = gen::clique_chain(5, 8, 2.0);
-    let legacy = ApproxSptEngine::build(&g, 0.25, 4).unwrap();
-    let oracle = Oracle::builder(g.clone())
-        .eps(0.25)
-        .kappa(4)
-        .paths(true)
-        .pipeline(Pipeline::Plain)
-        .build()
-        .unwrap();
-    assert_eq!(oracle.hopset_size(), legacy.hopset_size());
-    for src in [0u32, 20, 39] {
-        let old = legacy.spt(src);
-        let new = oracle.spt(src).unwrap();
-        assert_eq!(old.parent, new.parent, "src {src}");
-        for (a, b) in new.dist.iter().zip(&old.dist) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    // Reduced pipeline (huge aspect ratio).
-    let g = gen::exponential_path(28, 3.0);
-    let legacy = ApproxSptEngine::build_reduced(&g, 0.5, 4).unwrap();
-    let oracle = Oracle::builder(g.clone())
-        .eps(0.5)
-        .kappa(4)
-        .paths(true)
-        .pipeline(Pipeline::Reduced)
-        .build()
-        .unwrap();
-    assert_eq!(oracle.pipeline(), Pipeline::Reduced);
-    assert_eq!(oracle.hopset_size(), legacy.hopset_size());
-    let old = legacy.spt(0);
-    let new = oracle.spt(0).unwrap();
-    assert_eq!(old.parent, new.parent);
-    for (a, b) in new.dist.iter().zip(&old.dist) {
-        assert_eq!(a.to_bits(), b.to_bits());
     }
 }
 
