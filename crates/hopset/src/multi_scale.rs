@@ -26,7 +26,9 @@ pub struct BuiltHopset {
     pub ledger: Ledger,
     /// First scale `k₀`.
     pub k0: u32,
-    /// Last scale `λ`.
+    /// Last scale `λ`. `λ = k₀ − 1` is the no-scale state: the oracle
+    /// builder proved that `G` alone is exact within the query budget, so
+    /// the range `k₀..=λ` is empty and so is the hopset.
     pub lambda: u32,
 }
 
@@ -38,11 +40,17 @@ impl BuiltHopset {
         self.hopset.all_slice().to_overlay_vec()
     }
 
+    /// Number of scales in `k₀..=λ`; 0 in the no-scale state. Computed in
+    /// `u64` and saturating at 0, so no stored pair of bounds can overflow
+    /// or underflow it.
+    pub fn num_scales(&self) -> u64 {
+        (u64::from(self.lambda) + 1).saturating_sub(u64::from(self.k0))
+    }
+
     /// The paper's size bound `⌈log Λ⌉ · n^{1+1/κ}` (eq. (10)) for the
-    /// aspect bound the hopset was built with.
+    /// scales the hopset was built with (0 with no scale).
     pub fn size_bound(&self) -> f64 {
-        let scales = (self.lambda - self.k0 + 1) as f64;
-        scales * (self.params.n as f64).powf(1.0 + 1.0 / self.params.kappa as f64)
+        self.num_scales() as f64 * (self.params.n as f64).powf(1.0 + 1.0 / self.params.kappa as f64)
     }
 }
 
@@ -255,6 +263,24 @@ mod tests {
             assert_eq!(x.w, y.w);
         }
         assert_eq!(a.ledger, b.ledger);
+    }
+
+    #[test]
+    fn scale_count_saturates_at_the_no_scale_state() {
+        let g = gen::path(8);
+        let built = build_hopset(&g, &practical_params(&g, 0.25), BuildOptions::default());
+        assert_eq!(built.num_scales(), built.scales.len() as u64);
+        let none = BuiltHopset {
+            lambda: built.k0 - 1,
+            ..built.clone()
+        };
+        assert_eq!((none.num_scales(), none.size_bound()), (0, 0.0));
+        let below = BuiltHopset {
+            k0: 5,
+            lambda: 0,
+            ..built
+        };
+        assert_eq!(below.num_scales(), 0);
     }
 
     #[test]

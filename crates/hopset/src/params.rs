@@ -244,8 +244,9 @@ impl HopsetParams {
     }
 
     /// The first scale with a non-empty hopset: `k₀ = ⌊log2 β⌋` (§2) —
-    /// computed from the *effective* hop budget so that every distance below
-    /// `2^{k₀+1}` is exactly reachable within the budget (min weight 1).
+    /// computed from the *effective* hop budget, so `2^{k₀} ≤ query_hops`:
+    /// every distance ≤ `query_hops` has a shortest path of at most that
+    /// many hops (min weight 1) and is exactly reachable within the budget.
     pub fn k0(&self) -> u32 {
         floor_log2(self.query_hops.max(2))
     }

@@ -103,8 +103,12 @@ impl Graph {
     /// An upper bound on the diameter: `(n - 1) * max_weight`.
     ///
     /// The hopset construction only needs an upper bound on the aspect ratio
-    /// Λ (it determines how many distance scales exist); using an upper bound
-    /// adds empty scales but never weakens a guarantee.
+    /// Λ (it determines how many distance scales exist). A loose bound never
+    /// weakens a guarantee, but it is not free: every scale above the real
+    /// diameter is still built, typically as a star of superclustering
+    /// edges around one hub that no query needs. `sssp`'s oracle builder
+    /// therefore certifies the real distance range first and builds no
+    /// scale when `G` alone is exact within the query hop budget.
     pub fn diameter_upper_bound(&self) -> Weight {
         match self.max_weight() {
             Some(w) => w * (self.n.max(2) - 1) as Weight,

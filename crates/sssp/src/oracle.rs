@@ -17,9 +17,11 @@
 //! * [`Oracle`] + [`OracleBuilder`] — the hopset engine, built fluently
 //!   (`Oracle::builder(g).eps(0.25).kappa(4).paths(true).build()?`). It
 //!   **owns** the graph via `Arc<Graph>`, pre-builds the `G ∪ H` union CSR
-//!   once (queries reuse it), auto-selects the plain (§2) vs
-//!   Klein–Sairam-reduced (Appendix C) pipeline from the aspect-ratio
-//!   bound, serves SPT extraction from the same built object, and can pin
+//!   once (queries reuse it), builds no hopset at all when one exploration
+//!   certifies that `G` alone is exact within the hop budget (DESIGN.md
+//!   §4), otherwise auto-selects the plain (§2) vs Klein–Sairam-reduced
+//!   (Appendix C) pipeline from the aspect-ratio bound, serves SPT
+//!   extraction from the same built object, and can pin
 //!   its own `pram::pool` thread count
 //!   ([`threads`](OracleBuilder::threads)) for construction and queries —
 //!   results are bit-identical for every choice (DESIGN.md §5);
@@ -50,9 +52,10 @@ use hopset::multi_scale::{build_hopset_on, BuildOptions, BuiltHopset};
 use hopset::params::{HopsetParams, ParamError, ParamMode};
 use hopset::path_report::{build_spt_on, build_spt_reduced_on, SptResult};
 use hopset::reduction::{build_reduced_hopset_on, ReducedHopset};
-use pgraph::{ceil_log2, Graph, OverlayCsr, UnionGraph, VId, Weight, INF};
+use hopset::store::Hopset;
+use pgraph::{ceil_log2, Graph, OverlayCsr, UnionGraph, UnionView, VId, Weight, INF};
 use pram::pool::Executor;
-use pram::{bford, pool, Ledger};
+use pram::{bford, cc, pool, Ledger};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -374,9 +377,12 @@ impl<T: DistanceOracle + ?Sized> DistanceOracle for Arc<T> {
 /// Which hopset pipeline backs (or should back) an [`Oracle`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pipeline {
-    /// Pick from the aspect-ratio bound: plain while `Λ ≤ n²` (the `log Λ`
-    /// scale count stays within the poly(n) budget of §2), Klein–Sairam
-    /// reduced beyond (Appendix C keeps every level's aspect at `O(n/ε)`).
+    /// Certify the distance range first (DESIGN.md §4): a graph on which
+    /// `G` alone is exact within the hop budget gets the plain backend
+    /// with no scale. Otherwise pick from the aspect-ratio bound: plain
+    /// while `Λ ≤ n²` (the `log Λ` scale count stays within the poly(n)
+    /// budget of §2), Klein–Sairam reduced beyond (Appendix C keeps every
+    /// level's aspect at `O(n/ε)`).
     Auto,
     /// §2/§3: bounded aspect ratio, plain multi-scale (Theorems 3.7/4.6).
     Plain,
@@ -438,6 +444,8 @@ impl OracleBuilder {
     /// Clamp exploration/query hop budgets (practical-scale runs). Only
     /// meaningful on the plain pipeline; conflicts with
     /// [`Pipeline::Reduced`] (under [`Pipeline::Auto`] it forces plain).
+    /// A cap below `min(β, n)` also skips the distance-range certificate
+    /// (DESIGN.md §4): the capped build is the full construction.
     pub fn hop_cap(mut self, cap: usize) -> Self {
         self.hop_cap = Some(cap);
         self
@@ -480,41 +488,39 @@ impl OracleBuilder {
         self
     }
 
-    /// Build the oracle: validate the configuration, run the deterministic
-    /// hopset construction, and assemble the owned `G ∪ H` union CSR that
-    /// every subsequent query reuses.
+    /// Build the oracle: validate the input graph and the configuration,
+    /// certify the distance range, run the deterministic hopset
+    /// construction unless the certificate shows `G` alone is exact
+    /// (DESIGN.md §4), and assemble the owned `G ∪ H` union CSR that every
+    /// subsequent query reuses.
+    ///
+    /// Errors: [`ParamError::TooFewVertices`] below 2 vertices, and
+    /// [`SsspError::Config`] for a minimum edge weight below 1 — the
+    /// construction and the certificate assume the paper's normalization
+    /// (§1.5); [`Graph::scaled_to_unit_min`] applies it.
     pub fn build(self) -> Result<Oracle, SsspError> {
         let g = &self.graph;
-        let n = g.num_vertices().max(2);
+        let n = g.num_vertices();
+        if n < 2 {
+            return Err(ParamError::TooFewVertices(n).into());
+        }
+        if let Some(mn) = g.min_weight().filter(|&mn| mn < 1.0 - 1e-12) {
+            return Err(SsspError::Config(format!(
+                "minimum edge weight {mn} is below 1; normalize the graph with \
+                 Graph::scaled_to_unit_min() first"
+            )));
+        }
+        if self.pipeline == Pipeline::Reduced && self.hop_cap.is_some() {
+            return Err(SsspError::Config(
+                "hop_cap applies to the plain pipeline only; the reduced pipeline's \
+                 hop budget is 6β+5 (Theorem C.3)"
+                    .into(),
+            ));
+        }
         let aspect = g.aspect_ratio_bound();
         let rho = self
             .rho
             .unwrap_or_else(|| (1.0 / self.kappa as f64).min(0.499_999));
-
-        let pipeline = match self.pipeline {
-            Pipeline::Plain => Pipeline::Plain,
-            Pipeline::Reduced => {
-                if self.hop_cap.is_some() {
-                    return Err(SsspError::Config(
-                        "hop_cap applies to the plain pipeline only; the reduced pipeline's \
-                         hop budget is 6β+5 (Theorem C.3)"
-                            .into(),
-                    ));
-                }
-                Pipeline::Reduced
-            }
-            Pipeline::Auto => {
-                // Plain pays ⌈log Λ⌉ scales; beyond Λ = n² the reduction's
-                // per-level O(n/ε) aspect bound wins. A hop cap is a
-                // plain-pipeline knob, so it pins Auto to plain.
-                if self.hop_cap.is_none() && aspect > (n as f64).powi(2) {
-                    Pipeline::Reduced
-                } else {
-                    Pipeline::Plain
-                }
-            }
-        };
-
         let opts = BuildOptions {
             record_paths: self.paths,
         };
@@ -528,8 +534,17 @@ impl OracleBuilder {
             // xlint: allow(ambient-threads, builder inherits the process default once at build time)
             (None, None) => Executor::current(),
         };
-        let (backend, query_hops) = match pipeline {
-            Pipeline::Plain => {
+        // `ledger` holds the certificate's charge (if it ran); the build's
+        // own ledger is absorbed after it.
+        let reduced = |mut ledger: Ledger| -> Result<(OracleBackend, usize), SsspError> {
+            let r = build_reduced_hopset_on(&exec, g, self.eps, self.kappa, rho, self.mode, opts)?;
+            ledger.absorb_sequential(&r.ledger);
+            let hops = r.query_hops;
+            Ok((OracleBackend::Reduced(ReducedHopset { ledger, ..r }), hops))
+        };
+        let (backend, query_hops) = match self.pipeline {
+            Pipeline::Reduced => reduced(Ledger::new())?,
+            Pipeline::Plain | Pipeline::Auto => {
                 let params = HopsetParams::new(
                     n,
                     self.eps,
@@ -539,17 +554,37 @@ impl OracleBuilder {
                     aspect,
                     self.hop_cap,
                 )?;
-                let built = build_hopset_on(&exec, g, &params, opts);
-                let hops = built.params.query_hops;
-                (OracleBackend::Plain(built), hops)
+                let hops = params.query_hops;
+                let mut ledger = Ledger::new();
+                // A cap below min(β, n) already voids Theorem 3.7's hop
+                // budget, so capped builds skip the certificate and stay
+                // exactly as they were.
+                let capped = hops < params.beta.min(params.n);
+                if !capped && g_alone_is_exact(&exec, g, hops, &mut ledger) {
+                    let k0 = params.k0();
+                    let built = BuiltHopset {
+                        hopset: Hopset::new(),
+                        params,
+                        scales: Vec::new(),
+                        ledger,
+                        k0,
+                        lambda: k0 - 1,
+                    };
+                    (OracleBackend::Plain(built), hops)
+                } else if self.pipeline == Pipeline::Auto
+                    && self.hop_cap.is_none()
+                    && aspect > (n as f64).powi(2)
+                {
+                    // Plain pays ⌈log Λ⌉ scales; beyond Λ = n² the
+                    // reduction's per-level O(n/ε) aspect bound wins. A hop
+                    // cap is a plain-pipeline knob, so it pins Auto to plain.
+                    reduced(ledger)?
+                } else {
+                    let built = build_hopset_on(&exec, g, &params, opts);
+                    ledger.absorb_sequential(&built.ledger);
+                    (OracleBackend::Plain(BuiltHopset { ledger, ..built }), hops)
+                }
             }
-            Pipeline::Reduced => {
-                let reduced =
-                    build_reduced_hopset_on(&exec, g, self.eps, self.kappa, rho, self.mode, opts)?;
-                let hops = reduced.query_hops;
-                (OracleBackend::Reduced(reduced), hops)
-            }
-            Pipeline::Auto => unreachable!("resolved above"),
         };
 
         // The union CSR is built exactly once, bucketed straight from the
@@ -576,6 +611,30 @@ impl OracleBuilder {
             exec,
         })
     }
+}
+
+/// The distance-range certificate (DESIGN.md §4): one `query_hops`-round
+/// exploration over `G` alone, from the smallest id of every component.
+/// When it reaches every vertex, `D̂ = 2·max d̃` bounds every finite
+/// distance (`d(u,v) ≤ d̃(r,u) + d̃(r,v)` for the representative `r` of
+/// their component). Weights are ≥ 1, so if `D̂ ≤ query_hops` every
+/// shortest path has at most `query_hops` edges, a bare query exploration
+/// is exact for every pair, and Eq. (1) holds with `H = ∅`. The components
+/// pass and the exploration are charged to `ledger`.
+fn g_alone_is_exact(exec: &Executor, g: &Graph, query_hops: usize, ledger: &mut Ledger) -> bool {
+    let _ph = pram::phase::PhaseScope::enter("certify");
+    let cc = cc::connected_components(exec, g, ledger);
+    // A component's label is its smallest id, so its representative is
+    // the one vertex labelled with itself.
+    let roots: Vec<VId> = (0..g.num_vertices() as VId)
+        .filter(|&v| cc.label[v as usize] == v)
+        .collect();
+    let r = bford::bellman_ford(exec, &UnionView::base_only(g), &roots, query_hops, ledger);
+    r.dist
+        .iter()
+        .copied()
+        .max_by(pgraph::wcmp)
+        .is_some_and(|far| 2.0 * far <= query_hops as Weight)
 }
 
 /// The hopset-backed distance oracle: the paper's one artifact as one
@@ -682,7 +741,7 @@ impl Oracle {
     }
 
     /// The plain-pipeline construction report, if that pipeline backs the
-    /// oracle.
+    /// oracle. A certified oracle reports no scale (`λ = k₀ − 1`).
     pub fn built(&self) -> Option<&BuiltHopset> {
         match &self.backend {
             OracleBackend::Plain(b) => Some(b),
@@ -714,7 +773,13 @@ impl Oracle {
     }
 
     /// Measure the stretch-vs-hop-budget curve of this oracle's `G ∪ H`
-    /// (experiment F2) from `sources` at each budget in `budgets`.
+    /// from `sources` at each budget in `budgets`.
+    ///
+    /// The oracle's `H` targets its own budget [`Oracle::query_hops`] only:
+    /// a certified oracle has no scale at all, because `G` alone is exact
+    /// at that budget, so at smaller budgets its curve is the bare graph's.
+    /// Experiment F2, which charts budgets below β, measures Theorem 3.7's
+    /// hopset from `hopset::build_hopset_on` instead.
     pub fn stretch_curve(
         &self,
         sources: &[VId],
@@ -1092,6 +1157,33 @@ mod tests {
         let o = Oracle::builder(g).hop_cap(16).build().unwrap();
         assert_eq!(o.pipeline(), Pipeline::Plain);
         assert!(o.query_hops() <= 16);
+    }
+
+    #[test]
+    fn builder_rejects_tiny_and_unnormalized_graphs() {
+        let light = Graph::from_edges(4, [(0, 1, 0.5), (1, 2, 1.0), (2, 3, 2.0)]).unwrap();
+        for pipeline in [Pipeline::Auto, Pipeline::Plain, Pipeline::Reduced] {
+            for n in [0, 1] {
+                match Oracle::builder(Graph::empty(n)).pipeline(pipeline).build() {
+                    Err(SsspError::Params(ParamError::TooFewVertices(got))) => assert_eq!(got, n),
+                    other => panic!("{pipeline:?}, n = {n}: got {:?}", other.map(|_| ())),
+                }
+            }
+            match Oracle::builder(light.clone()).pipeline(pipeline).build() {
+                Err(SsspError::Config(msg)) => assert!(msg.contains("scaled_to_unit_min"), "{msg}"),
+                other => panic!("{pipeline:?}, w_min 0.5: got {:?}", other.map(|_| ())),
+            }
+            // Normalized (weights 1, 2, 4), the same graph builds.
+            let o = Oracle::builder(light.scaled_to_unit_min())
+                .pipeline(pipeline)
+                .build()
+                .unwrap();
+            let d = o.distance(0, 3).unwrap();
+            assert!(
+                (7.0..=1.25 * 7.0).contains(&d),
+                "{pipeline:?}: d(0, 3) = {d}"
+            );
+        }
     }
 
     #[test]

@@ -260,6 +260,14 @@ impl OracleBuilder {
                         params.query_hops
                     )));
                 }
+                // Scales run k₀..=λ from the params' own k₀; λ = k₀ − 1 is
+                // the certified no-scale state, anything lower is corrupt.
+                if k0 != params.k0() || u64::from(lambda) + 1 < u64::from(k0) {
+                    return Err(corrupt(format!(
+                        "scale range {k0}..={lambda} does not start at k0 = {} or ends below k0 - 1",
+                        params.k0()
+                    )));
+                }
                 Ok::<_, SnapshotError>((Some((k0, lambda, params)), 0, 0.0))
             }
             Pipeline::Reduced => {
@@ -407,7 +415,14 @@ mod tests {
     #[test]
     fn rejects_a_nested_hopset_with_quantized_weights() {
         let g = gen::road_grid(12, 12, 7, 1.0, 8.0);
-        let o = Oracle::builder(g).eps(0.25).kappa(4).build().unwrap();
+        // The binding cap skips the distance-range certificate, so the
+        // oracle keeps a hopset to quantize.
+        let o = Oracle::builder(g)
+            .eps(0.25)
+            .kappa(4)
+            .hop_cap(16)
+            .build()
+            .unwrap();
         let OracleBackend::Plain(b) = &o.backend else {
             panic!("road grid builds the plain pipeline")
         };
@@ -459,6 +474,99 @@ mod tests {
         match OracleBuilder::from_snapshot_reader(buf.as_slice(), Executor::current()) {
             Err(SnapshotError::Corrupt { what }) => assert!(what.contains("4-byte"), "{what}"),
             other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn certified_and_full_oracles_roundtrip_bit_identically() {
+        // A certified gnm builds no scale; a weighted path past its hop
+        // budget (β = 399 at ε = 0.9) builds the full range.
+        let cases = [
+            (gen::gnm_connected(300, 900, 4, 1.0, 6.0), 0.25, true),
+            (
+                gen::path_weighted(600, |i| 1.0 + (i % 7) as f64),
+                0.9,
+                false,
+            ),
+        ];
+        for (g, eps, certified) in cases {
+            let o = Oracle::builder(g).eps(eps).paths(true).build().unwrap();
+            let b = o.built().unwrap();
+            assert_eq!(b.num_scales() == 0, certified);
+            assert_eq!(o.hopset_size() == 0, certified);
+            let o2 = roundtrip(&o);
+            let b2 = o2.built().unwrap();
+            assert_eq!((b2.k0, b2.lambda), (b.k0, b.lambda));
+            assert_eq!(o.hopset_size(), o2.hopset_size());
+            assert_eq!(o.cost(), o2.cost());
+            let n = o.num_vertices() as u32;
+            for src in [0, n / 2, n - 1] {
+                let a = o.distances_from(src).unwrap();
+                let c = o2.distances_from(src).unwrap();
+                for (x, y) in a.iter().zip(&c) {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
+            }
+            assert_eq!(o.spt(0).unwrap().parent, o2.spt(0).unwrap().parent);
+        }
+    }
+
+    /// Write `o` with its stored scale range replaced by `(k0, lambda)`.
+    fn with_scale_range(o: &Oracle, k0: u32, lambda: u32) -> Vec<u8> {
+        let OracleBackend::Plain(b) = &o.backend else {
+            panic!("plain pipeline expected")
+        };
+        let patched = Oracle {
+            union: o.union.clone(),
+            backend: OracleBackend::Plain(BuiltHopset {
+                k0,
+                lambda,
+                ..b.clone()
+            }),
+            eps: o.eps,
+            kappa: o.kappa,
+            query_hops: o.query_hops,
+            paths: o.paths,
+            threads: None,
+            exec: o.exec.clone(),
+        };
+        let mut buf = Vec::new();
+        patched.write_snapshot(&mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn rejects_a_scale_range_that_does_not_fit_k0() {
+        let o = Oracle::builder(gen::path(64)).build().unwrap();
+        let k0 = o.built().unwrap().k0;
+        let load = |buf: Vec<u8>| {
+            OracleBuilder::from_snapshot_reader(buf.as_slice(), o.executor().clone())
+        };
+        // k₀ must be the params' own; λ must not end below k₀ − 1.
+        for (k, l) in [(k0 + 1, k0), (k0 - 1, k0), (k0, k0 - 2), (u32::MAX, 0)] {
+            match load(with_scale_range(&o, k, l)) {
+                Err(SnapshotError::Corrupt { what }) => {
+                    assert!(what.contains("scale range"), "{what}")
+                }
+                other => panic!("({k}, {l}): expected Corrupt, got {:?}", other.map(|_| ())),
+            }
+        }
+        // The widest stored λ loads without overflowing the range length.
+        let wide = load(with_scale_range(&o, k0, u32::MAX)).unwrap();
+        assert_eq!(
+            wide.built().unwrap().num_scales(),
+            (1u64 << 32) - u64::from(k0)
+        );
+        // The no-scale and one-scale ranges are both valid.
+        for l in [k0 - 1, k0] {
+            assert_eq!(
+                load(with_scale_range(&o, k0, l))
+                    .unwrap()
+                    .built()
+                    .unwrap()
+                    .lambda,
+                l
+            );
         }
     }
 

@@ -178,19 +178,12 @@ pub fn f2_hops(cfg: &Config) {
         ("road-grid", gen::road_grid(32, nn / 32, 3, 1.0, 10.0)),
     ];
     for (name, g) in families {
-        let g = Arc::new(g);
         let sources = spread_sources(g.num_vertices(), 2);
-        // "with H" goes through the owned oracle (its pre-built union CSR);
-        // the bare curve measures the graph alone.
-        let oracle = Oracle::builder(Arc::clone(&g))
-            .eps(0.25)
-            .kappa(4)
-            .rho(0.3) // match F1/F9's practical(.., 0.3) parameterization
-            .build()
-            .expect("params");
-        let with = oracle
-            .stretch_curve(&sources, &budgets)
-            .expect("sources in range");
+        // The figure's H is Theorem 3.7's hopset for the aspect bound, as in
+        // F1: the oracle would certify these graphs at its β budget and
+        // build no scale, which says nothing about budgets below β.
+        let built = build_hopset(&g, &practical(&g, 0.25, 4, 0.3), BuildOptions::default());
+        let with = stretch_vs_hops(&g, &built.overlay(), &sources, &budgets);
         let bare = stretch_vs_hops(&g, &[], &sources, &budgets);
         for (w, b) in with.iter().zip(&bare) {
             t.row(vec![

@@ -23,12 +23,17 @@ fn main() {
         .kappa(4)
         .build()
         .expect("valid parameters");
+    // The builder first certifies the distance range: when one β-hop
+    // exploration over G proves that every shortest path fits the hop
+    // budget, it builds no scale and queries explore G alone.
     let built = oracle.built().expect("plain pipeline on unit-ish weights");
+    let range = match built.num_scales() {
+        0 => "no scale needed".to_string(),
+        _ => format!("scales {}..={}", built.k0, built.lambda),
+    };
     println!(
-        "hopset: {} edges over scales {}..={}, built in {:?}",
+        "hopset: {} edges, {range}, built in {:?}",
         built.hopset.len(),
-        built.k0,
-        built.lambda,
         t0.elapsed()
     );
     println!(

@@ -1,6 +1,8 @@
-//! Road-network-style scenario: hop-limited queries on a large weighted
-//! grid — the setting where the hopset earns its keep, because plain
-//! Bellman–Ford needs Θ(hop diameter) rounds while `G ∪ H` needs β.
+//! Road-network-style scenario: hop-limited queries on a weighted grid.
+//! Plain Bellman–Ford needs Θ(hop diameter) rounds while `G ∪ H` needs β;
+//! the hopset earns its keep once the hop diameter exceeds β. This grid's
+//! hop diameter is far below β, so the builder certifies that `G` alone
+//! is exact within the budget and builds no scale.
 //!
 //! ```sh
 //! cargo run --release --example road_grid
@@ -28,9 +30,15 @@ fn main() {
         .kappa(4)
         .build()
         .expect("valid parameters");
+    let scales = oracle.built().map_or(0, |b| b.num_scales());
     println!(
-        "hopset: {} edges in {:?}; query hop budget β = {}",
+        "hopset: {} edges ({}) in {:?}; query hop budget β = {}",
         oracle.hopset_size(),
+        if scales == 0 {
+            "no scale needed".to_string()
+        } else {
+            format!("{scales} scales")
+        },
         t0.elapsed(),
         oracle.query_hops()
     );

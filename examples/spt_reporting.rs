@@ -10,8 +10,10 @@
 use pram_sssp::prelude::*;
 
 fn main() {
-    // Dense communities bridged sparsely: superclustering territory.
-    let g = gen::clique_chain(12, 16, 3.0);
+    // Dense communities bridged sparsely: superclustering territory. The
+    // heavy bridges put the distance range past the hop budget, so the
+    // builder cannot certify G alone and builds the hopset to peel.
+    let g = gen::clique_chain(12, 16, 12.0);
     println!("graph: n = {}, m = {}", g.num_vertices(), g.num_edges());
 
     // Path-reporting oracle (records memory paths on every hopset edge).

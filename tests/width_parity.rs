@@ -87,6 +87,8 @@ fn snapshot_bytes_are_width_independent() {
 
 /// End-to-end: a full oracle build plus queries on a subsampled size
 /// (debug-profile friendly), fingerprinting hopset columns and distances.
+/// This instance is certified (`G` alone is exact within β hops), so its
+/// hopset is empty; the capped memory-path builds below pin construction.
 #[test]
 fn oracle_outputs_are_width_independent() {
     let g = gen::gnm_connected(2_048, 4_096, 7, 1.0, 8.0);
@@ -112,7 +114,7 @@ fn oracle_outputs_are_width_independent() {
         }
     }
     assert_eq!(
-        f.0, 0x94d0_feee_560d_787b,
+        f.0, 0x92ee_08d6_07af_e48b,
         "oracle output fingerprint drifted (got {:#x})",
         f.0
     );
