@@ -47,12 +47,15 @@ pub struct RandomHopset {
     pub lambda: u32,
 }
 
-/// Build a randomized sampling hopset with the given seed.
-pub fn build_random_hopset(g: &Graph, params: &HopsetParams, seed: u64) -> RandomHopset {
+/// Build a randomized sampling hopset with the given seed on `exec`.
+pub fn build_random_hopset(
+    exec: &Executor,
+    g: &Graph,
+    params: &HopsetParams,
+    seed: u64,
+) -> RandomHopset {
     let n = g.num_vertices();
     assert_eq!(params.n, n);
-    // xlint: allow(ambient-threads, compat entry point captures the process executor once at the API boundary)
-    let exec = Executor::current();
     let mut ledger = Ledger::new();
     let mut hopset = Hopset::new();
     let k0 = params.k0();
@@ -70,7 +73,7 @@ pub fn build_random_hopset(g: &Graph, params: &HopsetParams, seed: u64) -> Rando
             let sl = hopset.scale_slice(k - 1);
             debug_assert_eq!(overlay.num_extra() as u32, sl.start());
             Some(overlay.append_scale(sl.us(), sl.vs(), sl.ws(), |deg| {
-                scan::exclusive_prefix_sum(&exec, deg, &mut ledger).0
+                scan::exclusive_prefix_sum(exec, deg, &mut ledger).0
             }))
         };
         let view = match block {
@@ -79,7 +82,7 @@ pub fn build_random_hopset(g: &Graph, params: &HopsetParams, seed: u64) -> Rando
         };
         let sp = ScaleParams::derive(params, k, eps_prev);
         build_scale(
-            &exec,
+            exec,
             g,
             &view,
             params,
@@ -272,6 +275,7 @@ fn interconnect_all(
 mod tests {
     use super::*;
     use crate::params::ParamMode;
+    use crate::test_exec;
     use crate::validate::{find_shortcut_violations, measure_stretch};
     use pgraph::gen;
 
@@ -292,7 +296,7 @@ mod tests {
     fn random_hopset_is_a_hopset() {
         let g = gen::gnm_connected(96, 288, 5, 1.0, 6.0);
         let p = params(&g);
-        let rh = build_random_hopset(&g, &p, 42);
+        let rh = build_random_hopset(&test_exec(), &g, &p, 42);
         assert!(find_shortcut_violations(&g, &rh.hopset).is_empty());
         let rep = measure_stretch(&g, &rh.hopset, &[0, 48], p.query_hops);
         assert_eq!(rep.undershoots, 0);
@@ -303,8 +307,8 @@ mod tests {
     fn seed_determinism() {
         let g = gen::gnm_connected(64, 160, 9, 1.0, 4.0);
         let p = params(&g);
-        let a = build_random_hopset(&g, &p, 7);
-        let b = build_random_hopset(&g, &p, 7);
+        let a = build_random_hopset(&test_exec(), &g, &p, 7);
+        let b = build_random_hopset(&test_exec(), &g, &p, 7);
         assert_eq!(a.hopset.len(), b.hopset.len());
         for (x, y) in a.hopset.iter().zip(b.hopset.iter()) {
             assert_eq!((x.u, x.v), (y.u, y.v));
@@ -312,7 +316,7 @@ mod tests {
         }
         // Different seeds generally differ (not asserted — could collide on
         // tiny graphs, but sizes should at least exist).
-        let c = build_random_hopset(&g, &p, 8);
+        let c = build_random_hopset(&test_exec(), &g, &p, 8);
         assert!(!c.hopset.is_empty());
     }
 
@@ -320,8 +324,8 @@ mod tests {
     fn comparable_size_to_deterministic() {
         let g = gen::clique_chain(6, 8, 2.0);
         let p = params(&g);
-        let det = crate::build_hopset(&g, &p, crate::BuildOptions::default());
-        let rnd = build_random_hopset(&g, &p, 3);
+        let det = crate::build_hopset_on(&test_exec(), &g, &p, crate::BuildOptions::default());
+        let rnd = build_random_hopset(&test_exec(), &g, &p, 3);
         // Same ballpark (within 8x either way) — E9 reports the exact ratio.
         let a = det.hopset.len().max(1) as f64;
         let b = rnd.hopset.len().max(1) as f64;

@@ -232,8 +232,9 @@ pub fn read_hopset(r: impl Read) -> Result<Hopset, HopsetIoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi_scale::{build_hopset, BuildOptions};
+    use crate::multi_scale::{build_hopset_on, BuildOptions};
     use crate::params::{HopsetParams, ParamMode};
+    use crate::test_exec;
     use pgraph::gen;
 
     fn sample_hopset(record_paths: bool) -> Hopset {
@@ -248,7 +249,7 @@ mod tests {
             None,
         )
         .unwrap();
-        build_hopset(&g, &p, BuildOptions { record_paths }).hopset
+        build_hopset_on(&test_exec(), &g, &p, BuildOptions { record_paths }).hopset
     }
 
     fn roundtrip(h: &Hopset) -> Hopset {

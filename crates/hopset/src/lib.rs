@@ -44,12 +44,14 @@
 //! ```
 //! use pgraph::gen;
 //! use hopset::{BuildOptions, HopsetParams, ParamMode};
+//! use pram::Executor;
 //!
 //! let g = gen::gnm_connected(64, 192, 7, 1.0, 4.0);
 //! let params = HopsetParams::new(
 //!     64, 0.25, 4, 0.3, ParamMode::Practical, g.aspect_ratio_bound(), None,
 //! ).unwrap();
-//! let built = hopset::build_hopset(&g, &params, BuildOptions::default());
+//! let exec = Executor::sequential();
+//! let built = hopset::build_hopset_on(&exec, &g, &params, BuildOptions::default());
 //! assert!(!built.hopset.is_empty() || g.num_edges() == 0);
 //! ```
 
@@ -74,7 +76,7 @@ pub use label::{
     reduce_labels, reduce_labels_in_place, reduce_labels_in_place_scratch, reduce_labels_two_sort,
     Label, LabelArena, ReduceScratch,
 };
-pub use multi_scale::{build_hopset, build_hopset_on, BuildOptions, BuiltHopset};
+pub use multi_scale::{build_hopset_on, BuildOptions, BuiltHopset};
 pub use params::{DeltaSchedule, HopsetParams, ParamError, ParamMode, ScaleParams};
 pub use partition::{Cluster, ClusterMemory, Partition};
 pub use path::{MemEdge, MemoryPath};
@@ -85,3 +87,10 @@ pub use snapshot::{
 };
 pub use store::{EdgeKind, Hopset, HopsetEdge, ScaleSlice};
 pub use virtual_bfs::{ExploreScratch, Explorer};
+
+/// The executor unit tests run on: `PRAM_SSSP_THREADS` threads, else the
+/// hardware's, so the CI thread matrix reaches every suite.
+#[cfg(test)]
+pub(crate) fn test_exec() -> pram::Executor {
+    pram::Executor::new(pram::pool::threads_from_env())
+}

@@ -61,20 +61,12 @@ pub struct BuildOptions {
     pub record_paths: bool,
 }
 
-/// Build the multi-scale hopset of `g` (Theorem 3.7) on the process-default
-/// executor ([`Executor::current`]) — the compatibility entry point.
-/// Long-lived engines own an executor and call [`build_hopset_on`].
+/// Build the multi-scale hopset of `g` (Theorem 3.7) on `exec`: every
+/// exploration round of every scale runs on it.
 ///
 /// Requirements (checked): `g` has minimum edge weight ≥ 1 (§1.5 — use
 /// [`Graph::scaled_to_unit_min`]) — edgeless graphs trivially return an
 /// empty hopset.
-pub fn build_hopset(g: &Graph, params: &HopsetParams, opts: BuildOptions) -> BuiltHopset {
-    // xlint: allow(ambient-threads, compat entry point captures the process executor once at the API boundary)
-    build_hopset_on(&Executor::current(), g, params, opts)
-}
-
-/// Build the multi-scale hopset of `g` (Theorem 3.7) on an explicit
-/// executor: every exploration round of every scale runs on `exec`.
 pub fn build_hopset_on(
     exec: &Executor,
     g: &Graph,
@@ -150,6 +142,7 @@ pub fn build_hopset_on(
 mod tests {
     use super::*;
     use crate::params::ParamMode;
+    use crate::test_exec;
     use pgraph::exact::{bellman_ford_hops, dijkstra};
     use pgraph::{gen, INF};
 
@@ -196,7 +189,7 @@ mod tests {
     fn stretch_on_weighted_path() {
         let g = gen::path_weighted(96, |i| 1.0 + (i % 5) as f64);
         let p = practical_params(&g, 0.25);
-        let built = build_hopset(&g, &p, BuildOptions::default());
+        let built = build_hopset_on(&test_exec(), &g, &p, BuildOptions::default());
         let s = max_stretch(&g, &built, 0);
         assert!(s <= 1.25 + 1e-9, "stretch {s} exceeds 1.25");
     }
@@ -205,7 +198,7 @@ mod tests {
     fn stretch_on_grid() {
         let g = gen::unit_grid(8, 12);
         let p = practical_params(&g, 0.25);
-        let built = build_hopset(&g, &p, BuildOptions::default());
+        let built = build_hopset_on(&test_exec(), &g, &p, BuildOptions::default());
         for src in [0u32, 47, 95] {
             let s = max_stretch(&g, &built, src);
             assert!(s <= 1.25 + 1e-9, "stretch {s} from {src}");
@@ -216,7 +209,7 @@ mod tests {
     fn stretch_on_random_graph() {
         let g = gen::gnm_connected(128, 384, 21, 1.0, 9.0);
         let p = practical_params(&g, 0.2);
-        let built = build_hopset(&g, &p, BuildOptions::default());
+        let built = build_hopset_on(&test_exec(), &g, &p, BuildOptions::default());
         let s = max_stretch(&g, &built, 5);
         assert!(s <= 1.2 + 1e-9, "stretch {s}");
     }
@@ -227,7 +220,7 @@ mod tests {
         // the β-hop distance in G alone is infinite past β vertices.
         let g = gen::path(200);
         let p = practical_params(&g, 0.25).with_hop_cap(48);
-        let built = build_hopset(&g, &p, BuildOptions::default());
+        let built = build_hopset_on(&test_exec(), &g, &p, BuildOptions::default());
         let overlay = built.overlay();
         let view = UnionView::with_extra(&g, &overlay);
         let without = bellman_ford_hops(&UnionView::base_only(&g), &[0], p.query_hops);
@@ -242,7 +235,7 @@ mod tests {
     fn size_within_paper_bound() {
         let g = gen::gnm_connected(128, 512, 3, 1.0, 4.0);
         let p = practical_params(&g, 0.25);
-        let built = build_hopset(&g, &p, BuildOptions::default());
+        let built = build_hopset_on(&test_exec(), &g, &p, BuildOptions::default());
         assert!(
             (built.hopset.len() as f64) <= built.size_bound(),
             "{} edges > bound {}",
@@ -255,8 +248,8 @@ mod tests {
     fn determinism_end_to_end() {
         let g = gen::gnm_connected(64, 160, 12, 1.0, 7.0);
         let p = practical_params(&g, 0.25);
-        let a = build_hopset(&g, &p, BuildOptions::default());
-        let b = build_hopset(&g, &p, BuildOptions::default());
+        let a = build_hopset_on(&test_exec(), &g, &p, BuildOptions::default());
+        let b = build_hopset_on(&test_exec(), &g, &p, BuildOptions::default());
         assert_eq!(a.hopset.len(), b.hopset.len());
         for (x, y) in a.hopset.iter().zip(b.hopset.iter()) {
             assert_eq!((x.u, x.v, x.scale), (y.u, y.v, y.scale));
@@ -268,7 +261,12 @@ mod tests {
     #[test]
     fn scale_count_saturates_at_the_no_scale_state() {
         let g = gen::path(8);
-        let built = build_hopset(&g, &practical_params(&g, 0.25), BuildOptions::default());
+        let built = build_hopset_on(
+            &test_exec(),
+            &g,
+            &practical_params(&g, 0.25),
+            BuildOptions::default(),
+        );
         assert_eq!(built.num_scales(), built.scales.len() as u64);
         let none = BuiltHopset {
             lambda: built.k0 - 1,
@@ -287,12 +285,12 @@ mod tests {
     fn empty_and_tiny_graphs() {
         let g = Graph::empty(4);
         let p = practical_params(&g, 0.25);
-        let built = build_hopset(&g, &p, BuildOptions::default());
+        let built = build_hopset_on(&test_exec(), &g, &p, BuildOptions::default());
         assert!(built.hopset.is_empty());
 
         let g2 = gen::path(2);
         let p2 = practical_params(&g2, 0.25);
-        let built2 = build_hopset(&g2, &p2, BuildOptions::default());
+        let built2 = build_hopset_on(&test_exec(), &g2, &p2, BuildOptions::default());
         // A single edge needs no hopset but must not break anything.
         let s = max_stretch(&g2, &built2, 0);
         assert!(s <= 1.25);
@@ -302,7 +300,7 @@ mod tests {
     fn no_shortcut_below_true_distance_exhaustive() {
         let g = gen::gnm_connected(48, 144, 8, 1.0, 5.0);
         let p = practical_params(&g, 0.25);
-        let built = build_hopset(&g, &p, BuildOptions::default());
+        let built = build_hopset_on(&test_exec(), &g, &p, BuildOptions::default());
         // Every hopset edge's weight ≥ exact distance (Lemmas 2.3/2.9).
         for e in built.hopset.iter() {
             let exact = dijkstra(&g, e.u).dist[e.v as usize];
@@ -322,7 +320,7 @@ mod tests {
         }
         let g = b.build().unwrap();
         let p = practical_params(&g, 0.25);
-        let built = build_hopset(&g, &p, BuildOptions::default());
+        let built = build_hopset_on(&test_exec(), &g, &p, BuildOptions::default());
         for e in built.hopset.iter() {
             assert_eq!(
                 (e.u < 20),

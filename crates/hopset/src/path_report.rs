@@ -89,21 +89,12 @@ struct Ptr {
 }
 
 /// Extract a `(1+ε)`-SPT rooted at `source` from a path-reporting hopset
-/// (Algorithm 1). Panics if the hopset was built without
-/// [`crate::BuildOptions::record_paths`].
-pub fn build_spt(g: &Graph, built: &BuiltHopset, source: VId) -> SptResult {
-    let sl = built.hopset.all_slice();
-    let view = UnionView::with_overlay_columns(g, sl.us(), sl.vs(), sl.ws());
-    // xlint: allow(ambient-threads, compat entry point captures the process executor once at the API boundary)
-    build_spt_on(&Executor::current(), &view, built, source)
-}
-
-/// Like [`build_spt`], but on an explicit executor and over a pre-built
-/// `G ∪ H` view whose overlay covers the whole hopset with global edge
-/// ids (`EdgeTag::Extra(i)` maps to hopset edge `i` — what
-/// [`Hopset::all_slice`]-derived CSRs produce).
+/// (Algorithm 1) on `exec`, over a pre-built `G ∪ H` view whose overlay
+/// covers the whole hopset with global edge ids (`EdgeTag::Extra(i)` maps
+/// to hopset edge `i` — what [`Hopset::all_slice`]-derived CSRs produce).
 /// Long-lived query engines build the view once, own an executor, and
-/// call this per query.
+/// call this per query. Panics if the hopset was built without
+/// [`crate::BuildOptions::record_paths`].
 pub fn build_spt_on(
     exec: &Executor,
     view: &UnionView<'_>,
@@ -114,20 +105,12 @@ pub fn build_spt_on(
 }
 
 /// Extract a `(1+ε)`-SPT from a *weight-reduced* path-reporting hopset
-/// (Appendix D, Theorem D.2). The same peeling engine applies: the
-/// reduction's encoded provenance scales strictly descend through mapped
-/// hopset edges, then star edges, then graph edges — realizing the
-/// three-step replacement of §D.2 (Figure 11) in one uniform loop.
-pub fn build_spt_reduced(g: &Graph, reduced: &ReducedHopset, source: VId) -> SptResult {
-    let sl = reduced.hopset.all_slice();
-    let view = UnionView::with_overlay_columns(g, sl.us(), sl.vs(), sl.ws());
-    // xlint: allow(ambient-threads, compat entry point captures the process executor once at the API boundary)
-    build_spt_reduced_on(&Executor::current(), &view, reduced, source)
-}
-
-/// Like [`build_spt_reduced`], but on an explicit executor and over a
-/// pre-built `G ∪ H` view (see [`build_spt_on`] for the overlay-index
-/// contract).
+/// (Appendix D, Theorem D.2) on `exec`, over a pre-built `G ∪ H` view (see
+/// [`build_spt_on`] for the overlay-index contract). The same peeling
+/// engine applies: the reduction's encoded provenance scales strictly
+/// descend through mapped hopset edges, then star edges, then graph
+/// edges — realizing the three-step replacement of §D.2 (Figure 11) in
+/// one uniform loop.
 pub fn build_spt_reduced_on(
     exec: &Executor,
     view: &UnionView<'_>,
@@ -400,9 +383,17 @@ pub fn validate_spt(g: &Graph, spt: &SptResult) -> SptValidation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi_scale::{build_hopset, BuildOptions};
+    use crate::multi_scale::{build_hopset_on, BuildOptions};
     use crate::params::{HopsetParams, ParamMode};
+    use crate::test_exec;
     use pgraph::gen;
+
+    /// [`build_spt_on`] over the `G ∪ H` view of the whole hopset.
+    fn spt(g: &Graph, built: &BuiltHopset, source: VId) -> SptResult {
+        let sl = built.hopset.all_slice();
+        let view = UnionView::with_overlay_columns(g, sl.us(), sl.vs(), sl.ws());
+        build_spt_on(&test_exec(), &view, built, source)
+    }
 
     fn build(g: &Graph, eps: f64) -> BuiltHopset {
         let p = HopsetParams::new(
@@ -415,7 +406,7 @@ mod tests {
             None,
         )
         .unwrap();
-        build_hopset(g, &p, BuildOptions { record_paths: true })
+        build_hopset_on(&test_exec(), g, &p, BuildOptions { record_paths: true })
     }
 
     #[test]
@@ -423,7 +414,7 @@ mod tests {
         let g = gen::clique_chain(4, 8, 2.0);
         let built = build(&g, 0.25);
         assert!(!built.hopset.is_empty(), "need hopset edges to peel");
-        let spt = build_spt(&g, &built, 0);
+        let spt = spt(&g, &built, 0);
         let val = validate_spt(&g, &spt);
         assert_eq!(val.non_graph_edges, 0, "{val:?}");
         assert_eq!(val.weight_mismatches, 0);
@@ -440,7 +431,7 @@ mod tests {
     fn spt_on_weighted_path() {
         let g = gen::path_weighted(80, |i| 1.0 + (i % 7) as f64);
         let built = build(&g, 0.25);
-        let spt = build_spt(&g, &built, 40);
+        let spt = spt(&g, &built, 40);
         let val = validate_spt(&g, &spt);
         assert_eq!(
             (
@@ -466,7 +457,7 @@ mod tests {
         let g = gen::gnm_connected(100, 300, 11, 1.0, 8.0);
         let built = build(&g, 0.2);
         for src in [0u32, 55, 99] {
-            let spt = build_spt(&g, &built, src);
+            let spt = spt(&g, &built, src);
             let val = validate_spt(&g, &spt);
             assert_eq!(val.non_graph_edges, 0);
             assert_eq!(val.distance_mismatches, 0);
@@ -479,7 +470,7 @@ mod tests {
     fn spt_paths_are_walkable() {
         let g = gen::clique_chain(3, 7, 2.5);
         let built = build(&g, 0.25);
-        let spt = build_spt(&g, &built, 0);
+        let spt = spt(&g, &built, 0);
         for v in 0..g.num_vertices() as u32 {
             let path = spt.path_to(v).expect("connected");
             assert_eq!(path[0], 0);
@@ -504,7 +495,7 @@ mod tests {
         }
         let g = b.build().unwrap();
         let built = build(&g, 0.25);
-        let spt = build_spt(&g, &built, 0);
+        let spt = spt(&g, &built, 0);
         for v in 0..10 {
             assert!(spt.dist[v].is_finite());
         }
@@ -518,7 +509,7 @@ mod tests {
     fn peel_stats_eliminate_hopset_edges() {
         let g = gen::clique_chain(5, 8, 2.0);
         let built = build(&g, 0.25);
-        let spt = build_spt(&g, &built, 0);
+        let spt = spt(&g, &built, 0);
         if let Some(last) = spt.peel_stats.last() {
             assert!(last.hopset_edges >= last.replaced);
         }
@@ -540,7 +531,8 @@ mod tests {
             None,
         )
         .unwrap();
-        let built = build_hopset(
+        let built = build_hopset_on(
+            &test_exec(),
             &g,
             &p,
             BuildOptions {
@@ -551,7 +543,7 @@ mod tests {
             // Ensure the assertion is actually exercised.
             panic!("record_paths");
         }
-        let _ = build_spt(&g, &built, 0);
+        let _ = spt(&g, &built, 0);
     }
 }
 
@@ -560,14 +552,23 @@ mod reduced_tests {
     use super::*;
     use crate::multi_scale::BuildOptions;
     use crate::params::ParamMode;
-    use crate::reduction::build_reduced_hopset;
+    use crate::reduction::build_reduced_hopset_on;
+    use crate::test_exec;
     use pgraph::gen;
+
+    /// [`build_spt_reduced_on`] over the `G ∪ H` view of the whole hopset.
+    fn spt(g: &Graph, reduced: &ReducedHopset, source: VId) -> SptResult {
+        let sl = reduced.hopset.all_slice();
+        let view = UnionView::with_overlay_columns(g, sl.us(), sl.vs(), sl.ws());
+        build_spt_reduced_on(&test_exec(), &view, reduced, source)
+    }
 
     #[test]
     fn reduced_spt_on_huge_aspect_ratio() {
         // Theorem D.2 end-to-end: SPT through the weight reduction.
         let g = gen::exponential_path(32, 3.0);
-        let r = build_reduced_hopset(
+        let r = build_reduced_hopset_on(
+            &test_exec(),
             &g,
             0.5,
             4,
@@ -576,7 +577,7 @@ mod reduced_tests {
             BuildOptions { record_paths: true },
         )
         .unwrap();
-        let spt = build_spt_reduced(&g, &r, 0);
+        let spt = spt(&g, &r, 0);
         let val = validate_spt(&g, &spt);
         assert_eq!(val.non_graph_edges, 0, "{val:?}");
         assert_eq!(val.weight_mismatches, 0);
@@ -588,7 +589,8 @@ mod reduced_tests {
     #[test]
     fn reduced_spt_on_wide_weights() {
         let g = gen::wide_weights(64, 128, 10, 7);
-        let r = build_reduced_hopset(
+        let r = build_reduced_hopset_on(
+            &test_exec(),
             &g,
             0.5,
             4,
@@ -598,7 +600,7 @@ mod reduced_tests {
         )
         .unwrap();
         for src in [0u32, 31, 63] {
-            let spt = build_spt_reduced(&g, &r, src);
+            let spt = spt(&g, &r, src);
             let val = validate_spt(&g, &spt);
             assert_eq!(val.non_graph_edges, 0, "src {src}: {val:?}");
             assert_eq!(val.distance_mismatches, 0);
@@ -610,7 +612,8 @@ mod reduced_tests {
     #[test]
     fn reduced_spt_paths_walkable() {
         let g = gen::wide_weights(48, 100, 8, 2);
-        let r = build_reduced_hopset(
+        let r = build_reduced_hopset_on(
+            &test_exec(),
             &g,
             0.4,
             4,
@@ -619,7 +622,7 @@ mod reduced_tests {
             BuildOptions { record_paths: true },
         )
         .unwrap();
-        let spt = build_spt_reduced(&g, &r, 5);
+        let spt = spt(&g, &r, 5);
         for v in 0..48u32 {
             let path = spt.path_to(v).expect("connected");
             let mut acc = 0.0;

@@ -93,25 +93,12 @@ pub fn encode_scale(k: u32, gk_scale: Option<u32>) -> u32 {
 }
 
 /// Build a `(1+ε, 6β+5)`-hopset of `g` without any aspect-ratio assumption
-/// (Theorem C.2; with `record_paths`, Theorem D.1).
+/// (Theorem C.2; with `record_paths`, Theorem D.1) on `exec`: the
+/// components/forest/pointer-jumping substrate and every per-level hopset
+/// construction run on it.
 ///
 /// `g` must have minimum edge weight ≥ 1 (normalize with
 /// [`Graph::scaled_to_unit_min`]).
-pub fn build_reduced_hopset(
-    g: &Graph,
-    eps: f64,
-    kappa: usize,
-    rho: f64,
-    mode: ParamMode,
-    opts: BuildOptions,
-) -> Result<ReducedHopset, ParamError> {
-    // xlint: allow(ambient-threads, compat entry point captures the process executor once at the API boundary)
-    build_reduced_hopset_on(&Executor::current(), g, eps, kappa, rho, mode, opts)
-}
-
-/// Like [`build_reduced_hopset`], on an explicit executor: the
-/// components/forest/pointer-jumping substrate and every per-level hopset
-/// construction run on `exec`.
 pub fn build_reduced_hopset_on(
     exec: &Executor,
     g: &Graph,
@@ -574,6 +561,7 @@ fn map_memory_path(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_exec;
     use crate::validate::{find_shortcut_violations, measure_stretch};
     use pgraph::exact::{bellman_ford_hops, dijkstra};
     use pgraph::{gen, UnionView};
@@ -599,7 +587,8 @@ mod tests {
         // Aspect ratio 4^22: far beyond what poly(n) scales would cover
         // comfortably; the reduction contracts aggressively instead.
         let g = gen::exponential_path(24, 4.0);
-        let r = build_reduced_hopset(
+        let r = build_reduced_hopset_on(
+            &test_exec(),
             &g,
             0.5,
             4,
@@ -619,7 +608,8 @@ mod tests {
     fn level_aspect_ratios_are_bounded() {
         let g = gen::wide_weights(64, 128, 12, 5);
         let eps = 0.25;
-        let r = build_reduced_hopset(
+        let r = build_reduced_hopset_on(
+            &test_exec(),
             &g,
             eps,
             4,
@@ -648,7 +638,8 @@ mod tests {
     #[test]
     fn star_count_within_lemma_c1() {
         let g = gen::wide_weights(96, 200, 14, 9);
-        let r = build_reduced_hopset(
+        let r = build_reduced_hopset_on(
+            &test_exec(),
             &g,
             0.25,
             4,
@@ -668,7 +659,8 @@ mod tests {
     #[test]
     fn stars_are_real_tree_paths() {
         let g = gen::wide_weights(48, 96, 10, 3);
-        let r = build_reduced_hopset(
+        let r = build_reduced_hopset_on(
+            &test_exec(),
             &g,
             0.25,
             4,
@@ -697,7 +689,8 @@ mod tests {
     #[test]
     fn memory_paths_valid_for_reduced_hopset() {
         let g = gen::wide_weights(48, 96, 10, 3);
-        let r = build_reduced_hopset(
+        let r = build_reduced_hopset_on(
+            &test_exec(),
             &g,
             0.25,
             4,
@@ -727,7 +720,8 @@ mod tests {
         // With unit-ish weights nothing contracts; the reduction must agree
         // with the plain pipeline's guarantees.
         let g = gen::gnm_connected(64, 160, 13, 1.0, 4.0);
-        let r = build_reduced_hopset(
+        let r = build_reduced_hopset_on(
+            &test_exec(),
             &g,
             0.3,
             4,
@@ -745,7 +739,8 @@ mod tests {
     #[test]
     fn reduced_hopset_shortcuts_hops() {
         let g = gen::exponential_path(64, 2.0);
-        let r = build_reduced_hopset(
+        let r = build_reduced_hopset_on(
+            &test_exec(),
             &g,
             0.5,
             4,

@@ -169,7 +169,7 @@ mod tests {
         let view = UnionView::base_only(&g);
         let part = Partition::singletons(32);
         let cm = ClusterMemory::trivial(32, false);
-        let exec = pram::Executor::shared(2);
+        let exec = pram::Executor::new(2);
         let mut scratch = ExploreScratch::new();
         let ex = explorer(&exec, &view, &part, &cm, 1.5);
         let w: Vec<u32> = (0..32).collect();
@@ -188,7 +188,7 @@ mod tests {
         let view = UnionView::base_only(&g);
         let part = Partition::singletons(64);
         let cm = ClusterMemory::trivial(64, false);
-        let exec = pram::Executor::shared(2);
+        let exec = pram::Executor::new(2);
         let mut scratch = ExploreScratch::new();
         let ex = explorer(&exec, &view, &part, &cm, 2.5);
         let w: Vec<u32> = (0..64).step_by(2).collect();
@@ -213,7 +213,7 @@ mod tests {
         let view = UnionView::base_only(&g);
         let part = Partition::singletons(8);
         let cm = ClusterMemory::trivial(8, false);
-        let exec = pram::Executor::shared(2);
+        let exec = pram::Executor::new(2);
         let mut scratch = ExploreScratch::new();
         let ex = explorer(&exec, &view, &part, &cm, 1.5);
         let mut led = Ledger::new();
@@ -227,7 +227,7 @@ mod tests {
         let view = UnionView::base_only(&g);
         let part = Partition::singletons(4);
         let cm = ClusterMemory::trivial(4, false);
-        let exec = pram::Executor::shared(2);
+        let exec = pram::Executor::new(2);
         let mut scratch = ExploreScratch::new();
         let ex = explorer(&exec, &view, &part, &cm, 1.5);
         let mut led = Ledger::new();
@@ -241,7 +241,7 @@ mod tests {
         let view = UnionView::base_only(&g);
         let part = Partition::singletons(10);
         let cm = ClusterMemory::trivial(10, false);
-        let exec = pram::Executor::shared(2);
+        let exec = pram::Executor::new(2);
         let mut scratch = ExploreScratch::new();
         let ex = explorer(&exec, &view, &part, &cm, 5.0);
         let w: Vec<u32> = (0..10).collect();
@@ -256,7 +256,7 @@ mod tests {
         let view = UnionView::base_only(&g);
         let part = Partition::singletons(2);
         let cm = ClusterMemory::trivial(2, false);
-        let exec = pram::Executor::shared(2);
+        let exec = pram::Executor::new(2);
         let mut scratch = ExploreScratch::new();
         let ex = explorer(&exec, &view, &part, &cm, 1.5);
         let mut led = Ledger::new();
@@ -270,7 +270,7 @@ mod tests {
         let view = UnionView::base_only(&g);
         let part = Partition::singletons(48);
         let cm = ClusterMemory::trivial(48, false);
-        let exec = pram::Executor::shared(2);
+        let exec = pram::Executor::new(2);
         let mut scratch = ExploreScratch::new();
         let ex = explorer(&exec, &view, &part, &cm, 3.0);
         let w: Vec<u32> = (0..48).collect();

@@ -409,7 +409,7 @@ mod tests {
         let g = gen::clique_chain(4, 8, 2.0);
         let (p, sp) = scale_setup(g.num_vertices(), ParamMode::Practical);
         let view = UnionView::base_only(&g);
-        let exec = Executor::shared(2);
+        let exec = Executor::new(2);
         let ctx = ScaleContext {
             exec: &exec,
             view: &view,
@@ -438,7 +438,7 @@ mod tests {
         let g = gen::path(24);
         let (p, sp) = scale_setup(24, ParamMode::Practical);
         let view = UnionView::base_only(&g);
-        let exec = Executor::shared(2);
+        let exec = Executor::new(2);
         let ctx = ScaleContext {
             exec: &exec,
             view: &view,
@@ -462,7 +462,7 @@ mod tests {
         let g = gen::gnm_connected(48, 120, 7, 1.0, 3.0);
         let (p, sp) = scale_setup(48, ParamMode::Practical);
         let view = UnionView::base_only(&g);
-        let exec = Executor::shared(2);
+        let exec = Executor::new(2);
         let ctx = ScaleContext {
             exec: &exec,
             view: &view,
@@ -492,7 +492,7 @@ mod tests {
         let g = gen::clique_chain(3, 6, 2.0);
         let (p, sp) = scale_setup(g.num_vertices(), ParamMode::Practical);
         let view = UnionView::base_only(&g);
-        let exec = Executor::shared(2);
+        let exec = Executor::new(2);
         let ctx = ScaleContext {
             exec: &exec,
             view: &view,
@@ -525,7 +525,7 @@ mod tests {
         let g = gen::clique_chain(3, 6, 2.0);
         let (p, sp) = scale_setup(g.num_vertices(), ParamMode::Theory);
         let view = UnionView::base_only(&g);
-        let exec = Executor::shared(2);
+        let exec = Executor::new(2);
         let ctx = ScaleContext {
             exec: &exec,
             view: &view,
@@ -558,7 +558,7 @@ mod tests {
         let g = gen::gnm_connected(40, 100, 9, 1.0, 4.0);
         let (p, sp) = scale_setup(40, ParamMode::Practical);
         let view = UnionView::base_only(&g);
-        let exec = Executor::shared(2);
+        let exec = Executor::new(2);
         let ctx = ScaleContext {
             exec: &exec,
             view: &view,
@@ -587,7 +587,7 @@ mod tests {
         let g = gen::clique_chain(6, 8, 2.0);
         let (p, sp) = scale_setup(g.num_vertices(), ParamMode::Practical);
         let view = UnionView::base_only(&g);
-        let exec = Executor::shared(2);
+        let exec = Executor::new(2);
         let ctx = ScaleContext {
             exec: &exec,
             view: &view,

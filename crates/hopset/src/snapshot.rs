@@ -363,9 +363,10 @@ pub fn load_hopset_snapshot(path: impl AsRef<Path>) -> Result<Hopset, SnapshotEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi_scale::{build_hopset, BuildOptions};
+    use crate::multi_scale::{build_hopset_on, BuildOptions};
     use crate::params::{HopsetParams, ParamMode};
     use crate::store::HopsetEdge;
+    use crate::test_exec;
     use pgraph::gen;
 
     fn sample_hopset(record_paths: bool) -> Hopset {
@@ -380,7 +381,7 @@ mod tests {
             None,
         )
         .unwrap();
-        build_hopset(&g, &p, BuildOptions { record_paths }).hopset
+        build_hopset_on(&test_exec(), &g, &p, BuildOptions { record_paths }).hopset
     }
 
     fn roundtrip(h: &Hopset) -> Hopset {

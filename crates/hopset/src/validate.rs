@@ -209,10 +209,11 @@ pub fn check_memory_paths(g: &Graph, hopset: &Hopset) -> Vec<MemoryPathError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi_scale::{build_hopset, BuildOptions};
+    use crate::multi_scale::{build_hopset_on, BuildOptions};
     use crate::params::{HopsetParams, ParamMode};
     use crate::path::{MemEdge, MemoryPath};
     use crate::store::{EdgeKind, HopsetEdge};
+    use crate::test_exec;
     use pgraph::gen;
 
     fn build(g: &Graph, record_paths: bool) -> Hopset {
@@ -226,7 +227,7 @@ mod tests {
             None,
         )
         .unwrap();
-        build_hopset(g, &p, BuildOptions { record_paths }).hopset
+        build_hopset_on(&test_exec(), g, &p, BuildOptions { record_paths }).hopset
     }
 
     #[test]

@@ -798,7 +798,7 @@ mod tests {
     }
 
     fn exec() -> Executor {
-        Executor::shared(2)
+        Executor::new(2)
     }
 
     #[test]
@@ -1028,7 +1028,7 @@ mod tests {
         let part = Partition::singletons(g.num_vertices());
         let run = |record_paths: bool| {
             let cm = ClusterMemory::trivial(g.num_vertices(), record_paths);
-            let exec = Executor::shared(2);
+            let exec = Executor::new(2);
             let ex = Explorer {
                 exec: &exec,
                 view: &view,
@@ -1060,7 +1060,7 @@ mod tests {
         let g = gen::gnm_connected(60, 150, 2, 1.0, 3.0);
         let (view, part, cm) = exploration_setup(&g);
         let run = |threads: usize| {
-            let exec = Executor::shared(threads);
+            let exec = Executor::new(threads);
             let ex = Explorer {
                 exec: &exec,
                 view: &view,
@@ -1320,7 +1320,7 @@ mod tests {
             hop_limit: usize,
             f: impl FnOnce(&Explorer) -> R,
         ) -> R {
-            let exec = Executor::shared(threads);
+            let exec = Executor::new(threads);
             let view = UnionView::with_extra(&self.g, &self.extra);
             let cm = self.memory(record_paths);
             f(&Explorer {
@@ -1555,7 +1555,7 @@ mod tests {
             let n = g.num_vertices();
             let sources: Vec<u32> = (0..n as u32).filter(|c| c % 37 != 0).collect();
             assert!(sources.len() >= pram::pool::PAR_THRESHOLD);
-            assert!(Executor::shared(2).round_bounds(sources.len()).len() > 1);
+            assert!(Executor::new(2).round_bounds(sources.len()).len() > 1);
             let mut case = Case::singletons("chunked", g, 2.5, sources);
             case.pulses = 2;
             case.verify = false;

@@ -3,10 +3,11 @@
 
 use hopset::virtual_bfs::{ExploreScratch, Explorer};
 use hopset::{
-    build_hopset, BuildOptions, ClusterMemory, DeltaSchedule, HopsetParams, ParamMode, Partition,
+    build_hopset_on, BuildOptions, ClusterMemory, DeltaSchedule, HopsetParams, ParamMode, Partition,
 };
 use pgraph::exact::bellman_ford_hops;
 use pgraph::{gen, Graph, UnionView, VId, Weight, INF};
+use pram::pool::threads_from_env;
 use pram::{Executor, Ledger};
 use proptest::prelude::*;
 
@@ -82,7 +83,7 @@ proptest! {
         let cm = ClusterMemory::trivial(n, false);
         let view = UnionView::base_only(&g);
         let hops = n; // unbounded (cap at n): oracle uses the same
-        let exec = Executor::shared(2);
+        let exec = Executor::new(2);
         let ex = Explorer {
             exec: &exec,
             view: &view,
@@ -131,7 +132,7 @@ proptest! {
         let part = make_partition(n, nclusters, seed ^ 0x1234);
         let cm = ClusterMemory::trivial(n, false);
         let view = UnionView::base_only(&g);
-        let exec = Executor::shared(2);
+        let exec = Executor::new(2);
         let ex = Explorer {
             exec: &exec,
             view: &view,
@@ -186,7 +187,7 @@ proptest! {
         let part = make_partition(n, nclusters, seed);
         let cm = ClusterMemory::trivial(n, false);
         let view = UnionView::base_only(&g);
-        let exec = Executor::shared(2);
+        let exec = Executor::new(2);
         let ex = Explorer {
             exec: &exec,
             view: &view,
@@ -232,7 +233,12 @@ fn theory_mode_end_to_end() {
         None,
     )
     .unwrap();
-    let built = build_hopset(&g, &p, BuildOptions::default());
+    let built = build_hopset_on(
+        &Executor::new(threads_from_env()),
+        &g,
+        &p,
+        BuildOptions::default(),
+    );
     assert!(
         built.scales.iter().all(|s| s.weight_bound_violations == 0),
         "realized paths must fit the formula weights"
@@ -262,7 +268,12 @@ fn paper_literal_schedule_still_sound() {
     )
     .unwrap();
     p.delta_schedule = DeltaSchedule::PaperLiteral;
-    let built = build_hopset(&g, &p, BuildOptions::default());
+    let built = build_hopset_on(
+        &Executor::new(threads_from_env()),
+        &g,
+        &p,
+        BuildOptions::default(),
+    );
     let bad = hopset::validate::find_shortcut_violations(&g, &built.hopset);
     assert!(bad.is_empty());
     let rep = hopset::validate::measure_stretch(&g, &built.hopset, &[0, 64], p.query_hops);
@@ -280,7 +291,7 @@ fn explorer_over_union_views_uses_hopset_edges() {
     let view = UnionView::with_extra(&g, &overlay);
     let part = Partition::singletons(40);
     let cm = ClusterMemory::trivial(40, false);
-    let exec = Executor::shared(2);
+    let exec = Executor::new(2);
     let ex = Explorer {
         exec: &exec,
         view: &view,

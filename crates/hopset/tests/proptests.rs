@@ -278,7 +278,7 @@ fn builder_parallel_scan_matches_sequential_across_threads() {
         seq_builder.append_scale_seq(&us, &vs, &ws);
         let seq_view = UnionView::with_csr(&g, seq_builder.block(0));
         for threads in [1usize, 2, 3, 4, 8] {
-            let exec = Executor::shared(threads);
+            let exec = Executor::new(threads);
             let mut ledger = Ledger::new();
             let mut b = OverlayCsrBuilder::new(n);
             b.append_scale(&us, &vs, &ws, |deg| {
@@ -306,7 +306,7 @@ fn arena_explorer_straddles_par_threshold_across_threads() {
     let part = Partition::singletons(n);
     let cm = ClusterMemory::trivial(n, false);
     let run = |threads: usize| {
-        let exec = Executor::shared(threads);
+        let exec = Executor::new(threads);
         let ex = Explorer {
             exec: &exec,
             view: &view,

@@ -449,7 +449,7 @@ mod tests {
     use pgraph::Graph;
 
     fn exec() -> Executor {
-        Executor::shared(2)
+        Executor::new(2)
     }
 
     #[test]

@@ -266,7 +266,7 @@ mod tests {
     use pgraph::gen;
 
     fn exec() -> Executor {
-        Executor::shared(2)
+        Executor::new(2)
     }
 
     #[test]
@@ -369,7 +369,7 @@ mod tests {
         let (base, base_forest) = spanning_forest(&Executor::sequential(), &g, |_| true, &mut l1);
         for threads in [2usize, 4, 8] {
             let mut l = Ledger::new();
-            let (got, forest) = spanning_forest(&Executor::shared(threads), &g, |_| true, &mut l);
+            let (got, forest) = spanning_forest(&Executor::new(threads), &g, |_| true, &mut l);
             assert_eq!(got.label, base.label, "threads={threads}");
             assert_eq!(got.rounds, base.rounds);
             assert_eq!(forest, base_forest);

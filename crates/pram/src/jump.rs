@@ -69,7 +69,7 @@ mod tests {
     use super::*;
 
     fn exec() -> Executor {
-        Executor::shared(2)
+        Executor::new(2)
     }
 
     #[test]
@@ -137,7 +137,7 @@ mod tests {
         let (bd, br) = pointer_jump_distances(&Executor::sequential(), &parent, &w, &mut l1);
         for threads in [2usize, 4, 8] {
             let mut l = Ledger::new();
-            let (d, r) = pointer_jump_distances(&Executor::shared(threads), &parent, &w, &mut l);
+            let (d, r) = pointer_jump_distances(&Executor::new(threads), &parent, &w, &mut l);
             assert_eq!(r, br, "threads={threads}");
             for (x, y) in d.iter().zip(&bd) {
                 assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");

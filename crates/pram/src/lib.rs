@@ -20,12 +20,12 @@
 //! the explicit [`Executor`] handle every primitive takes. Chunk
 //! boundaries are a pure function of `(len, threads)` and reductions are
 //! order-independent, so results are bit-identical across thread counts
-//! (tested, `tests/determinism.rs`). Handles come from `Executor::new(t)`
-//! (private pool), `Executor::shared(t)` (process-cached), or
-//! `Executor::current()` — the compatibility default resolved from
-//! `pool::with_threads` / `pool::set_global_threads` / the
-//! `PRAM_SSSP_THREADS` env var / the hardware, in that order. A one-thread
-//! executor spawns no workers and runs every round inline.
+//! (tested, `tests/determinism.rs`). The caller picks the count:
+//! `Executor::new(t)` is a private pool of `t` threads, and
+//! `Executor::sequential()` is the one-thread executor, which spawns no
+//! workers and runs every round inline. No library code reads the
+//! environment or the hardware; binaries, benches and tests resolve
+//! `PRAM_SSSP_THREADS` through [`pool::threads_from_env`].
 //!
 //! Modules:
 //! * [`ledger`] — the work/depth ledger,

@@ -15,21 +15,14 @@
 //! ## The `Executor` handle
 //!
 //! [`Executor`] is a cheap-to-clone, `Arc`-backed, `Send + Sync` handle.
-//! Every `pram` primitive takes `&Executor` explicitly — thread counts are
-//! no longer resolved from ambient (thread-local / global / env) state in
-//! each hot call. Handles come from:
-//!
-//! * [`Executor::new(t)`](Executor::new) — a **private** pool: its workers
-//!   serve only this handle's clones, and are shut down and joined when the
-//!   last clone drops. This is what `sssp::OracleBuilder::threads(t)` pins,
-//!   so two oracles with different thread counts run concurrently with zero
-//!   global-state crosstalk.
-//! * [`Executor::shared(t)`](Executor::shared) — the lazily-created,
-//!   process-cached pool for count `t` (workers live for the process).
-//! * [`Executor::current()`](Executor::current) — the process-default:
-//!   [`Executor::shared`] at the count resolved from the legacy ambient
-//!   knobs (see below). This is what layers use when no handle was passed
-//!   down — the compatibility path, not the hot path.
+//! Every `pram` primitive takes `&Executor` explicitly; no primitive, and
+//! no library entry point, resolves a thread count by itself.
+//! [`Executor::new(t)`](Executor::new) creates a **private** pool: its
+//! workers serve only this handle's clones, and are shut down and joined
+//! when the last clone drops. This is what `sssp::OracleBuilder::threads(t)`
+//! pins, so two oracles with different thread counts run concurrently with
+//! zero global-state crosstalk. [`Executor::sequential`] is the one-thread
+//! executor every library default runs on; it spawns no workers.
 //!
 //! ## Dispatch / barrier protocol
 //!
@@ -72,16 +65,13 @@
 //!   bit-identical for every thread count — and to the retired scoped
 //!   implementation (`tests/determinism.rs` pins the full pipeline).
 //!
-//! ## Thread-count resolution (legacy ambient knobs)
+//! ## Where the thread count comes from
 //!
-//! [`Executor::current`] resolves, in priority order: a scoped
-//! [`with_threads`] override (thread-local) → [`set_global_threads`] → the
-//! `PRAM_SSSP_THREADS` environment variable → hardware parallelism. These
-//! knobs are **construction-time defaults** for code that has no explicit
-//! handle (legacy shims, tests, the env-driven CI matrix); they are no
-//! longer consulted by any primitive at execution time, and the intended
-//! long-term path is an explicit `Executor` everywhere (see DESIGN.md §5's
-//! deprecation note).
+//! The count is an input: whoever creates an [`Executor`] picks it. The
+//! one function that reads it from the environment is
+//! [`threads_from_env`] (`PRAM_SSSP_THREADS`, else the hardware's
+//! parallelism), and only binaries, benches and tests call it — the CI
+//! matrix reaches every suite through it. Library code never does.
 //!
 //! Inside a pool task the effective count is pinned to 1: nested
 //! primitives run sequentially instead of deadlocking on their own pool or
@@ -92,7 +82,7 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Inputs shorter than this run sequentially in every `prim` primitive;
 /// inputs of **exactly** this length take the chunked parallel path.
@@ -110,84 +100,31 @@ pub const PAR_THRESHOLD: usize = 4096;
 /// smallest parallel input splits into exactly two chunks.
 pub const MIN_CHUNK: usize = 2048;
 
-/// Process-global thread count; `0` means "not set".
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    /// Scoped override installed by [`with_threads`]; `0` means "not set".
-    static TLS_THREADS: Cell<usize> = const { Cell::new(0) };
     /// True while this thread is executing a pool task (a parked worker, or
     /// the caller processing chunks of a round): nested primitives go
     /// sequential.
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// `PRAM_SSSP_THREADS`, parsed once per process. Invalid or zero ⇒ `None`.
-fn env_threads() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("PRAM_SSSP_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t > 0)
-    })
-}
-
-/// The thread count [`Executor::current`] would resolve on this thread.
-/// Resolution order: [`with_threads`] scope > [`set_global_threads`] >
-/// `PRAM_SSSP_THREADS` > available parallelism. Always ≥ 1; exactly 1
-/// inside a pool task (nested parallelism collapses to sequential).
-pub fn current_threads() -> usize {
-    if IN_POOL.with(|c| c.get()) {
-        return 1;
-    }
-    let tls = TLS_THREADS.with(|c| c.get());
-    if tls > 0 {
-        return tls;
-    }
-    let global = GLOBAL_THREADS.load(Ordering::Relaxed);
-    if global > 0 {
-        return global;
-    }
-    if let Some(t) = env_threads() {
-        return t;
-    }
-    // Cached: `available_parallelism` is a syscall.
-    static HW: OnceLock<usize> = OnceLock::new();
-    *HW.get_or_init(|| {
+/// The thread count a binary, bench or test runs on: `PRAM_SSSP_THREADS`
+/// when it holds a positive integer (surrounding whitespace allowed),
+/// else the hardware's available parallelism; never below 1. This is the
+/// one place the variable is read — library code takes an [`Executor`]
+/// (or a count) from its caller instead.
+pub fn threads_from_env() -> usize {
+    parse_threads(std::env::var("PRAM_SSSP_THREADS").ok().as_deref()).unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
     })
 }
 
-/// Set the process-global default thread count — an operator-level knob
-/// for embedding applications, consulted only by [`Executor::current`]
-/// (per-oracle pinning passes an explicit executor instead:
-/// `OracleBuilder::threads`). `0` clears the setting, restoring the
-/// env-var/hardware default. Scoped [`with_threads`] overrides still win.
-pub fn set_global_threads(threads: usize) {
-    GLOBAL_THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// Run `f` with [`Executor::current`]'s resolution pinned to
-/// `threads.max(1)` on this thread (`0` clamps to 1 — the clamp rule of
-/// [`Executor::new`]). Restores the previous override on exit, including
-/// on panic — safe to nest.
-///
-/// This affects only code that resolves a *default* executor inside `f`;
-/// an explicit `Executor` handle always wins.
-pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TLS_THREADS.with(|c| c.set(self.0));
-        }
-    }
-    let prev = TLS_THREADS.with(|c| c.get());
-    let _restore = Restore(prev);
-    TLS_THREADS.with(|c| c.set(threads.max(1)));
-    f()
+/// The parse rule of [`threads_from_env`]: `Some(t)` for a positive
+/// integer `t`, `None` (fall back to the hardware) when the value is
+/// unset, empty, zero or not a number.
+fn parse_threads(value: Option<&str>) -> Option<usize> {
+    value?.trim().parse().ok().filter(|&t| t > 0)
 }
 
 /// The deterministic chunking rule: split `0..len` into
@@ -531,20 +468,13 @@ impl std::fmt::Debug for Executor {
     }
 }
 
-impl Default for Executor {
-    /// [`Executor::current`]: the process-default executor.
-    fn default() -> Self {
-        Executor::current()
-    }
-}
-
 impl Executor {
     /// Create a **private** pool of `threads.max(1)` logical threads:
     /// `threads − 1` parked workers plus the dispatching caller. This is
     /// the **single canonical clamp rule** for thread counts in this
     /// workspace: `0` clamps to `1` (sequential), never an error — the
-    /// rule [`with_threads`] and `sssp::OracleBuilder::threads` both
-    /// inherit (and `tests/executor_isolation.rs` pins).
+    /// rule `sssp::OracleBuilder::threads` inherits (and
+    /// `tests/executor_isolation.rs` pins).
     ///
     /// Workers park immediately and are woken per round; they are shut
     /// down and joined when the last clone of the handle drops. A
@@ -588,34 +518,11 @@ impl Executor {
         }
     }
 
-    /// A strictly sequential executor (one thread, no workers).
+    /// A strictly sequential executor (one thread, no workers): what
+    /// `sssp::OracleBuilder` and `sssp::DeltaSteppingOracle` run on when
+    /// their caller names no thread count.
     pub fn sequential() -> Executor {
         Executor::new(1)
-    }
-
-    /// The lazily-created, process-cached executor for `threads.max(1)`
-    /// threads. Unlike [`Executor::new`], repeated calls with the same
-    /// count return handles to **one** pool whose workers live for the
-    /// process — this is what makes [`with_threads`]-style ambient
-    /// configuration cheap (no spawn per resolution).
-    pub fn shared(threads: usize) -> Executor {
-        let threads = threads.max(1);
-        static DEFAULTS: OnceLock<Mutex<Vec<(usize, Executor)>>> = OnceLock::new();
-        let cache = DEFAULTS.get_or_init(|| Mutex::new(Vec::new()));
-        let mut cache = lock(cache);
-        if let Some((_, exec)) = cache.iter().find(|(t, _)| *t == threads) {
-            return exec.clone();
-        }
-        let exec = Executor::new(threads);
-        cache.push((threads, exec.clone()));
-        exec
-    }
-
-    /// The process-default executor: [`Executor::shared`] at the count the
-    /// legacy ambient knobs resolve to ([`current_threads`]). Construction-
-    /// time compatibility path — prefer passing an explicit handle down.
-    pub fn current() -> Executor {
-        Executor::shared(current_threads())
     }
 
     /// The logical thread count (chunk boundaries are derived from this —
@@ -912,7 +819,7 @@ mod tests {
         // The documented contract of the pool: 4096, and `len == threshold`
         // takes the parallel path (see `Executor::parallel_eligible`).
         assert_eq!(PAR_THRESHOLD, 4096);
-        let exec = Executor::shared(4);
+        let exec = Executor::new(4);
         assert!(!exec.parallel_eligible(PAR_THRESHOLD - 1));
         assert!(exec.parallel_eligible(PAR_THRESHOLD));
         assert!(exec.parallel_eligible(PAR_THRESHOLD + 1));
@@ -987,7 +894,7 @@ mod tests {
 
     #[test]
     fn round_bounds_auto_picks_fine_only_for_skewed_rounds() {
-        let exec = Executor::shared(4);
+        let exec = Executor::new(4);
         let len = 1 << 16;
         // Dense round (everything active): coarse split.
         assert_eq!(exec.round_bounds_auto(len, len), exec.round_bounds(len));
@@ -1078,39 +985,29 @@ mod tests {
     }
 
     #[test]
-    fn with_threads_scopes_and_restores() {
-        let before = TLS_THREADS.with(|c| c.get());
-        let inner = with_threads(3, || {
-            assert_eq!(current_threads(), 3);
-            assert_eq!(Executor::current().threads(), 3);
-            with_threads(2, current_threads)
-        });
-        assert_eq!(inner, 2);
-        // The scoped override is fully unwound (tested on the TLS cell
-        // itself: the resolved count may race with other tests touching the
-        // process-global setting).
-        assert_eq!(TLS_THREADS.with(|c| c.get()), before);
-        // Zero clamps to one rather than clearing mid-scope (the
-        // Executor::new clamp rule).
-        assert_eq!(with_threads(0, current_threads), 1);
-    }
-
-    #[test]
     fn zero_threads_clamp_to_one() {
         // The canonical clamp rule (documented on Executor::new): 0 is
         // never an error and never "unset" — it is sequential.
         assert_eq!(Executor::new(0).threads(), 1);
-        assert_eq!(Executor::shared(0).threads(), 1);
-        assert_eq!(with_threads(0, || Executor::current().threads()), 1);
     }
 
     #[test]
-    fn shared_executors_are_cached() {
-        let a = Executor::shared(3);
-        let b = Executor::shared(3);
-        assert!(Arc::ptr_eq(&a.core, &b.core), "one pool per count");
-        let c = Executor::shared(5);
-        assert!(!Arc::ptr_eq(&a.core, &c.core));
+    fn threads_from_env_parse_rule() {
+        // Unset, empty, zero and non-numeric values fall back to the
+        // hardware (`None`); a positive count may carry whitespace.
+        for value in [
+            None,
+            Some(""),
+            Some("0"),
+            Some("four"),
+            Some("-2"),
+            Some("2.5"),
+        ] {
+            assert_eq!(parse_threads(value), None, "{value:?}");
+        }
+        assert_eq!(parse_threads(Some(" 4 ")), Some(4));
+        assert_eq!(parse_threads(Some("1")), Some(1));
+        assert!(threads_from_env() >= 1);
     }
 
     #[test]
@@ -1199,17 +1096,5 @@ mod tests {
         let bounds = chunk_bounds(2 * MIN_CHUNK, 2);
         let _ = exec.run_chunks(&bounds, |r| r.len());
         drop(exec); // joins the workers; must not hang.
-    }
-
-    #[test]
-    fn global_setting_applies_and_clears() {
-        // Touch the global API on a throwaway value; TLS overrides win, so
-        // scope the assertion with them removed.
-        set_global_threads(5);
-        let seen = TLS_THREADS.with(|c| c.get());
-        if seen == 0 && !IN_POOL.with(|c| c.get()) {
-            assert_eq!(current_threads(), 5);
-        }
-        set_global_threads(0);
     }
 }

@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn map_preserves_order() {
-        let exec = Executor::shared(4);
+        let exec = Executor::new(4);
         let v: Vec<u32> = (0..10_000).collect();
         let out = par_map(&exec, &v, |x| x * 2);
         assert_eq!(out[0], 0);
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn map_range_matches_sequential() {
-        let big = par_map_range(&Executor::shared(8), 20_000, |i| i as u64 * 3);
+        let big = par_map_range(&Executor::new(8), 20_000, |i| i as u64 * 3);
         let small = par_map_range(&Executor::sequential(), 10, |i| i as u64 * 3);
         assert_eq!(big[12345], 12345 * 3);
         assert_eq!(small, vec![0, 3, 6, 9, 12, 15, 18, 21, 24, 27]);
@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn fill_in_place() {
-        let exec = Executor::shared(4);
+        let exec = Executor::new(4);
         let mut v = vec![0u64; 5000];
         par_fill(&exec, &mut v, |i| (i as u64).pow(2) % 97);
         for (i, &x) in v.iter().enumerate() {
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn argmin_ties_to_smallest_index() {
-        let exec = Executor::shared(4);
+        let exec = Executor::new(4);
         let v = vec![3u32, 1, 5, 1, 2];
         assert_eq!(par_argmin_by_key(&exec, &v, |&x| x), Some(1));
         let empty: Vec<u32> = vec![];
@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn sum_and_any() {
-        let exec = Executor::shared(4);
+        let exec = Executor::new(4);
         assert_eq!(par_sum_range(&exec, 100, |i| i as u64), 4950);
         assert_eq!(par_sum_range(&exec, 100_000, |_| 1), 100_000);
         assert!(par_any_range(&exec, 10_000, |i| i == 9_999));
@@ -216,7 +216,7 @@ mod tests {
                 .min_by_key(|(i, &x)| (x, *i))
                 .map(|(i, _)| i);
             for threads in [1usize, 2, 3, 4, 8] {
-                let exec = Executor::shared(threads);
+                let exec = Executor::new(threads);
                 let m = par_map_range(&exec, len, |i| (i as u64).wrapping_mul(31) % 257);
                 assert_eq!(m, reference, "map len={len} threads={threads}");
                 let mut filled = vec![0u64; len];

@@ -98,7 +98,7 @@ mod tests {
     fn large_prefix_sum_matches_sequential() {
         let xs: Vec<u64> = (0..100_000).map(|i| (i * 7 + 3) % 11).collect();
         let mut l = Ledger::new();
-        let (out, total) = exclusive_prefix_sum(&Executor::shared(4), &xs, &mut l);
+        let (out, total) = exclusive_prefix_sum(&Executor::new(4), &xs, &mut l);
         let mut acc = 0u64;
         for i in 0..xs.len() {
             assert_eq!(out[i], acc, "index {i}");
@@ -114,7 +114,7 @@ mod tests {
         let baseline = exclusive_prefix_sum(&Executor::sequential(), &xs, &mut l1);
         for threads in [2usize, 3, 4, 8] {
             let mut l = Ledger::new();
-            let got = exclusive_prefix_sum(&Executor::shared(threads), &xs, &mut l);
+            let got = exclusive_prefix_sum(&Executor::new(threads), &xs, &mut l);
             assert_eq!(got, baseline, "threads={threads}");
             assert_eq!(l, l1, "ledger threads={threads}");
         }
@@ -125,7 +125,7 @@ mod tests {
         let items: Vec<u32> = (0..1000).collect();
         let keep: Vec<bool> = items.iter().map(|&x| x % 3 == 0).collect();
         let mut l = Ledger::new();
-        let out = compact(&Executor::shared(4), &items, &keep, &mut l);
+        let out = compact(&Executor::new(4), &items, &keep, &mut l);
         let expect: Vec<u32> = items.iter().copied().filter(|&x| x % 3 == 0).collect();
         assert_eq!(out, expect);
     }

@@ -80,7 +80,7 @@ mod tests {
         let mut expect = v.clone();
         expect.sort();
         let mut l = Ledger::new();
-        sort_by_key(&Executor::shared(4), &mut v, &mut l, |&x| x);
+        sort_by_key(&Executor::new(4), &mut v, &mut l, |&x| x);
         assert_eq!(v, expect);
     }
 
@@ -89,7 +89,7 @@ mod tests {
         // Pairs sharing a key must keep input order.
         let mut v: Vec<(u32, u32)> = (0..20_000).map(|i| (i % 5, i)).collect();
         let mut l = Ledger::new();
-        sort_by_key(&Executor::shared(8), &mut v, &mut l, |&(k, _)| k);
+        sort_by_key(&Executor::new(8), &mut v, &mut l, |&(k, _)| k);
         for w in v.windows(2) {
             assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
         }
@@ -110,7 +110,7 @@ mod tests {
         for threads in [2usize, 3, 4, 8] {
             let mut v = mk();
             let mut l = Ledger::new();
-            sort_by(&Executor::shared(threads), &mut v, &mut l, |a, b| {
+            sort_by(&Executor::new(threads), &mut v, &mut l, |a, b| {
                 a.0.cmp(&b.0)
             });
             assert_eq!(v, baseline, "threads={threads}");

@@ -198,7 +198,7 @@ proptest! {
         let len = boundary_len(sel, off, threads);
         let items: Vec<u64> = (0..len as u64).map(|i| i.wrapping_mul(mul)).collect();
         let expect: Vec<u64> = items.iter().map(|x| x.rotate_left(7) ^ 0xA5A5).collect();
-        let got = prim::par_map(&Executor::shared(threads), &items, |x| x.rotate_left(7) ^ 0xA5A5);
+        let got = prim::par_map(&Executor::new(threads), &items, |x| x.rotate_left(7) ^ 0xA5A5);
         prop_assert_eq!(got, expect);
     }
 
@@ -208,7 +208,7 @@ proptest! {
         let len = boundary_len(sel, off, threads);
         let f = |i: usize| (i as u64).wrapping_mul(mul) % 65_537;
         let expect: Vec<u64> = (0..len).map(f).collect();
-        let got = prim::par_map_range(&Executor::shared(threads), len, f);
+        let got = prim::par_map_range(&Executor::new(threads), len, f);
         prop_assert_eq!(got, expect);
     }
 
@@ -219,7 +219,7 @@ proptest! {
         let f = |i: usize| (i as u64).wrapping_add(mul).wrapping_mul(2654435761);
         let expect: Vec<u64> = (0..len).map(f).collect();
         let mut got = vec![0u64; len];
-        prim::par_fill(&Executor::shared(threads), &mut got, f);
+        prim::par_fill(&Executor::new(threads), &mut got, f);
         prop_assert_eq!(got, expect);
     }
 
@@ -234,7 +234,7 @@ proptest! {
             .enumerate()
             .min_by_key(|(i, &x)| (x, *i))
             .map(|(i, _)| i);
-        let got = prim::par_argmin_by_key(&Executor::shared(threads), &items, |&x| x);
+        let got = prim::par_argmin_by_key(&Executor::new(threads), &items, |&x| x);
         prop_assert_eq!(got, expect);
     }
 
@@ -244,7 +244,7 @@ proptest! {
         let len = boundary_len(sel, off, threads);
         let f = |i: usize| (i as u64).wrapping_mul(mul) % 1_000_003;
         let expect: u64 = (0..len).map(f).sum();
-        prop_assert_eq!(prim::par_sum_range(&Executor::shared(threads), len, f), expect);
+        prop_assert_eq!(prim::par_sum_range(&Executor::new(threads), len, f), expect);
     }
 
     /// `par_any_range` equals the sequential any — for targets inside every
@@ -256,10 +256,10 @@ proptest! {
         let t = if len == 0 { 0 } else { (target as usize) % (2 * len) };
         let expect = (0..len).any(|i| i == t);
         prop_assert_eq!(
-            prim::par_any_range(&Executor::shared(threads), len, |i| i == t),
+            prim::par_any_range(&Executor::new(threads), len, |i| i == t),
             expect
         );
-        prop_assert!(!prim::par_any_range(&Executor::shared(threads), len, |i| i == len));
+        prop_assert!(!prim::par_any_range(&Executor::new(threads), len, |i| i == len));
     }
 
     /// The pool-backed scan equals the sequential prefix sum at lengths
@@ -275,7 +275,7 @@ proptest! {
             acc += x;
         }
         let mut l = Ledger::new();
-        let (out, total) = scan::exclusive_prefix_sum(&Executor::shared(threads), &xs, &mut l);
+        let (out, total) = scan::exclusive_prefix_sum(&Executor::new(threads), &xs, &mut l);
         prop_assert_eq!(out, seq_out);
         prop_assert_eq!(total, acc);
         let mut l1 = Ledger::new();
@@ -296,7 +296,7 @@ proptest! {
         expect.sort_by_key(|e| e.0); // std stable sort: the reference
         let mut got = mk();
         let mut l = Ledger::new();
-        sort::sort_by(&Executor::shared(threads), &mut got, &mut l, |a, b| a.0.cmp(&b.0));
+        sort::sort_by(&Executor::new(threads), &mut got, &mut l, |a, b| a.0.cmp(&b.0));
         prop_assert_eq!(got, expect);
     }
 }
@@ -591,7 +591,7 @@ proptest! {
         let rounds = full.converged_at.expect("n + 1 rounds always converge");
         let mut scratch = BfordScratch::new();
         for threads in [1usize, 2, 4, 8] {
-            let exec = Executor::shared(threads);
+            let exec = Executor::new(threads);
             for hops in hop_budgets(rounds, pick) {
                 check_full_run(&exec, &view, &sources, hops, &mut scratch)?;
             }
@@ -627,7 +627,7 @@ fn bellman_ford_kernel_chunks_large_sparse_frontiers() {
     let target = (n / 2) as VId;
     let mut scratch = BfordScratch::new();
     for threads in [1usize, 2, 4, 8] {
-        let exec = Executor::shared(threads);
+        let exec = Executor::new(threads);
         for hops in [1, 2, rounds + 1] {
             check_full_run(&exec, &view, &sources, hops, &mut scratch).unwrap();
         }

@@ -12,31 +12,29 @@ pub fn dijkstra_exact(g: &Graph, source: VId) -> SsspResult {
     exact::dijkstra(g, source)
 }
 
-/// Plain parallel Bellman–Ford on `G` alone with a hop budget. Returns
-/// `(distances, ledger)`; distances are `d^{(hops)}_G`, *not* `(1+ε)`
-/// anything — the whole point of the comparison.
-pub fn plain_bellman_ford(g: &Graph, source: VId, hops: usize) -> (Vec<Weight>, Ledger) {
+/// Plain parallel Bellman–Ford on `G` alone with a hop budget, on `exec`.
+/// Returns `(distances, ledger)`; distances are `d^{(hops)}_G`, *not*
+/// `(1+ε)` anything — the whole point of the comparison.
+pub fn plain_bellman_ford(
+    exec: &Executor,
+    g: &Graph,
+    source: VId,
+    hops: usize,
+) -> (Vec<Weight>, Ledger) {
     let view = UnionView::base_only(g);
     let mut ledger = Ledger::new();
-    // xlint: allow(ambient-threads, compat entry point captures the process executor once at the API boundary)
-    let r = bford::bellman_ford(&Executor::current(), &view, &[source], hops, &mut ledger);
+    let r = bford::bellman_ford(exec, &view, &[source], hops, &mut ledger);
     (r.dist, ledger)
 }
 
 /// Rounds a plain Bellman–Ford needs to converge to the exact distances —
 /// the paper's motivation: without a hopset this is Θ(hop diameter), which
 /// can be Θ(n); with a hopset it is β = polylog (E10's headline row).
-pub fn bf_rounds_to_converge(g: &Graph, source: VId) -> usize {
+/// Runs on `exec`.
+pub fn bf_rounds_to_converge(exec: &Executor, g: &Graph, source: VId) -> usize {
     let view = UnionView::base_only(g);
     let mut ledger = Ledger::new();
-    let r = bford::bellman_ford(
-        // xlint: allow(ambient-threads, compat entry point captures the process executor once at the API boundary)
-        &Executor::current(),
-        &view,
-        &[source],
-        g.num_vertices() + 1,
-        &mut ledger,
-    );
+    let r = bford::bellman_ford(exec, &view, &[source], g.num_vertices() + 1, &mut ledger);
     // `converged_at` = first round with no change; convergence was reached
     // the round before.
     r.converged_at.map(|c| c - 1).unwrap_or(r.rounds_run)
@@ -46,20 +44,23 @@ pub fn bf_rounds_to_converge(g: &Graph, source: VId) -> usize {
 mod tests {
     use super::*;
     use pgraph::gen;
+    use pram::pool::threads_from_env;
 
     #[test]
     fn convergence_rounds_on_path() {
         // Path of n vertices: exactly n-1 rounds to converge from one end.
         let g = gen::path(40);
-        assert_eq!(bf_rounds_to_converge(&g, 0), 39);
+        let exec = Executor::new(threads_from_env());
+        assert_eq!(bf_rounds_to_converge(&exec, &g, 0), 39);
         // From the middle: half.
-        assert_eq!(bf_rounds_to_converge(&g, 20), 20);
+        assert_eq!(bf_rounds_to_converge(&exec, &g, 20), 20);
     }
 
     #[test]
     fn plain_bf_hop_budget() {
         let g = gen::path(20);
-        let (d, ledger) = plain_bellman_ford(&g, 0, 5);
+        let exec = Executor::new(threads_from_env());
+        let (d, ledger) = plain_bellman_ford(&exec, &g, 0, 5);
         assert_eq!(d[5], 5.0);
         assert_eq!(d[6], pgraph::INF);
         assert_eq!(ledger.depth(), 5);

@@ -625,17 +625,26 @@ mod tests {
     use super::*;
     use crate::Oracle;
     use pgraph::gen;
+    use pram::pool::threads_from_env;
 
     fn served() -> CachedOracle<Oracle> {
         let g = gen::gnm_connected(100, 300, 7, 1.0, 8.0);
-        let oracle = Oracle::builder(g).eps(0.25).kappa(4).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .eps(0.25)
+            .kappa(4)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         CachedOracle::new(oracle, 2).unwrap()
     }
 
     #[test]
     fn capacity_zero_is_a_config_error() {
         let g = gen::path(8);
-        let oracle = Oracle::builder(g).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         assert!(matches!(
             CachedOracle::new(oracle, 0),
             Err(SsspError::Config(_))
@@ -645,7 +654,12 @@ mod tests {
     #[test]
     fn config_conflicts_are_typed() {
         let g = gen::path(8);
-        let mk = || Oracle::builder(gen::path(8)).build().unwrap();
+        let mk = || {
+            Oracle::builder(gen::path(8))
+                .threads(threads_from_env())
+                .build()
+                .unwrap()
+        };
         // LandmarkOnly without a plane.
         assert!(matches!(
             CachedOracle::with_config(mk(), CacheConfig::new(2).policy(FillPolicy::LandmarkOnly)),
@@ -665,11 +679,17 @@ mod tests {
             Err(SsspError::Config(_))
         ));
         // Prebuilt plane over the wrong graph.
-        let small = Oracle::builder(g).build().unwrap();
+        let small = Oracle::builder(g)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let plane = Arc::new(
             crate::LandmarkPlane::build(&small, &crate::LandmarkConfig::new(2, 1.0)).unwrap(),
         );
-        let big = Oracle::builder(gen::path(16)).build().unwrap();
+        let big = Oracle::builder(gen::path(16))
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         assert!(matches!(
             CachedOracle::with_config(big, CacheConfig::new(2).landmark_plane(plane)),
             Err(SsspError::Config(_))
@@ -727,7 +747,12 @@ mod tests {
     #[test]
     fn promote_after_k_misses_fills_on_the_kth_fallback() {
         let g = gen::gnm_connected(100, 300, 7, 1.0, 8.0);
-        let oracle = Oracle::builder(g).eps(0.25).kappa(4).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .eps(0.25)
+            .kappa(4)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let reference = oracle.distances_from(9).unwrap();
         let c = CachedOracle::with_config(
             oracle,
@@ -754,7 +779,12 @@ mod tests {
     #[test]
     fn promotion_tracker_is_bounded() {
         let g = gen::gnm_connected(100, 300, 7, 1.0, 8.0);
-        let oracle = Oracle::builder(g).eps(0.25).kappa(4).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .eps(0.25)
+            .kappa(4)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let c = CachedOracle::with_config(
             oracle,
             CacheConfig::new(1).policy(FillPolicy::PromoteAfterMisses(100)),
@@ -846,7 +876,12 @@ mod tests {
     #[test]
     fn queue_policy_blocks_instead_of_rejecting() {
         let g = gen::gnm_connected(60, 180, 3, 1.0, 8.0);
-        let oracle = Oracle::builder(g).eps(0.25).kappa(4).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .eps(0.25)
+            .kappa(4)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let c = Arc::new(
             CachedOracle::with_config(oracle, CacheConfig::new(8).admission(1, true)).unwrap(),
         );

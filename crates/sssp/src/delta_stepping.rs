@@ -27,19 +27,13 @@ pub struct DeltaSteppingResult {
     pub ledger: Ledger,
 }
 
-/// Run Δ-stepping from `source` with bucket width `delta`.
+/// Run Δ-stepping from `source` with bucket width `delta` on `exec` (what
+/// [`crate::DeltaSteppingOracle`] owns): every relaxation batch is one
+/// parallel round on `exec`.
 ///
 /// Returns **exact** distances (it is a label-correcting method); its role
 /// here is as a *depth* baseline: `buckets × light_rounds` is the round
 /// count a synchronous parallel machine would pay.
-pub fn delta_stepping(g: &Graph, source: VId, delta: Weight) -> DeltaSteppingResult {
-    // xlint: allow(ambient-threads, compat entry point captures the process executor once at the API boundary)
-    delta_stepping_on(&Executor::current(), g, source, delta)
-}
-
-/// Like [`delta_stepping`], on an explicit executor (what
-/// [`crate::DeltaSteppingOracle`] owns): every relaxation batch is one
-/// parallel round on `exec`.
 pub fn delta_stepping_on(
     exec: &Executor,
     g: &Graph,
@@ -214,9 +208,14 @@ mod tests {
     use super::*;
     use pgraph::exact::dijkstra;
     use pgraph::gen;
+    use pram::pool::threads_from_env;
+
+    fn exec() -> Executor {
+        Executor::new(threads_from_env())
+    }
 
     fn assert_matches_dijkstra(g: &Graph, delta: Weight) {
-        let r = delta_stepping(g, 0, delta);
+        let r = delta_stepping_on(&exec(), g, 0, delta);
         let ex = dijkstra(g, 0).dist;
         #[allow(clippy::needless_range_loop)] // indexes several parallel arrays
         for v in 0..g.num_vertices() {
@@ -252,7 +251,7 @@ mod tests {
     #[test]
     fn bucket_count_tracks_distance_range() {
         let g = gen::path(100); // diameter 99
-        let r = delta_stepping(&g, 0, 10.0);
+        let r = delta_stepping_on(&exec(), &g, 0, 10.0);
         assert!(r.buckets >= 10, "99/10 buckets at least");
         assert!(r.buckets <= 11);
     }
@@ -260,7 +259,7 @@ mod tests {
     #[test]
     fn disconnected_stays_infinite() {
         let g = Graph::from_edges(4, [(0, 1, 1.0)]).unwrap();
-        let r = delta_stepping(&g, 0, 1.0);
+        let r = delta_stepping_on(&exec(), &g, 0, 1.0);
         assert_eq!(r.dist[2], INF);
         assert_eq!(r.dist[3], INF);
     }
@@ -272,7 +271,7 @@ mod tests {
         let g = gen::gnm_connected(5000, 10_000, 11, 1.0, 9.0);
         let base = delta_stepping_on(&Executor::sequential(), &g, 0, 2.0);
         for threads in [2usize, 4, 8] {
-            let r = delta_stepping_on(&Executor::shared(threads), &g, 0, 2.0);
+            let r = delta_stepping_on(&Executor::new(threads), &g, 0, 2.0);
             assert_eq!(r.buckets, base.buckets, "threads={threads}");
             assert_eq!(r.light_rounds, base.light_rounds);
             assert_eq!(r.ledger, base.ledger);
@@ -286,7 +285,7 @@ mod tests {
     /// entry, on every graph/Δ/target combination tried.
     #[test]
     fn target_early_exit_bit_identical_to_full_run() {
-        let exec = Executor::shared(2);
+        let exec = Executor::new(2);
         for seed in [1u64, 7] {
             let g = gen::gnm_connected(90, 270, seed, 1.0, 9.0);
             for delta in [0.5, 2.0, 10.0] {
@@ -308,7 +307,7 @@ mod tests {
     /// diameter/Δ of them.
     #[test]
     fn target_early_exit_cuts_buckets_on_a_path() {
-        let exec = Executor::shared(2);
+        let exec = Executor::new(2);
         let g = gen::path(512);
         let full = delta_stepping_on(&exec, &g, 0, 1.0);
         let r = delta_stepping_to_on(&exec, &g, 0, 4, 1.0);
@@ -331,8 +330,8 @@ mod tests {
     fn depth_grows_with_diameter_unlike_hopset_queries() {
         // The point of E10: Δ-stepping's round count is Θ(diameter/Δ) on a
         // path, while the hopset query is a fixed β rounds.
-        let short = delta_stepping(&gen::path(64), 0, 1.0);
-        let long = delta_stepping(&gen::path(512), 0, 1.0);
+        let short = delta_stepping_on(&exec(), &gen::path(64), 0, 1.0);
+        let long = delta_stepping_on(&exec(), &gen::path(512), 0, 1.0);
         assert!(long.ledger.depth() > 4 * short.ledger.depth());
     }
 }

@@ -100,8 +100,10 @@ pub fn spread_sources(n: usize, count: usize) -> Vec<VId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hopset::{build_hopset, BuildOptions, HopsetParams, ParamMode};
+    use hopset::{build_hopset_on, BuildOptions, HopsetParams, ParamMode};
     use pgraph::gen;
+    use pram::pool::threads_from_env;
+    use pram::Executor;
 
     #[test]
     fn curve_monotone_in_budget() {
@@ -116,7 +118,8 @@ mod tests {
             None,
         )
         .unwrap();
-        let built = build_hopset(&g, &p, BuildOptions::default());
+        let exec = Executor::new(threads_from_env());
+        let built = build_hopset_on(&exec, &g, &p, BuildOptions::default());
         let overlay = built.overlay();
         let pts = stretch_vs_hops(&g, &overlay, &[0], &[4, 8, 16, 32, 64, 128]);
         // Unreached counts and max stretch are non-increasing in budget.

@@ -306,10 +306,16 @@ mod tests {
     use super::*;
     use crate::Oracle;
     use pgraph::{exact, gen};
+    use pram::pool::threads_from_env;
 
     fn grid_plane(count: usize, delta: f64) -> (Oracle, LandmarkPlane) {
         let g = gen::road_grid(9, 9, 4, 1.0, 6.0);
-        let oracle = Oracle::builder(g).eps(0.25).kappa(4).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .eps(0.25)
+            .kappa(4)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let plane = LandmarkPlane::build(&oracle, &LandmarkConfig::new(count, delta)).unwrap();
         (oracle, plane)
     }
@@ -317,7 +323,10 @@ mod tests {
     #[test]
     fn config_validation_is_typed() {
         let g = gen::path(8);
-        let oracle = Oracle::builder(g).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         for bad in [
             LandmarkConfig::new(0, 1.0),
             LandmarkConfig::new(9, 1.0),
@@ -416,7 +425,11 @@ mod tests {
             b.add_edge(u, v, 1.0);
         }
         let g = b.build().unwrap();
-        let oracle = Oracle::builder(g).eps(0.5).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .eps(0.5)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let plane = LandmarkPlane::build(&oracle, &LandmarkConfig::new(2, 1.0)).unwrap();
         // The sweep's INF-first rule must have covered both components.
         assert_eq!(plane.certify(0, 4), Some(INF));

@@ -37,7 +37,7 @@ pub mod oracle;
 pub mod snapshot;
 
 pub use cache::{AdmissionConfig, CacheConfig, CacheStats, CachedOracle, CachedRow, FillPolicy};
-pub use delta_stepping::{delta_stepping, DeltaSteppingResult};
+pub use delta_stepping::{delta_stepping_on, DeltaSteppingResult};
 pub use eval::{stretch_vs_hops, HopCurvePoint};
 pub use landmark::{LandmarkBounds, LandmarkConfig, LandmarkPlane};
 pub use oracle::{

@@ -471,10 +471,10 @@ impl OracleBuilder {
     /// execution state is shared with other oracles (the deterministic
     /// chunked scheduling makes results bit-identical for every choice, so
     /// this knob trades wall-clock only). `0` clamps to `1` per
-    /// [`Executor::new`]'s documented rule. Default: inherit the
-    /// process-default executor at build time ([`Executor::current`]:
-    /// scoped `pool::with_threads` > `pool::set_global_threads` >
-    /// `PRAM_SSSP_THREADS` > hardware parallelism).
+    /// [`Executor::new`]'s documented rule. Default: one thread
+    /// ([`Executor::sequential`], no workers spawned). The builder never
+    /// reads the environment; a binary that wants `PRAM_SSSP_THREADS`
+    /// passes `pram::pool::threads_from_env()` here.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -525,14 +525,13 @@ impl OracleBuilder {
             record_paths: self.paths,
         };
         // The executor the oracle owns: an injected handle wins, then a
-        // pinned private pool, then the process default captured once here
-        // (construction and every query run on the same pool either way —
-        // "parallel round = barrier", never "parallel round = spawn").
+        // pinned private pool, then one thread (construction and every
+        // query run on the same pool either way — "parallel round =
+        // barrier", never "parallel round = spawn").
         let exec = match (self.executor, self.threads) {
             (Some(exec), _) => exec,
             (None, Some(t)) => Executor::new(t),
-            // xlint: allow(ambient-threads, builder inherits the process default once at build time)
-            (None, None) => Executor::current(),
+            (None, None) => Executor::sequential(),
         };
         // `ledger` holds the certificate's charge (if it ran); the build's
         // own ledger is absorbed after it.
@@ -607,7 +606,6 @@ impl OracleBuilder {
             kappa: self.kappa,
             query_hops,
             paths: self.paths,
-            threads: self.threads,
             exec,
         })
     }
@@ -657,7 +655,6 @@ pub struct Oracle {
     pub(crate) kappa: usize,
     pub(crate) query_hops: usize,
     pub(crate) paths: bool,
-    pub(crate) threads: Option<usize>,
     /// The persistent pool construction ran on and every query runs on.
     pub(crate) exec: Executor,
 }
@@ -725,13 +722,6 @@ impl Oracle {
     /// Whether memory paths were recorded (i.e. [`Oracle::spt`] works).
     pub fn has_paths(&self) -> bool {
         self.paths
-    }
-
-    /// The pinned pool thread count, if [`OracleBuilder::threads`] set one
-    /// (`None` = the oracle captured the process-default executor at build
-    /// time; [`Oracle::executor`] reports the actual pool either way).
-    pub fn threads(&self) -> Option<usize> {
-        self.threads
     }
 
     /// The persistent executor this oracle owns: construction ran on it and
@@ -947,13 +937,15 @@ pub struct DeltaSteppingOracle {
     graph: Arc<Graph>,
     delta: Weight,
     build_cost: Ledger,
-    /// The persistent pool relaxation rounds run on (process default at
-    /// construction; swap with [`DeltaSteppingOracle::with_executor`]).
+    /// The persistent pool relaxation rounds run on (one thread unless
+    /// [`DeltaSteppingOracle::with_executor`] swaps in another).
     exec: Executor,
 }
 
 impl DeltaSteppingOracle {
-    /// Use the standard width heuristic [`default_delta`].
+    /// Use the standard width heuristic [`default_delta`]. Queries run on
+    /// one thread until [`DeltaSteppingOracle::with_executor`] supplies a
+    /// pool.
     pub fn new(graph: impl Into<Arc<Graph>>) -> Self {
         let graph = graph.into();
         let delta = default_delta(&graph);
@@ -961,8 +953,7 @@ impl DeltaSteppingOracle {
             graph,
             delta,
             build_cost: Ledger::new(),
-            // xlint: allow(ambient-threads, oracle captures the process default once at construction)
-            exec: Executor::current(),
+            exec: Executor::sequential(),
         }
     }
 
@@ -977,8 +968,7 @@ impl DeltaSteppingOracle {
             graph: graph.into(),
             delta,
             build_cost: Ledger::new(),
-            // xlint: allow(ambient-threads, oracle captures the process default once at construction)
-            exec: Executor::current(),
+            exec: Executor::sequential(),
         })
     }
 
@@ -986,6 +976,11 @@ impl DeltaSteppingOracle {
     pub fn with_executor(mut self, exec: Executor) -> Self {
         self.exec = exec;
         self
+    }
+
+    /// The executor queries run on.
+    pub fn executor(&self) -> &Executor {
+        &self.exec
     }
 
     /// The bucket width in use.
@@ -1094,11 +1089,15 @@ mod tests {
     use super::*;
     use pgraph::exact::dijkstra;
     use pgraph::gen;
+    use pram::pool::threads_from_env;
 
     #[test]
     fn builder_defaults_match_contract() {
         let g = gen::gnm_connected(120, 360, 6, 1.0, 9.0);
-        let oracle = Oracle::builder(g).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         assert_eq!(oracle.pipeline(), Pipeline::Plain);
         assert_eq!(oracle.stretch_bound(), 1.25);
         let exact = dijkstra(oracle.graph(), 17).dist;
@@ -1109,7 +1108,10 @@ mod tests {
         }
         // Vertices no path reaches stay infinite.
         let g = Graph::from_edges(5, [(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let oracle = Oracle::builder(g).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let d = oracle.distances_from(0).unwrap();
         assert_eq!(d[3], INF);
         assert_eq!(d[4], INF);
@@ -1119,7 +1121,11 @@ mod tests {
     #[test]
     fn auto_pipeline_selects_reduced_on_huge_aspect() {
         let g = gen::exponential_path(28, 3.0); // aspect 3^26 >> n^2
-        let oracle = Oracle::builder(g).eps(0.5).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .eps(0.5)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         assert_eq!(oracle.pipeline(), Pipeline::Reduced);
         assert_eq!(oracle.name(), "hopset-reduced");
         let exact = dijkstra(oracle.graph(), 0).dist;
@@ -1133,7 +1139,10 @@ mod tests {
     #[test]
     fn auto_pipeline_stays_plain_on_unit_weights() {
         let g = gen::path(64);
-        let oracle = Oracle::builder(g).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         assert_eq!(oracle.pipeline(), Pipeline::Plain);
         assert_eq!(oracle.name(), "hopset");
     }
@@ -1141,20 +1150,29 @@ mod tests {
     #[test]
     fn builder_errors_are_typed() {
         let g = Arc::new(gen::path(16));
-        match Oracle::builder(Arc::clone(&g)).eps(2.0).build() {
+        match Oracle::builder(Arc::clone(&g))
+            .eps(2.0)
+            .threads(threads_from_env())
+            .build()
+        {
             Err(SsspError::Params(ParamError::BadEps(e))) => assert_eq!(e, 2.0),
             other => panic!("expected BadEps, got {other:?}"),
         }
         match Oracle::builder(Arc::clone(&g))
             .hop_cap(16)
             .pipeline(Pipeline::Reduced)
+            .threads(threads_from_env())
             .build()
         {
             Err(SsspError::Config(msg)) => assert!(msg.contains("hop_cap")),
             other => panic!("expected Config error, got {:?}", other.map(|_| ())),
         }
         // Auto + hop_cap resolves to plain instead of conflicting.
-        let o = Oracle::builder(g).hop_cap(16).build().unwrap();
+        let o = Oracle::builder(g)
+            .hop_cap(16)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         assert_eq!(o.pipeline(), Pipeline::Plain);
         assert!(o.query_hops() <= 16);
     }
@@ -1164,18 +1182,27 @@ mod tests {
         let light = Graph::from_edges(4, [(0, 1, 0.5), (1, 2, 1.0), (2, 3, 2.0)]).unwrap();
         for pipeline in [Pipeline::Auto, Pipeline::Plain, Pipeline::Reduced] {
             for n in [0, 1] {
-                match Oracle::builder(Graph::empty(n)).pipeline(pipeline).build() {
+                match Oracle::builder(Graph::empty(n))
+                    .pipeline(pipeline)
+                    .threads(threads_from_env())
+                    .build()
+                {
                     Err(SsspError::Params(ParamError::TooFewVertices(got))) => assert_eq!(got, n),
                     other => panic!("{pipeline:?}, n = {n}: got {:?}", other.map(|_| ())),
                 }
             }
-            match Oracle::builder(light.clone()).pipeline(pipeline).build() {
+            match Oracle::builder(light.clone())
+                .pipeline(pipeline)
+                .threads(threads_from_env())
+                .build()
+            {
                 Err(SsspError::Config(msg)) => assert!(msg.contains("scaled_to_unit_min"), "{msg}"),
                 other => panic!("{pipeline:?}, w_min 0.5: got {:?}", other.map(|_| ())),
             }
             // Normalized (weights 1, 2, 4), the same graph builds.
             let o = Oracle::builder(light.scaled_to_unit_min())
                 .pipeline(pipeline)
+                .threads(threads_from_env())
                 .build()
                 .unwrap();
             let d = o.distance(0, 3).unwrap();
@@ -1189,7 +1216,10 @@ mod tests {
     #[test]
     fn invalid_sources_are_rejected_not_panicked() {
         let g = gen::path(10);
-        let oracle = Oracle::builder(g).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         assert!(matches!(
             oracle.distances_from(10),
             Err(SsspError::InvalidSource { source: 10, n: 10 })
@@ -1208,7 +1238,11 @@ mod tests {
     #[test]
     fn spt_from_the_same_built_object() {
         let g = gen::clique_chain(4, 7, 2.0);
-        let oracle = Oracle::builder(g).paths(true).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .paths(true)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         // Distances and trees from one build.
         let d = oracle.distances_from(0).unwrap();
         let spt = oracle.spt(0).unwrap();
@@ -1225,7 +1259,10 @@ mod tests {
     #[test]
     fn multi_source_rows_match_single_source() {
         let g = gen::road_grid(10, 10, 4, 1.0, 5.0);
-        let oracle = Oracle::builder(g).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let sources = vec![0u32, 37, 99];
         let multi = oracle.distances_multi(&sources).unwrap();
         assert_eq!(multi.dist.num_sources(), 3);
@@ -1240,7 +1277,10 @@ mod tests {
     #[test]
     fn nearest_source_is_one_exploration() {
         let g = gen::path(30);
-        let oracle = Oracle::builder(g).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let d = oracle.distances_to_nearest(&[0, 29]).unwrap();
         assert_eq!(d[0], 0.0);
         assert_eq!(d[29], 0.0);
@@ -1253,7 +1293,10 @@ mod tests {
         let g = Arc::new(gen::gnm_connected(80, 240, 2, 1.0, 9.0));
         let exact = dijkstra(&g, 0).dist;
         let backends: Vec<Box<dyn DistanceOracle>> = vec![
-            Box::new(DeltaSteppingOracle::new(Arc::clone(&g))),
+            Box::new(
+                DeltaSteppingOracle::new(Arc::clone(&g))
+                    .with_executor(Executor::new(threads_from_env())),
+            ),
             Box::new(DijkstraOracle::new(Arc::clone(&g))),
         ];
         for b in &backends {
@@ -1307,7 +1350,10 @@ mod tests {
     #[test]
     fn stretch_curve_through_the_oracle() {
         let g = gen::path(128);
-        let oracle = Oracle::builder(g).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let pts = oracle.stretch_curve(&[0], &[4, 16, 128]).unwrap();
         assert_eq!(pts.len(), 3);
         // Unreached counts are non-increasing in budget; exact at n hops.

@@ -7,8 +7,8 @@
 //! (magic `PSSORACL`) that embeds the graph and hopset containers of
 //! [`pgraph::snapshot`] / [`hopset::snapshot`] as raw sections plus every
 //! derived parameter as a params block, and
-//! [`OracleBuilder::from_snapshot`] loads it back without re-running any
-//! construction.
+//! [`OracleBuilder::from_snapshot_on`] loads it back onto a caller-chosen
+//! executor without re-running any construction.
 //!
 //! **Why the loaded oracle is bit-identical** (the determinism contract,
 //! DESIGN.md §5/§11): queries consume exactly (a) the `G ∪ H` union CSR —
@@ -212,15 +212,8 @@ impl Oracle {
 
 impl OracleBuilder {
     /// Load an oracle from a snapshot file written by
-    /// [`Oracle::save_snapshot`] — no construction runs; query results are
-    /// bit-identical to the oracle that was saved. The loaded oracle
-    /// captures the process-default executor.
-    pub fn from_snapshot(path: impl AsRef<Path>) -> Result<Oracle, SnapshotError> {
-        // xlint: allow(ambient-threads, snapshot load is a construction-time boundary capturing the process default once)
-        Self::from_snapshot_on(path, Executor::current())
-    }
-
-    /// Load an oracle from a snapshot file onto an explicit executor.
+    /// [`Oracle::save_snapshot`] onto `exec` — no construction runs; query
+    /// results are bit-identical to the oracle that was saved.
     pub fn from_snapshot_on(
         path: impl AsRef<Path>,
         exec: Executor,
@@ -336,7 +329,6 @@ impl OracleBuilder {
             kappa,
             query_hops,
             paths,
-            threads: None,
             exec,
         })
     }
@@ -348,19 +340,25 @@ mod tests {
     use crate::oracle::DistanceOracle;
     use hopset::snapshot::HOPSET_MAGIC;
     use pgraph::gen;
+    use pram::pool::threads_from_env;
 
     fn roundtrip(o: &Oracle) -> Oracle {
         let mut buf = Vec::new();
         o.write_snapshot(&mut buf).unwrap();
         assert_eq!(buf.len() as u64, o.snapshot_size());
-        // xlint: allow(ambient-threads, test loads onto the process default executor)
-        OracleBuilder::from_snapshot_reader(buf.as_slice(), Executor::current()).unwrap()
+        OracleBuilder::from_snapshot_reader(buf.as_slice(), Executor::new(threads_from_env()))
+            .unwrap()
     }
 
     #[test]
     fn plain_oracle_roundtrips_bit_identically() {
         let g = gen::road_grid(12, 12, 7, 1.0, 8.0);
-        let o = Oracle::builder(g).eps(0.25).kappa(4).build().unwrap();
+        let o = Oracle::builder(g)
+            .eps(0.25)
+            .kappa(4)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let o2 = roundtrip(&o);
         assert_eq!(o2.pipeline(), Pipeline::Plain);
         assert_eq!(o.query_hops(), o2.query_hops());
@@ -382,7 +380,11 @@ mod tests {
     #[test]
     fn reduced_oracle_roundtrips() {
         let g = gen::exponential_path(28, 3.0);
-        let o = Oracle::builder(g).eps(0.5).build().unwrap();
+        let o = Oracle::builder(g)
+            .eps(0.5)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         assert_eq!(o.pipeline(), Pipeline::Reduced);
         let o2 = roundtrip(&o);
         assert_eq!(o2.pipeline(), Pipeline::Reduced);
@@ -401,7 +403,11 @@ mod tests {
     #[test]
     fn spt_serves_from_loaded_oracle() {
         let g = gen::clique_chain(4, 6, 2.0);
-        let o = Oracle::builder(g).paths(true).build().unwrap();
+        let o = Oracle::builder(g)
+            .paths(true)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let o2 = roundtrip(&o);
         assert!(o2.has_paths());
         let a = o.spt(0).unwrap();
@@ -421,6 +427,7 @@ mod tests {
             .eps(0.25)
             .kappa(4)
             .hop_cap(16)
+            .threads(threads_from_env())
             .build()
             .unwrap();
         let OracleBackend::Plain(b) = &o.backend else {
@@ -470,8 +477,8 @@ mod tests {
             .unwrap();
         cw.raw(*b"hops", |out| Ok(out.write_all(&nested)?)).unwrap();
         cw.finish().unwrap();
-        // xlint: allow(ambient-threads, test loads onto the process default executor)
-        match OracleBuilder::from_snapshot_reader(buf.as_slice(), Executor::current()) {
+        match OracleBuilder::from_snapshot_reader(buf.as_slice(), Executor::new(threads_from_env()))
+        {
             Err(SnapshotError::Corrupt { what }) => assert!(what.contains("4-byte"), "{what}"),
             other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
         }
@@ -490,7 +497,12 @@ mod tests {
             ),
         ];
         for (g, eps, certified) in cases {
-            let o = Oracle::builder(g).eps(eps).paths(true).build().unwrap();
+            let o = Oracle::builder(g)
+                .eps(eps)
+                .paths(true)
+                .threads(threads_from_env())
+                .build()
+                .unwrap();
             let b = o.built().unwrap();
             assert_eq!(b.num_scales() == 0, certified);
             assert_eq!(o.hopset_size() == 0, certified);
@@ -527,7 +539,6 @@ mod tests {
             kappa: o.kappa,
             query_hops: o.query_hops,
             paths: o.paths,
-            threads: None,
             exec: o.exec.clone(),
         };
         let mut buf = Vec::new();
@@ -537,7 +548,10 @@ mod tests {
 
     #[test]
     fn rejects_a_scale_range_that_does_not_fit_k0() {
-        let o = Oracle::builder(gen::path(64)).build().unwrap();
+        let o = Oracle::builder(gen::path(64))
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let k0 = o.built().unwrap().k0;
         let load = |buf: Vec<u8>| {
             OracleBuilder::from_snapshot_reader(buf.as_slice(), o.executor().clone())
@@ -573,11 +587,13 @@ mod tests {
     #[test]
     fn oracle_snapshot_error_paths_are_typed() {
         let g = gen::path(16);
-        let o = Oracle::builder(g).build().unwrap();
+        let o = Oracle::builder(g)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let mut buf = Vec::new();
         o.write_snapshot(&mut buf).unwrap();
-        // xlint: allow(ambient-threads, test loads onto the process default executor)
-        let exec = Executor::current();
+        let exec = Executor::new(threads_from_env());
 
         let mut bad = buf.clone();
         bad[3] = b'!';

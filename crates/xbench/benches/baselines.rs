@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pgraph::{gen, UnionView};
+use pram::pool::threads_from_env;
 use pram::{Executor, Ledger};
 use sssp::{DeltaSteppingOracle, DijkstraOracle, DistanceOracle, Oracle};
 use std::hint::black_box;
@@ -12,16 +13,18 @@ use std::sync::Arc;
 fn bench_query_vs_baselines(c: &mut Criterion) {
     let n = 4096usize;
     let g = Arc::new(gen::road_grid(64, 64, 7, 1.0, 10.0));
+    let exec = Executor::new(threads_from_env());
     let backends: Vec<Box<dyn DistanceOracle>> = vec![
         Box::new(
             Oracle::builder(Arc::clone(&g))
                 .eps(0.25)
                 .kappa(4)
+                .executor(exec.clone())
                 .build()
                 .unwrap(),
         ),
         Box::new(DijkstraOracle::new(Arc::clone(&g))),
-        Box::new(DeltaSteppingOracle::new(Arc::clone(&g))),
+        Box::new(DeltaSteppingOracle::new(Arc::clone(&g)).with_executor(exec.clone())),
     ];
 
     let mut group = c.benchmark_group("baselines/road-grid-4096");
@@ -31,7 +34,6 @@ fn bench_query_vs_baselines(c: &mut Criterion) {
             b.iter(|| black_box(backend.distances_from(0).unwrap()))
         });
     }
-    let exec = Executor::current();
     group.bench_function("bare-bf-to-convergence", |b| {
         b.iter(|| {
             let view = UnionView::base_only(&g);
@@ -46,15 +48,16 @@ fn bench_bf_round_counts(c: &mut Criterion) {
     // Not a timing comparison: demonstrates the *round* (depth) advantage.
     // The bare path graph needs n-1 rounds; G ∪ H needs the β budget.
     let g = Arc::new(gen::path(4096));
+    let exec = Executor::new(threads_from_env());
     let oracle = Oracle::builder(Arc::clone(&g))
         .eps(0.25)
         .kappa(4)
+        .executor(exec.clone())
         .build()
         .unwrap();
 
     let mut group = c.benchmark_group("baselines/path-4096-rounds");
     group.sample_size(10);
-    let exec = Executor::current();
     group.bench_function("bare-bf-full-rounds", |b| {
         b.iter(|| {
             let view = UnionView::base_only(&g);

@@ -33,7 +33,11 @@ fn main() {
             _ => wanted.push(a),
         }
     }
-    let cfg = Config { quick, json };
+    let cfg = Config {
+        quick,
+        json,
+        threads: pram::pool::threads_from_env(),
+    };
 
     let reg = registry();
     if wanted.is_empty() || wanted[0] == "list" {

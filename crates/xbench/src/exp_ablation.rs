@@ -11,12 +11,14 @@
 use crate::table::{f, n as fmt_n, Table};
 use crate::Config;
 use hopset::validate::measure_stretch;
-use hopset::{build_hopset, BuildOptions, DeltaSchedule, HopsetParams, ParamMode};
+use hopset::{build_hopset_on, BuildOptions, DeltaSchedule, HopsetParams, ParamMode};
 use pgraph::{gen, Graph};
+use pram::Executor;
 use sssp::eval::spread_sources;
 
 /// A1 — PaperLiteral vs Corrected δ-schedule.
 pub fn a1_delta(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let nn = cfg.sz(512);
     let mut t = Table::new(&[
         "family",
@@ -47,7 +49,7 @@ pub fn a1_delta(cfg: &Config) {
             )
             .expect("params");
             p.delta_schedule = sched;
-            let built = build_hopset(g, &p, BuildOptions::default());
+            let built = build_hopset_on(&exec, g, &p, BuildOptions::default());
             let rep = measure_stretch(
                 g,
                 &built.hopset,
@@ -69,6 +71,7 @@ pub fn a1_delta(cfg: &Config) {
 
 /// A2 — Theory vs Practical constants (small n; Theory's β is capped at n).
 pub fn a2_mode(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let nn = cfg.sz(128).min(128);
     let mut t = Table::new(&[
         "mode",
@@ -91,7 +94,7 @@ pub fn a2_mode(cfg: &Config) {
             None,
         )
         .expect("params");
-        let built = build_hopset(&g, &p, BuildOptions::default());
+        let built = build_hopset_on(&exec, &g, &p, BuildOptions::default());
         let max_w = built.hopset.ws().iter().copied().fold(0.0f64, f64::max);
         let rep = measure_stretch(
             &g,
@@ -124,6 +127,7 @@ mod tests {
     fn ablations_run_quick() {
         let cfg = Config {
             quick: true,
+            threads: pram::pool::threads_from_env(),
             ..Default::default()
         };
         a1_delta(&cfg);

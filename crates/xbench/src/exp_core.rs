@@ -4,8 +4,9 @@
 use crate::table::{f, n as fmt_n, Table};
 use crate::Config;
 use hopset::validate::measure_stretch;
-use hopset::{build_hopset, BuildOptions, HopsetParams, ParamMode};
+use hopset::{build_hopset_on, BuildOptions, HopsetParams, ParamMode};
 use pgraph::{exact, gen, Graph, UnionView};
+use pram::Executor;
 use sssp::eval::spread_sources;
 use sssp::DistanceOracle;
 
@@ -24,6 +25,7 @@ fn practical(g: &Graph, eps: f64, kappa: usize, rho: f64) -> HopsetParams {
 
 /// E1 — Theorem 3.7 / eq. (10): `|H| ≤ ⌈log Λ⌉ · n^{1+1/κ}`.
 pub fn e1_size(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let mut t = Table::new(&[
         "n",
         "m",
@@ -39,7 +41,7 @@ pub fn e1_size(cfg: &Config) {
             let g = gen::gnm_connected(nn, 4 * nn, 7, 1.0, 16.0);
             let rho = (1.0 / kappa as f64).min(0.4999);
             let p = practical(&g, 0.25, kappa, rho);
-            let built = build_hopset(&g, &p, BuildOptions::default());
+            let built = build_hopset_on(&exec, &g, &p, BuildOptions::default());
             let bound = built.size_bound();
             let (s, i, _) = built.hopset.kind_counts();
             t.row(vec![
@@ -59,6 +61,7 @@ pub fn e1_size(cfg: &Config) {
 
 /// E2 — Theorem 3.7 / Corollary 3.5: stretch at the query hop budget.
 pub fn e2_stretch(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let mut t = Table::new(&[
         "family",
         "n",
@@ -94,7 +97,7 @@ pub fn e2_stretch(cfg: &Config) {
                     cap,
                 )
                 .expect("valid params");
-                let built = build_hopset(g, &p, BuildOptions::default());
+                let built = build_hopset_on(&exec, g, &p, BuildOptions::default());
                 let sources = spread_sources(g.num_vertices(), 4);
                 let rep = measure_stretch(g, &built.hopset, &sources, p.query_hops);
                 t.row(vec![
@@ -117,10 +120,11 @@ pub fn e2_stretch(cfg: &Config) {
 /// E2b — Lemmas 2.1/3.3: a single-scale hopset `H_k` together with `G`
 /// serves *all* distances `≤ 2^{k+1}`, not only its own band.
 pub fn e2b_scale(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let nn = cfg.sz(512);
     let g = gen::gnm_connected(nn, 3 * nn, 9, 1.0, 24.0);
     let p = practical(&g, 0.25, 4, 0.3);
-    let built = build_hopset(&g, &p, BuildOptions::default());
+    let built = build_hopset_on(&exec, &g, &p, BuildOptions::default());
     let sources = spread_sources(nn, 3);
     let mut t = Table::new(&[
         "scale k",
@@ -165,6 +169,7 @@ pub fn e2b_scale(cfg: &Config) {
 /// E3 — Theorem 3.7: counted work `O((|E|+n^{1+1/κ})·n^ρ·polylog)` and
 /// polylogarithmic depth.
 pub fn e3_work(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let mut t = Table::new(&[
         "n",
         "m",
@@ -184,7 +189,7 @@ pub fn e3_work(cfg: &Config) {
         for &rho in &[0.26, 0.3, 0.4] {
             let g = gen::gnm_connected(nn, 4 * nn, 11, 1.0, 16.0);
             let p = practical(&g, 0.25, 4, rho);
-            let built = build_hopset(&g, &p, BuildOptions::default());
+            let built = build_hopset_on(&exec, &g, &p, BuildOptions::default());
             let unit = (g.num_edges() as f64 + (nn as f64).powf(1.25)) * (nn as f64).powf(rho);
             let lg = (nn as f64).log2();
             t.row(vec![
@@ -205,11 +210,13 @@ pub fn e3_work(cfg: &Config) {
 
 /// E4 — Theorem 3.8: aMSSD — work grows ~linearly with |S|, depth doesn't.
 pub fn e4_msssd(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let nn = cfg.sz(1024);
     let g = gen::gnm_connected(nn, 4 * nn, 17, 1.0, 12.0);
     let oracle = sssp::Oracle::builder(g)
         .eps(0.25)
         .kappa(4)
+        .executor(exec)
         .build()
         .expect("params");
     let mut t = Table::new(&["|S|", "work", "work/|S|", "depth", "max-stretch"]);
@@ -243,6 +250,7 @@ pub fn e4_msssd(cfg: &Config) {
 /// and a hierarchical-community graph (dense at every scale, which drives
 /// the phase loop through several rounds of superclustering).
 pub fn e5_phases(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let nn = cfg.sz(1024);
     let families: Vec<(&str, Graph)> = vec![
         ("clique-chain", gen::clique_chain(nn / 16, 16, 2.0)),
@@ -253,7 +261,7 @@ pub fn e5_phases(cfg: &Config) {
     ];
     for (name, g) in &families {
         let p = practical(g, 0.25, 4, 0.3);
-        let built = build_hopset(g, &p, BuildOptions::default());
+        let built = build_hopset_on(&exec, g, &p, BuildOptions::default());
         // Representative scale: the one with the most phases executed.
         let rep = built
             .scales

@@ -5,10 +5,10 @@ use crate::Config;
 use hopset::ruling::{ruling_set, RulingTrace};
 use hopset::virtual_bfs::{ExploreScratch, Explorer};
 use hopset::{
-    build_hopset, BuildOptions, ClusterMemory, HopsetParams, ParamMode, Partition, ScaleParams,
+    build_hopset_on, BuildOptions, ClusterMemory, HopsetParams, ParamMode, Partition, ScaleParams,
 };
 use pgraph::{exact, gen, Graph, UnionView, INF};
-use pram::Ledger;
+use pram::{Executor, Ledger};
 use sssp::eval::{spread_sources, stretch_vs_hops};
 use sssp::{DeltaSteppingOracle, DijkstraOracle, DistanceOracle, Oracle};
 use std::sync::Arc;
@@ -32,6 +32,7 @@ fn practical(g: &Graph, eps: f64, kappa: usize, rho: f64) -> HopsetParams {
 /// (`Θ(diam/Δ)`-round, exact), sequential Dijkstra (exact) — measured
 /// generically, plus the bare Bellman–Ford round count per family.
 pub fn e10_sssp(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let mut t = Table::new(&[
         "family",
         "backend",
@@ -52,7 +53,7 @@ pub fn e10_sssp(cfg: &Config) {
     ];
     for (name, g) in families {
         let src = 0u32;
-        let bare_rounds = sssp::baseline::bf_rounds_to_converge(&g, src);
+        let bare_rounds = sssp::baseline::bf_rounds_to_converge(&exec, &g, src);
         let (n, m) = (g.num_vertices(), g.num_edges());
         let ex = exact::dijkstra(&g, src).dist;
         let g = Arc::new(g);
@@ -64,11 +65,12 @@ pub fn e10_sssp(cfg: &Config) {
         let oracle = Oracle::builder(Arc::clone(&g))
             .eps(0.25)
             .kappa(4)
+            .executor(exec.clone())
             .build()
             .expect("params");
         backends.push((Box::new(oracle), t0.elapsed().as_secs_f64() * 1e3));
         let t1 = Instant::now();
-        let dstep = DeltaSteppingOracle::new(Arc::clone(&g));
+        let dstep = DeltaSteppingOracle::new(Arc::clone(&g)).with_executor(exec.clone());
         backends.push((Box::new(dstep), t1.elapsed().as_secs_f64() * 1e3));
         let t2 = Instant::now();
         let dij = DijkstraOracle::new(Arc::clone(&g));
@@ -110,10 +112,11 @@ pub fn e10_sssp(cfg: &Config) {
 /// F1 — Figure 1 / Lemma 2.1: exploration reach — hop-limited distances in
 /// `G_{k-1} = G ∪ H_{k-1}` stay within `(1+ε_{k-1})` for `d ≤ 2^{k+1}`.
 pub fn f1_reach(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let nn = cfg.sz(512);
     let g = gen::gnm_connected(nn, 3 * nn, 13, 1.0, 24.0);
     let p = practical(&g, 0.25, 4, 0.3);
-    let built = build_hopset(&g, &p, BuildOptions::default());
+    let built = build_hopset_on(&exec, &g, &p, BuildOptions::default());
     let sources = spread_sources(nn, 3);
     let mut t = Table::new(&[
         "scale k",
@@ -163,6 +166,7 @@ pub fn f1_reach(cfg: &Config) {
 /// F2 — Figures 4–5 / eq. (18): the stretch-vs-hop-budget trade-off curve,
 /// with and without the hopset.
 pub fn f2_hops(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let nn = cfg.sz(1024);
     let budgets = [8usize, 16, 24, 32, 48, 64, 96, 128];
     let mut t = Table::new(&[
@@ -182,7 +186,12 @@ pub fn f2_hops(cfg: &Config) {
         // The figure's H is Theorem 3.7's hopset for the aspect bound, as in
         // F1: the oracle would certify these graphs at its β budget and
         // build no scale, which says nothing about budgets below β.
-        let built = build_hopset(&g, &practical(&g, 0.25, 4, 0.3), BuildOptions::default());
+        let built = build_hopset_on(
+            &exec,
+            &g,
+            &practical(&g, 0.25, 4, 0.3),
+            BuildOptions::default(),
+        );
         let with = stretch_vs_hops(&g, &built.overlay(), &sources, &budgets);
         let bare = stretch_vs_hops(&g, &[], &sources, &budgets);
         for (w, b) in with.iter().zip(&bare) {
@@ -200,12 +209,12 @@ pub fn f2_hops(cfg: &Config) {
 
 /// F9 — Figure 9: the ruling-set knock-out recursion, level by level.
 pub fn f9_knockout(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let nn = cfg.sz(512);
     let g = gen::gnm_connected(nn, 3 * nn, 7, 1.0, 4.0);
     let part = Partition::singletons(nn);
     let cm = ClusterMemory::trivial(nn, false);
     let view = UnionView::base_only(&g);
-    let exec = pram::Executor::current();
     let ex = Explorer {
         exec: &exec,
         view: &view,
@@ -252,11 +261,14 @@ pub fn f9_knockout(cfg: &Config) {
 /// F11 — Figure 11: the peeling process — edge-type composition of the
 /// working tree per iteration.
 pub fn f11_peeling(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let nn = cfg.sz(512);
     let g = gen::clique_chain(nn / 16, 16, 2.0);
     let p = practical(&g, 0.25, 4, 0.3);
-    let built = build_hopset(&g, &p, BuildOptions { record_paths: true });
-    let spt = hopset::path_report::build_spt(&g, &built, 0);
+    let built = build_hopset_on(&exec, &g, &p, BuildOptions { record_paths: true });
+    let sl = built.hopset.all_slice();
+    let view = UnionView::with_overlay_columns(&g, sl.us(), sl.vs(), sl.ws());
+    let spt = hopset::path_report::build_spt_on(&exec, &view, &built, 0);
     let mut t = Table::new(&[
         "iteration (scale)",
         "graph edges",

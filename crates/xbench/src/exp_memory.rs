@@ -27,6 +27,7 @@ use crate::json::{self, Record};
 use crate::table::Table;
 use crate::Config;
 use pgraph::gen;
+use pram::Executor;
 use sssp::Oracle;
 
 /// One size's measurement.
@@ -63,9 +64,9 @@ fn fmt_mib_i(bytes: i64) -> String {
     format!("{:.1}", bytes as f64 / (1024.0 * 1024.0))
 }
 
-/// Build one gnm oracle at size `n` with the phase collector armed and
+/// Build one gnm oracle at size `n` on `exec` with the phase collector armed and
 /// return the summary row plus the drained per-phase report.
-fn measure(n: usize, seed: u64) -> (SizeRow, Vec<alloc::PhaseStats>) {
+fn measure(exec: &Executor, n: usize, seed: u64) -> (SizeRow, Vec<alloc::PhaseStats>) {
     let m = 2 * n;
     let _ = alloc::take_phase_report(); // drop stats from a previous size
     alloc::reset_watermark();
@@ -78,6 +79,7 @@ fn measure(n: usize, seed: u64) -> (SizeRow, Vec<alloc::PhaseStats>) {
         .eps(0.5)
         .kappa(8)
         .hop_cap(32)
+        .executor(exec.clone())
         .build()
         .expect("oracle construction");
     let ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -106,11 +108,15 @@ pub fn memory(cfg: &Config) {
     } else {
         &[65_536, 1_048_576, 10_000_000]
     };
-    let threads = pram::Executor::current().threads();
+    let exec = Executor::new(cfg.threads);
+    let threads = exec.threads();
+    // One round that enrolls every worker: their start-up allocations
+    // land here, before any phase opens, not in the first phase measured.
+    exec.run_chunks(&exec.task_bounds(threads), |_| ());
 
     let mut summary: Vec<SizeRow> = Vec::new();
     for (i, &n) in sizes.iter().enumerate() {
-        let (row, phases) = measure(n, 90 + i as u64);
+        let (row, phases) = measure(&exec, n, 90 + i as u64);
         let mut records: Vec<Record> = Vec::new();
 
         let mut t = Table::new(&["phase", "count", "allocs", "peak MiB", "net MiB"]);
@@ -190,7 +196,8 @@ mod tests {
             "exp_memory::tests::quick_memory_runs_and_reports_phases",
             || {
                 alloc::install_phase_collector();
-                let (row, phases) = measure(2_048, 7);
+                let exec = Executor::new(pram::pool::threads_from_env());
+                let (row, phases) = measure(&exec, 2_048, 7);
                 assert_eq!(row.m, 4_096);
                 assert!(row.hopset > 0, "a 2k gnm oracle must have hopset edges");
                 assert!(row.peak_bytes > 0 && row.edges_per_sec > 0.0);

@@ -5,13 +5,13 @@ use crate::table::{f, n as fmt_n, Table};
 use crate::Config;
 use hopset::baseline::build_random_hopset;
 use hopset::path_report::validate_spt;
-use hopset::reduction::build_reduced_hopset;
+use hopset::reduction::build_reduced_hopset_on;
 use hopset::ruling::{ruling_set, verify_ruling};
 use hopset::validate::measure_stretch;
 use hopset::virtual_bfs::{ExploreScratch, Explorer};
-use hopset::{build_hopset, BuildOptions, ClusterMemory, HopsetParams, ParamMode, Partition};
+use hopset::{build_hopset_on, BuildOptions, ClusterMemory, HopsetParams, ParamMode, Partition};
 use pgraph::{gen, Graph, UnionView};
-use pram::Ledger;
+use pram::{Executor, Ledger};
 use sssp::eval::spread_sources;
 
 fn practical(g: &Graph, eps: f64, kappa: usize, rho: f64) -> HopsetParams {
@@ -30,6 +30,7 @@ fn practical(g: &Graph, eps: f64, kappa: usize, rho: f64) -> HopsetParams {
 /// E6 — Corollary B.4: `(3, 2·log n)`-ruling sets: measured separation ≥ 3
 /// and covering radius ≤ 2·log2 n across graphs and thresholds.
 pub fn e6_ruling(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let nn = cfg.sz(256);
     let mut t = Table::new(&[
         "graph",
@@ -49,7 +50,6 @@ pub fn e6_ruling(cfg: &Config) {
         let part = Partition::singletons(g.num_vertices());
         let cm = ClusterMemory::trivial(g.num_vertices(), false);
         let view = UnionView::base_only(g);
-        let exec = pram::Executor::current();
         for &thr in &[1.5f64, 3.0, 6.0] {
             let mut scratch = ExploreScratch::new();
             let ex = Explorer {
@@ -93,6 +93,7 @@ pub fn e6_ruling(cfg: &Config) {
 /// E7 — Theorem 4.6: path-reporting SPTs: validity, stretch, and memory
 /// overhead σ against eq. (20).
 pub fn e7_spt(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let nn = cfg.sz(512);
     let mut t = Table::new(&[
         "family",
@@ -114,7 +115,7 @@ pub fn e7_spt(cfg: &Config) {
     ];
     for (name, g) in &families {
         let p = practical(g, 0.25, 4, 0.3);
-        let built = build_hopset(g, &p, BuildOptions { record_paths: true });
+        let built = build_hopset_on(&exec, g, &p, BuildOptions { record_paths: true });
         let max_plen = built
             .hopset
             .paths
@@ -122,7 +123,9 @@ pub fn e7_spt(cfg: &Config) {
             .map(|q| q.len())
             .max()
             .unwrap_or(0);
-        let spt = hopset::path_report::build_spt(g, &built, 0);
+        let sl = built.hopset.all_slice();
+        let view = UnionView::with_overlay_columns(g, sl.us(), sl.vs(), sl.ws());
+        let spt = hopset::path_report::build_spt_on(&exec, &view, &built, 0);
         let val = validate_spt(g, &spt);
         t.row(vec![
             name.to_string(),
@@ -141,6 +144,7 @@ pub fn e7_spt(cfg: &Config) {
 /// E8 — Appendix C: weight-reduction invariants on huge-aspect inputs:
 /// eq. (22) per-level weight ratio, eq. (24) star count, eq. (26) node sum.
 pub fn e8_reduction(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let mut t = Table::new(&[
         "graph",
         "n",
@@ -160,7 +164,8 @@ pub fn e8_reduction(cfg: &Config) {
         ("wide-dense", gen::wide_weights(nn, 4 * nn, 24, 8)),
     ];
     for (name, g) in &graphs {
-        let r = build_reduced_hopset(
+        let r = build_reduced_hopset_on(
+            &exec,
             g,
             eps,
             4,
@@ -201,6 +206,7 @@ pub fn e8_reduction(cfg: &Config) {
 /// E9 — the headline trade: deterministic (ruling sets) vs randomized
 /// (sampling) superclustering — size, counted work, stretch.
 pub fn e9_vs_random(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let nn = cfg.sz(512);
     let mut t = Table::new(&[
         "family",
@@ -219,7 +225,7 @@ pub fn e9_vs_random(cfg: &Config) {
     ];
     for (name, g) in &families {
         let p = practical(g, 0.25, 4, 0.3);
-        let det = build_hopset(g, &p, BuildOptions::default());
+        let det = build_hopset_on(&exec, g, &p, BuildOptions::default());
         let sources = spread_sources(g.num_vertices(), 3);
         let det_rep = measure_stretch(g, &det.hopset, &sources, p.query_hops);
 
@@ -227,7 +233,7 @@ pub fn e9_vs_random(cfg: &Config) {
         let mut rnd_work = 0u64;
         let mut rnd_worst: f64 = 1.0;
         for seed in [1u64, 2, 3] {
-            let r = build_random_hopset(g, &p, seed);
+            let r = build_random_hopset(&exec, g, &p, seed);
             rnd_sizes += r.hopset.len();
             rnd_work += r.ledger.work();
             let rep = measure_stretch(g, &r.hopset, &sources, p.query_hops);

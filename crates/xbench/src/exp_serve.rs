@@ -105,6 +105,7 @@ fn build_stack(cfg: &Config, landmarks: usize) -> (usize, Arc<Oracle>, Arc<Landm
         Oracle::builder(g)
             .eps(0.25)
             .kappa(4)
+            .threads(cfg.threads)
             .build()
             .expect("params"),
     );
@@ -577,6 +578,7 @@ pub fn serve_open(cfg: &Config) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pram::pool::threads_from_env;
 
     /// Regression (PR 10 satellite): the open-loop sweep must emit its
     /// JSON record per rate point as each completes — a late failure
@@ -585,7 +587,14 @@ mod tests {
     #[test]
     fn open_loop_sweep_emits_one_json_record_per_rate_point() {
         let g = gen::road_grid(8, 8, 3, 1.0, 4.0);
-        let oracle = Arc::new(Oracle::builder(g).eps(0.5).kappa(4).build().unwrap());
+        let oracle = Arc::new(
+            Oracle::builder(g)
+                .eps(0.5)
+                .kappa(4)
+                .threads(threads_from_env())
+                .build()
+                .unwrap(),
+        );
         let plane = Arc::new(LandmarkPlane::build(&oracle, &LandmarkConfig::new(4, 1.0)).unwrap());
         let dir = std::env::temp_dir().join(format!("xbench-serve-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -594,6 +603,7 @@ mod tests {
         let cfg = Config {
             quick: true,
             json: Some(path.clone()),
+            threads: threads_from_env(),
         };
         let rates = [500.0, 1000.0];
         let points = open_loop_sweep(&cfg, &oracle, &plane, &rates, 0.05, 2, 2);

@@ -5,7 +5,7 @@
 //!
 //! 1. **construct vs load** — build a road-grid oracle, save it with
 //!    [`Oracle::save_snapshot`], reload it with
-//!    [`OracleBuilder::from_snapshot`], and compare wall times. The
+//!    [`OracleBuilder::from_snapshot_on`], and compare wall times. The
 //!    headline: loading must sit an order of magnitude below constructing
 //!    at n = 64k (the acceptance bar), and stay flat-cheap at n = 1M.
 //! 2. **bytes on disk** — the container is the SoA columns verbatim plus
@@ -25,6 +25,7 @@
 use crate::table::{f, n as fmt_n, Table};
 use crate::Config;
 use pgraph::gen;
+use pram::Executor;
 use sssp::{DistanceOracle, Oracle, OracleBuilder};
 use std::time::Instant;
 
@@ -35,14 +36,14 @@ fn probe_pairs(n: usize) -> Vec<(u32, u32)> {
     vec![(0, 1), (0, n / 2), (n / 2, n / 2 + 1), (n - 2, n - 1)]
 }
 
-/// One scenario: build a `rows × cols` road-grid oracle, snapshot it to a
-/// temp file, reload, verify, and append a table row. Returns
-/// (construct seconds, load seconds).
+/// One scenario: build a `rows × cols` road-grid oracle on `exec`,
+/// snapshot it to a temp file, reload it onto `exec`, verify, and append a
+/// table row. Returns (construct seconds, load seconds).
 fn scenario(
+    exec: &Executor,
     t: &mut Table,
     label: &str,
-    rows: usize,
-    cols: usize,
+    (rows, cols): (usize, usize),
     eps: f64,
     kappa: usize,
     hop_cap: Option<usize>,
@@ -50,7 +51,10 @@ fn scenario(
     let g = gen::road_grid(rows, cols, 7, 1.0, 10.0);
     let (n, m) = (g.num_vertices(), g.num_edges());
     let t0 = Instant::now();
-    let mut b = Oracle::builder(g).eps(eps).kappa(kappa);
+    let mut b = Oracle::builder(g)
+        .eps(eps)
+        .kappa(kappa)
+        .executor(exec.clone());
     if let Some(cap) = hop_cap {
         b = b.hop_cap(cap);
     }
@@ -65,7 +69,7 @@ fn scenario(
     assert_eq!(bytes, oracle.snapshot_size(), "declared size is exact");
 
     let t0 = Instant::now();
-    let loaded = OracleBuilder::from_snapshot(&path).expect("load snapshot");
+    let loaded = OracleBuilder::from_snapshot_on(&path, exec.clone()).expect("load snapshot");
     let load_s = t0.elapsed().as_secs_f64();
     let _ = std::fs::remove_file(&path);
 
@@ -96,6 +100,7 @@ fn scenario(
 /// The `snapshot` experiment: persistence-plane wall times and sizes
 /// (EXPERIMENTS.md).
 pub fn snapshot(cfg: &Config) {
+    let exec = Executor::new(cfg.threads);
     let mut t = Table::new(&[
         "scenario",
         "n",
@@ -109,10 +114,10 @@ pub fn snapshot(cfg: &Config) {
     ]);
     if cfg.quick {
         // CI smoke: one small grid, same code path end to end.
-        scenario(&mut t, "grid 48x48", 48, 48, 0.25, 4, None);
+        scenario(&exec, &mut t, "grid 48x48", (48, 48), 0.25, 4, None);
     } else {
         // The speedup bar: serving-grade parameters at n = 64k.
-        let (c64k, l64k) = scenario(&mut t, "grid 256x256", 256, 256, 0.25, 4, None);
+        let (c64k, l64k) = scenario(&exec, &mut t, "grid 256x256", (256, 256), 0.25, 4, None);
         println!(
             "[snapshot] n = 64k: load is {:.0}x faster than construction \
              ({:.2} s -> {:.3} s)",
@@ -125,10 +130,10 @@ pub fn snapshot(cfg: &Config) {
         // so the one-off build stays affordable on one machine — the
         // point here is the persistence plane at scale, not stretch.
         scenario(
+            &exec,
             &mut t,
             "grid 1024x1024 (k=8 cap=32)",
-            1024,
-            1024,
+            (1024, 1024),
             0.5,
             8,
             Some(32),

@@ -30,6 +30,11 @@ pub struct Config {
     pub quick: bool,
     /// Append machine-readable JSON-lines records here (`--json <path>`).
     pub json: Option<std::path::PathBuf>,
+    /// Thread count of the pools the experiments run on (`0` clamps to
+    /// `1`). `repro` resolves it once with
+    /// [`pram::pool::threads_from_env`]; counted outputs do not depend on
+    /// it (DESIGN.md §5).
+    pub threads: usize,
 }
 
 impl Config {

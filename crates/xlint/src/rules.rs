@@ -274,6 +274,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                     "current_threads",
                     "with_threads",
                     "set_global_threads",
+                    "threads_from_env",
                     "env::var",
                 ] {
                     if code.contains(pat) {
@@ -758,6 +759,11 @@ mod tests {
             rules_hit(ALGO, "fn f() { let v = std::env::var(\"X\"); }\n"),
             vec!["D6"]
         );
+        // The one sanctioned env read belongs to binaries, benches and
+        // tests: a library crate calling it picks its own thread count.
+        let env_count = "fn f() { let t = pram::pool::threads_from_env(); }\n";
+        assert_eq!(rules_hit(ALGO, env_count), vec!["D6"]);
+        assert!(rules_hit("crates/sssp/tests/t.rs", env_count).is_empty());
     }
 
     #[test]

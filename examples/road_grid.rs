@@ -20,7 +20,7 @@ fn main() {
 
     // How many Bellman-Ford rounds does the bare graph need?
     let src = 0;
-    let plain_rounds = baseline::bf_rounds_to_converge(&g, src);
+    let plain_rounds = baseline::bf_rounds_to_converge(&Executor::sequential(), &g, src);
     println!("plain Bellman–Ford rounds to converge: {plain_rounds}");
 
     // Build the oracle (it takes ownership of the graph).

@@ -80,13 +80,13 @@ pub use sssp;
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use hopset::path_report::{build_spt, validate_spt, SptResult};
-    pub use hopset::reduction::build_reduced_hopset;
-    pub use hopset::{build_hopset, BuildOptions, BuiltHopset, HopsetParams, ParamMode};
+    pub use hopset::path_report::{build_spt_on, validate_spt, SptResult};
+    pub use hopset::reduction::build_reduced_hopset_on;
+    pub use hopset::{build_hopset_on, BuildOptions, BuiltHopset, HopsetParams, ParamMode};
     pub use pgraph::{exact, gen, Graph, GraphBuilder, UnionGraph, UnionView, INF};
     pub use pram::{Executor, Ledger};
     pub use sssp::{
-        delta_stepping, AdmissionConfig, CacheConfig, CacheStats, CachedOracle, CachedRow,
+        delta_stepping_on, AdmissionConfig, CacheConfig, CacheStats, CachedOracle, CachedRow,
         DeltaSteppingOracle, DijkstraOracle, DistanceMatrix, DistanceOracle, FillPolicy,
         LandmarkBounds, LandmarkConfig, LandmarkPlane, MultiSourceResult, Oracle, OracleBuilder,
         Pipeline, SnapshotError, SsspError,

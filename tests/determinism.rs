@@ -11,7 +11,6 @@
 //! families and compares every output against the single-threaded run,
 //! `f64`s by `to_bits` (no epsilon anywhere: identical means identical).
 
-use pram::pool;
 use pram_sssp::prelude::*;
 use sssp::MultiSourceResult;
 
@@ -40,35 +39,34 @@ struct PipelineRun {
 }
 
 fn run_pipeline(g: &Graph, pipeline: Pipeline, threads: usize) -> PipelineRun {
-    pool::with_threads(threads, || {
-        let oracle = Oracle::builder(g.clone())
-            .eps(0.25)
-            .kappa(4)
-            .paths(true)
-            .pipeline(pipeline)
-            .build()
-            .expect("params");
-        let n = g.num_vertices() as u32;
-        let sources = vec![0u32, n / 3, n - 1];
-        let multi = oracle.distances_multi(&sources).expect("sources in range");
-        let mut spt_parents = Vec::new();
-        let mut spt_dists = Vec::new();
-        let mut spt_ledgers = Vec::new();
-        for root in [0u32, n / 2] {
-            let spt = oracle.spt(root).expect("paths recorded");
-            spt_parents.push(spt.parent);
-            spt_dists.push(spt.dist);
-            spt_ledgers.push(spt.ledger);
-        }
-        PipelineRun {
-            construction: oracle.cost().clone(),
-            multi,
-            spt_parents,
-            spt_dists,
-            spt_ledgers,
-            hopset_size: oracle.hopset_size(),
-        }
-    })
+    let oracle = Oracle::builder(g.clone())
+        .eps(0.25)
+        .kappa(4)
+        .paths(true)
+        .pipeline(pipeline)
+        .threads(threads)
+        .build()
+        .expect("params");
+    let n = g.num_vertices() as u32;
+    let sources = vec![0u32, n / 3, n - 1];
+    let multi = oracle.distances_multi(&sources).expect("sources in range");
+    let mut spt_parents = Vec::new();
+    let mut spt_dists = Vec::new();
+    let mut spt_ledgers = Vec::new();
+    for root in [0u32, n / 2] {
+        let spt = oracle.spt(root).expect("paths recorded");
+        spt_parents.push(spt.parent);
+        spt_dists.push(spt.dist);
+        spt_ledgers.push(spt.ledger);
+    }
+    PipelineRun {
+        construction: oracle.cost().clone(),
+        multi,
+        spt_parents,
+        spt_dists,
+        spt_ledgers,
+        hopset_size: oracle.hopset_size(),
+    }
 }
 
 /// Bit-exact comparison of two distance rows (`-0.0 ≠ 0.0`, `NaN == NaN`:
@@ -142,36 +140,6 @@ fn reduced_pipeline_bit_identical_across_thread_counts() {
     }
 }
 
-/// The `threads` builder knob and the ambient `with_threads` scope must
-/// agree: pinning via `OracleBuilder::threads(t)` gives the same bits as
-/// pinning the whole pipeline scope.
-#[test]
-fn builder_threads_knob_matches_scoped_override() {
-    let g = gen::gnm_connected(100, 300, 9, 1.0, 6.0);
-    let scoped = run_pipeline(&g, Pipeline::Plain, 4);
-    let built = {
-        let oracle = Oracle::builder(g.clone())
-            .eps(0.25)
-            .kappa(4)
-            .paths(true)
-            .pipeline(Pipeline::Plain)
-            .threads(4)
-            .build()
-            .expect("params");
-        assert_eq!(oracle.threads(), Some(4));
-        let sources = vec![0u32, 33, 99];
-        oracle.distances_multi(&sources).expect("in range")
-    };
-    for i in 0..3 {
-        assert_rows_bit_identical(
-            scoped.multi.dist.row(i),
-            built.dist.row(i),
-            &format!("builder-vs-scope row {i}"),
-        );
-    }
-    assert_eq!(scoped.multi.ledger, built.ledger);
-}
-
 /// The primitives underneath, driven through a public hot path with an
 /// input big enough to cross `PAR_THRESHOLD`: a single large Bellman–Ford
 /// must produce bit-identical distances at every thread count.
@@ -184,7 +152,7 @@ fn large_bellman_ford_bit_identical_across_thread_counts() {
     let base = pram::bellman_ford(&Executor::sequential(), &view, &[0], 12, &mut base_ledger);
     for t in [2usize, 4, 8] {
         let mut ledger = Ledger::new();
-        let got = pram::bellman_ford(&Executor::shared(t), &view, &[0], 12, &mut ledger);
+        let got = pram::bellman_ford(&Executor::new(t), &view, &[0], 12, &mut ledger);
         assert_rows_bit_identical(&base.dist, &got.dist, &format!("bford threads={t}"));
         assert_eq!(base.parent, got.parent, "bford parents threads={t}");
         assert_eq!(base_ledger, ledger, "bford ledger threads={t}");

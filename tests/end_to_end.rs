@@ -1,7 +1,14 @@
 //! Cross-crate integration tests: full pipelines on several graph
 //! families, exercising the public API exactly as a downstream user would.
 
+use pram::pool::threads_from_env;
 use pram_sssp::prelude::*;
+
+/// The executor the suite runs on: `PRAM_SSSP_THREADS` threads, else the
+/// hardware's.
+fn exec() -> Executor {
+    Executor::new(threads_from_env())
+}
 
 /// The core contract on one graph: approximate distances never undershoot
 /// and respect (1+eps) at the engine's hop budget.
@@ -9,6 +16,7 @@ fn assert_sssp_contract(g: &Graph, eps: f64, kappa: usize, sources: &[u32]) {
     let oracle = Oracle::builder(g.clone())
         .eps(eps)
         .kappa(kappa)
+        .threads(threads_from_env())
         .build()
         .expect("params");
     for &s in sources {
@@ -92,9 +100,12 @@ fn determinism_across_thread_counts() {
     )
     .unwrap();
     let run = |threads: usize| {
-        pram::pool::with_threads(threads, || {
-            build_hopset(&g, &params, BuildOptions::default())
-        })
+        build_hopset_on(
+            &Executor::new(threads),
+            &g,
+            &params,
+            BuildOptions::default(),
+        )
     };
     let a = run(1);
     let b = run(2);
@@ -137,6 +148,7 @@ fn spt_pipeline_end_to_end() {
             .kappa(4)
             .paths(true)
             .pipeline(pipeline)
+            .threads(threads_from_env())
             .build()
             .expect("params");
         for src in sources {
@@ -154,7 +166,8 @@ fn spt_pipeline_end_to_end() {
 #[test]
 fn reduced_pipeline_end_to_end() {
     let g = gen::exponential_path(40, 2.5);
-    let reduced = build_reduced_hopset(
+    let reduced = build_reduced_hopset_on(
+        &exec(),
         &g,
         0.5,
         4,
@@ -166,13 +179,7 @@ fn reduced_pipeline_end_to_end() {
     let sl = reduced.hopset.all_slice();
     let view = UnionView::with_overlay_columns(&g, sl.us(), sl.vs(), sl.ws());
     let mut ledger = Ledger::new();
-    let bf = pram::bellman_ford(
-        &pram::Executor::current(),
-        &view,
-        &[0],
-        reduced.query_hops,
-        &mut ledger,
-    );
+    let bf = pram::bellman_ford(&exec(), &view, &[0], reduced.query_hops, &mut ledger);
     let exact = exact::dijkstra(&g, 0).dist;
     #[allow(clippy::needless_range_loop)] // indexes several parallel arrays
     for v in 0..40 {
@@ -192,10 +199,11 @@ fn hop_reduction_is_real() {
         .rho(0.3)
         .mode(ParamMode::Practical)
         .hop_cap(40)
+        .threads(threads_from_env())
         .build()
         .expect("params");
     let approx = oracle.distances_from(0).expect("source in range");
-    let (bare, _) = sssp::baseline::plain_bellman_ford(&g, 0, oracle.query_hops());
+    let (bare, _) = sssp::baseline::plain_bellman_ford(&exec(), &g, 0, oracle.query_hops());
     assert_eq!(bare[299], INF, "bare graph cannot span 299 hops in 40");
     assert!(approx[299].is_finite(), "hopset must shortcut");
     assert!(approx[299] <= 1.25 * 299.0 + 1e-9);
@@ -211,8 +219,8 @@ fn io_roundtrip_through_public_api() {
     assert_eq!(g.edges(), h.edges());
     // The reloaded graph builds the same hopset.
     let p = HopsetParams::practical(60, 0.25, 4, g.aspect_ratio_bound()).unwrap();
-    let a = build_hopset(&g, &p, BuildOptions::default());
-    let b = build_hopset(&h, &p, BuildOptions::default());
+    let a = build_hopset_on(&exec(), &g, &p, BuildOptions::default());
+    let b = build_hopset_on(&exec(), &h, &p, BuildOptions::default());
     assert_eq!(a.hopset.len(), b.hopset.len());
 }
 
@@ -222,12 +230,12 @@ fn rejects_unnormalized_weights() {
     // contract (normalize with scaled_to_unit_min).
     let g = Graph::from_edges(4, [(0, 1, 0.5), (1, 2, 2.0)]).unwrap();
     let p = HopsetParams::practical(4, 0.25, 4, g.aspect_ratio_bound()).unwrap();
-    let r = std::panic::catch_unwind(|| build_hopset(&g, &p, BuildOptions::default()));
+    let r = std::panic::catch_unwind(|| build_hopset_on(&exec(), &g, &p, BuildOptions::default()));
     assert!(r.is_err(), "must reject min weight < 1");
     // And the documented fix works.
     let g2 = g.scaled_to_unit_min();
     let p2 = HopsetParams::practical(4, 0.25, 4, g2.aspect_ratio_bound()).unwrap();
-    let _ = build_hopset(&g2, &p2, BuildOptions::default());
+    let _ = build_hopset_on(&exec(), &g2, &p2, BuildOptions::default());
 }
 
 #[test]
@@ -236,17 +244,16 @@ fn reduced_pipeline_determinism_across_threads() {
     // as deterministic as the plain pipeline.
     let g = pgraph::gen::wide_weights(80, 160, 12, 5);
     let run = |threads: usize| {
-        pram::pool::with_threads(threads, || {
-            build_reduced_hopset(
-                &g,
-                0.4,
-                4,
-                0.3,
-                ParamMode::Practical,
-                BuildOptions::default(),
-            )
-            .unwrap()
-        })
+        build_reduced_hopset_on(
+            &Executor::new(threads),
+            &g,
+            0.4,
+            4,
+            0.3,
+            ParamMode::Practical,
+            BuildOptions::default(),
+        )
+        .unwrap()
     };
     let a = run(1);
     let b = run(4);
@@ -262,12 +269,12 @@ fn reduced_pipeline_determinism_across_threads() {
 fn spt_determinism_across_threads() {
     let g = pgraph::gen::clique_chain(5, 8, 2.0);
     let run = |threads: usize| {
-        pram::pool::with_threads(threads, || {
-            let p =
-                HopsetParams::practical(g.num_vertices(), 0.25, 4, g.aspect_ratio_bound()).unwrap();
-            let built = build_hopset(&g, &p, BuildOptions { record_paths: true });
-            build_spt(&g, &built, 0)
-        })
+        let exec = Executor::new(threads);
+        let p = HopsetParams::practical(g.num_vertices(), 0.25, 4, g.aspect_ratio_bound()).unwrap();
+        let built = build_hopset_on(&exec, &g, &p, BuildOptions { record_paths: true });
+        let sl = built.hopset.all_slice();
+        let view = UnionView::with_overlay_columns(&g, sl.us(), sl.vs(), sl.ws());
+        build_spt_on(&exec, &view, &built, 0)
     };
     let a = run(1);
     let b = run(8);
@@ -282,7 +289,7 @@ fn hopset_serialization_through_public_api() {
     // Build → save → load → query: the production precompute workflow.
     let g = pgraph::gen::gnm_connected(80, 240, 31, 1.0, 6.0);
     let p = HopsetParams::practical(80, 0.25, 4, g.aspect_ratio_bound()).unwrap();
-    let built = build_hopset(&g, &p, BuildOptions::default());
+    let built = build_hopset_on(&exec(), &g, &p, BuildOptions::default());
     let mut buf = Vec::new();
     hopset::write_hopset(&built.hopset, &mut buf).unwrap();
     let loaded = hopset::read_hopset(buf.as_slice()).unwrap();
@@ -303,11 +310,15 @@ fn delta_stepping_agrees_with_engine() {
         Oracle::builder(std::sync::Arc::clone(&g))
             .eps(0.25)
             .kappa(4)
+            .threads(threads_from_env())
             .build()
             .unwrap(),
     );
-    let dstep: Box<dyn DistanceOracle> =
-        Box::new(DeltaSteppingOracle::with_delta(std::sync::Arc::clone(&g), 2.0).unwrap());
+    let dstep: Box<dyn DistanceOracle> = Box::new(
+        DeltaSteppingOracle::with_delta(std::sync::Arc::clone(&g), 2.0)
+            .unwrap()
+            .with_executor(exec()),
+    );
     let approx = hopset.distances_from(0).unwrap();
     let ds = dstep.distances_from(0).unwrap();
     #[allow(clippy::needless_range_loop)] // indexes several parallel arrays

@@ -8,7 +8,9 @@
 //! * a panicking task propagates to the dispatching caller but neither
 //!   kills the workers nor deadlocks subsequent rounds;
 //! * the `0 → 1` thread-count clamp (documented once, on
-//!   `Executor::new`) holds at every layer that accepts a count.
+//!   `Executor::new`) holds at every layer that accepts a count;
+//! * with neither a count nor an executor, oracles run on one thread: no
+//!   library default reads `PRAM_SSSP_THREADS`.
 
 use pram_sssp::prelude::*;
 use std::sync::Arc;
@@ -66,8 +68,6 @@ fn concurrent_oracles_with_different_thread_counts_are_bit_identical() {
         });
         (ha.join().expect("build t=2"), hb.join().expect("build t=4"))
     });
-    assert_eq!(a.threads(), Some(2));
-    assert_eq!(b.threads(), Some(4));
     assert_eq!(a.executor().threads(), 2);
     assert_eq!(b.executor().threads(), 4);
     assert_eq!(a.hopset_size(), reference.hopset_size());
@@ -89,8 +89,8 @@ fn concurrent_oracles_with_different_thread_counts_are_bit_identical() {
                                 ref_multi.row(i),
                                 got.dist.row(i),
                                 &format!(
-                                    "caller {caller} round {round} t={:?} row {i}",
-                                    oracle.threads()
+                                    "caller {caller} round {round} t={} row {i}",
+                                    oracle.executor().threads()
                                 ),
                             );
                         }
@@ -141,20 +141,44 @@ fn worker_panic_propagates_without_deadlocking_the_pool() {
 #[test]
 fn zero_thread_counts_clamp_to_one_everywhere() {
     assert_eq!(Executor::new(0).threads(), 1);
-    assert_eq!(
-        pram::pool::with_threads(0, || Executor::current().threads()),
-        1
-    );
     let oracle = Oracle::builder(gen::path(16))
         .eps(0.5)
         .kappa(4)
         .threads(0)
         .build()
         .expect("params");
-    assert_eq!(oracle.threads(), Some(1), "builder clamps 0 to 1");
-    assert_eq!(oracle.executor().threads(), 1);
+    assert_eq!(oracle.executor().threads(), 1, "builder clamps 0 to 1");
     let d = oracle.distances_from(0).expect("in range");
     assert!((d[15] - 15.0).abs() <= 15.0 * 0.5 + 1e-9);
+}
+
+/// No library default reads the environment: an oracle built with
+/// neither `threads` nor `executor`, and a Δ-stepping oracle built with
+/// `new`, run on one thread whatever `PRAM_SSSP_THREADS` says (the CI
+/// matrix runs this file at 1, 4 and 8).
+#[test]
+fn unpinned_oracles_run_on_one_thread() {
+    let oracle = Oracle::builder(test_graph())
+        .eps(0.25)
+        .kappa(4)
+        .build()
+        .expect("params");
+    assert_eq!(oracle.executor().threads(), 1);
+    let dstep = DeltaSteppingOracle::new(test_graph());
+    assert_eq!(dstep.executor().threads(), 1);
+    // Pinning still wins, so the default is a choice, not a cap.
+    let pinned = Oracle::builder(test_graph())
+        .eps(0.25)
+        .kappa(4)
+        .threads(3)
+        .build()
+        .expect("params");
+    assert_eq!(pinned.executor().threads(), 3);
+    assert_bits(
+        &oracle.distances_from(7).expect("in range"),
+        &pinned.distances_from(7).expect("in range"),
+        "unpinned vs pinned",
+    );
 }
 
 /// An explicitly injected executor is shared, not copied: the oracle

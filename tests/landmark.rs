@@ -19,7 +19,7 @@
 //! are pinned at this level too, because they are the serving behaviors a
 //! deployment actually selects between.
 
-use pram::pool;
+use pram::pool::threads_from_env;
 use pram_sssp::pgraph::{VId, Weight};
 use pram_sssp::prelude::*;
 use proptest::prelude::*;
@@ -41,7 +41,12 @@ proptest! {
     #[test]
     fn triangle_bounds_sandwich_the_exact_distance(g in arb_graph(), count in 1usize..6) {
         let n = g.num_vertices();
-        let oracle = Oracle::builder(g.clone()).eps(0.25).kappa(4).build().unwrap();
+        let oracle = Oracle::builder(g.clone())
+            .eps(0.25)
+            .kappa(4)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let plane = LandmarkPlane::build(&oracle, &LandmarkConfig::new(count, 1.0)).unwrap();
         for u in [0u32, (n / 2) as u32, (n - 1) as u32] {
             let exact = exact::dijkstra(&g, u).dist;
@@ -70,7 +75,12 @@ proptest! {
     fn certified_answers_meet_the_composed_stretch(g in arb_graph(), delta_pct in 60u32..240) {
         let delta = delta_pct as f64 / 100.0;
         let n = g.num_vertices();
-        let oracle = Oracle::builder(g.clone()).eps(0.25).kappa(4).build().unwrap();
+        let oracle = Oracle::builder(g.clone())
+            .eps(0.25)
+            .kappa(4)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let plane = LandmarkPlane::build(&oracle, &LandmarkConfig::new(4.min(n), delta)).unwrap();
         prop_assert!((plane.stretch_bound() - (1.0 + delta)).abs() < 1e-12);
         for u in [0u32, (n / 3) as u32] {
@@ -99,10 +109,11 @@ proptest! {
 fn plane_is_bit_identical_across_thread_counts_and_rebuilds() {
     let g = gen::road_grid(9, 9, 4, 1.0, 6.0);
     let cfg = LandmarkConfig::new(5, 1.0);
-    let build_plane = |g: &Graph| {
+    let build_plane = |g: &Graph, threads: usize| {
         let oracle = Oracle::builder(g.clone())
             .eps(0.25)
             .kappa(4)
+            .threads(threads)
             .build()
             .expect("params");
         LandmarkPlane::build(&oracle, &cfg).expect("landmarks")
@@ -112,12 +123,12 @@ fn plane_is_bit_identical_across_thread_counts_and_rebuilds() {
         .step_by(7)
         .flat_map(|u| [(u, (u * 13 + 5) % n), (u, n - 1 - u)])
         .collect();
-    let reference = pool::with_threads(1, || build_plane(&g));
+    let reference = build_plane(&g, 1);
     // Rebuild at the same thread count: identical, not just equivalent.
-    let rebuilt = pool::with_threads(1, || build_plane(&g));
+    let rebuilt = build_plane(&g, 1);
     assert_eq!(reference.landmarks(), rebuilt.landmarks());
     for &t in &THREADS[1..] {
-        let got = pool::with_threads(t, || build_plane(&g));
+        let got = build_plane(&g, t);
         assert_eq!(
             reference.landmarks(),
             got.landmarks(),
@@ -159,6 +170,7 @@ fn default_policy_is_never_fill_and_p2p_misses_do_not_fill() {
     let oracle = Oracle::builder(g)
         .eps(0.25)
         .kappa(4)
+        .threads(threads_from_env())
         .build()
         .expect("params");
     let reference = oracle.distances_from(3).expect("in range");
@@ -178,7 +190,10 @@ fn default_policy_is_never_fill_and_p2p_misses_do_not_fill() {
 /// silent no-op.
 #[test]
 fn landmark_only_without_a_plane_is_a_config_error() {
-    let oracle = Oracle::builder(gen::path(16)).build().expect("params");
+    let oracle = Oracle::builder(gen::path(16))
+        .threads(threads_from_env())
+        .build()
+        .expect("params");
     match CachedOracle::with_config(oracle, CacheConfig::new(4).policy(FillPolicy::LandmarkOnly)) {
         Err(SsspError::Config(msg)) => assert!(msg.contains("landmark")),
         other => panic!("expected Config error, got {:?}", other.map(|_| ())),
@@ -193,6 +208,7 @@ fn promote_after_k_misses_turns_a_hot_cold_source_into_hits() {
     let oracle = Oracle::builder(g)
         .eps(0.25)
         .kappa(4)
+        .threads(threads_from_env())
         .build()
         .expect("params");
     let reference = oracle.distances_from(7).expect("in range");
@@ -230,6 +246,7 @@ fn landmark_backed_cache_serves_cold_p2p_within_stretch() {
     let oracle = Oracle::builder(g.clone())
         .eps(0.25)
         .kappa(4)
+        .threads(threads_from_env())
         .build()
         .expect("params");
     let served = CachedOracle::with_config(
@@ -362,6 +379,7 @@ fn sequential_requests_are_never_rejected_and_stats_are_reproducible() {
         let oracle = Oracle::builder(g.clone())
             .eps(0.25)
             .kappa(4)
+            .threads(threads_from_env())
             .build()
             .expect("params");
         let served = CachedOracle::with_config(

@@ -2,6 +2,7 @@
 //! (compile-time `Send + Sync`), object-safe (`Box<dyn DistanceOracle>`),
 //! deterministic when shared, and reports misuse as typed errors.
 
+use pram::pool::threads_from_env;
 use pram_sssp::prelude::*;
 use std::sync::Arc;
 
@@ -28,10 +29,14 @@ fn distance_oracle_is_object_safe() {
             Oracle::builder(Arc::clone(&g))
                 .eps(0.25)
                 .kappa(4)
+                .threads(threads_from_env())
                 .build()
                 .unwrap(),
         ),
-        Box::new(DeltaSteppingOracle::new(Arc::clone(&g))),
+        Box::new(
+            DeltaSteppingOracle::new(Arc::clone(&g))
+                .with_executor(Executor::new(threads_from_env())),
+        ),
         Box::new(DijkstraOracle::new(Arc::clone(&g))),
     ];
     let exact = exact::dijkstra(&g, 0).dist;
@@ -67,6 +72,7 @@ fn arc_oracle_concurrent_queries_are_deterministic() {
             .eps(0.25)
             .kappa(4)
             .paths(true)
+            .threads(threads_from_env())
             .build()
             .unwrap(),
     );
@@ -95,14 +101,20 @@ fn arc_oracle_concurrent_queries_are_deterministic() {
 #[test]
 fn query_errors_are_typed_not_panics() {
     let g = gen::path(12);
-    let oracle = Oracle::builder(g).build().unwrap();
+    let oracle = Oracle::builder(g)
+        .threads(threads_from_env())
+        .build()
+        .unwrap();
     assert!(matches!(
         oracle.distances_from(12),
         Err(SsspError::InvalidSource { source: 12, n: 12 })
     ));
     assert!(matches!(oracle.spt(0), Err(SsspError::PathsNotRecorded)));
     assert!(matches!(
-        Oracle::builder(gen::path(4)).eps(0.0).build(),
+        Oracle::builder(gen::path(4))
+            .eps(0.0)
+            .threads(threads_from_env())
+            .build(),
         Err(SsspError::Params(_))
     ));
     // Errors format for humans (the serving path logs them).

@@ -6,9 +6,15 @@
 //! behavior sane (a failing case is a small tuple, not a giant edge list)
 //! while still covering a wide input space.
 
-use pram::pool;
+use pram::pool::threads_from_env;
 use pram_sssp::prelude::*;
 use proptest::prelude::*;
+
+/// The executor the properties run on: `PRAM_SSSP_THREADS` threads, else
+/// the hardware's.
+fn exec() -> Executor {
+    Executor::new(threads_from_env())
+}
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (12usize..80, 1usize..4, any::<u64>())
@@ -25,7 +31,7 @@ proptest! {
         let n = g.num_vertices();
         let src = ((src_sel * n) / 8) as u32;
         let p = HopsetParams::practical(n, 0.25, 4, g.aspect_ratio_bound()).unwrap();
-        let built = build_hopset(&g, &p, BuildOptions::default());
+        let built = build_hopset_on(&exec(), &g, &p, BuildOptions::default());
         let overlay = built.overlay();
         let view = UnionView::with_extra(&g, &overlay);
         let exact = exact::dijkstra(&g, src).dist;
@@ -42,7 +48,12 @@ proptest! {
     #[test]
     fn stretch_holds_at_query_budget(g in arb_graph(), eps_pct in 15u32..60) {
         let eps = eps_pct as f64 / 100.0;
-        let oracle = Oracle::builder(g.clone()).eps(eps).kappa(4).build().unwrap();
+        let oracle = Oracle::builder(g.clone())
+            .eps(eps)
+            .kappa(4)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let src = 0u32;
         let approx = oracle.distances_from(src).unwrap();
         let exact = exact::dijkstra(&g, src).dist;
@@ -58,8 +69,8 @@ proptest! {
     #[test]
     fn construction_is_deterministic(g in arb_graph()) {
         let p = HopsetParams::practical(g.num_vertices(), 0.3, 4, g.aspect_ratio_bound()).unwrap();
-        let a = build_hopset(&g, &p, BuildOptions::default());
-        let b = build_hopset(&g, &p, BuildOptions::default());
+        let a = build_hopset_on(&exec(), &g, &p, BuildOptions::default());
+        let b = build_hopset_on(&exec(), &g, &p, BuildOptions::default());
         prop_assert_eq!(a.hopset.len(), b.hopset.len());
         for (x, y) in a.hopset.iter().zip(b.hopset.iter()) {
             prop_assert_eq!((x.u, x.v, x.scale), (y.u, y.v, y.scale));
@@ -72,7 +83,7 @@ proptest! {
     #[test]
     fn size_bound_holds(g in arb_graph(), kappa in 2usize..6) {
         let p = HopsetParams::practical(g.num_vertices(), 0.25, kappa, g.aspect_ratio_bound()).unwrap();
-        let built = build_hopset(&g, &p, BuildOptions::default());
+        let built = build_hopset_on(&exec(), &g, &p, BuildOptions::default());
         prop_assert!((built.hopset.len() as f64) <= built.size_bound() + 1.0,
             "{} > {}", built.hopset.len(), built.size_bound());
     }
@@ -80,7 +91,13 @@ proptest! {
     /// §4: the SPT is a real tree of graph edges realizing its distances.
     #[test]
     fn spt_well_formed(g in arb_graph()) {
-        let oracle = Oracle::builder(g.clone()).eps(0.25).kappa(4).paths(true).build().unwrap();
+        let oracle = Oracle::builder(g.clone())
+            .eps(0.25)
+            .kappa(4)
+            .paths(true)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let spt = oracle.spt(0).unwrap();
         let val = validate_spt(&g, &spt);
         prop_assert_eq!(val.non_graph_edges, 0);
@@ -94,7 +111,7 @@ proptest! {
     #[test]
     fn memory_paths_sound(g in arb_graph()) {
         let p = HopsetParams::practical(g.num_vertices(), 0.25, 4, g.aspect_ratio_bound()).unwrap();
-        let built = build_hopset(&g, &p, BuildOptions { record_paths: true });
+        let built = build_hopset_on(&exec(), &g, &p, BuildOptions { record_paths: true });
         let errs = hopset::validate::check_memory_paths(&g, &built.hopset);
         prop_assert!(errs.is_empty(), "{:?}", errs);
     }
@@ -105,7 +122,16 @@ proptest! {
     fn reduction_invariants(n in 16usize..64, levels in 4u32..12, seed in any::<u64>()) {
         let g = gen::wide_weights(n, 2 * n, levels, seed);
         let eps = 0.4;
-        let r = build_reduced_hopset(&g, eps, 4, 0.3, ParamMode::Practical, BuildOptions::default()).unwrap();
+        let r = build_reduced_hopset_on(
+            &exec(),
+            &g,
+            eps,
+            4,
+            0.3,
+            ParamMode::Practical,
+            BuildOptions::default(),
+        )
+        .unwrap();
         let nf = n as f64;
         prop_assert!((r.star_edges as f64) <= nf * nf.log2() + 1.0);
         for lvl in r.levels.iter().filter(|l| l.edges > 0) {
@@ -136,10 +162,8 @@ proptest! {
 
         let eps = 0.25;
         for &t in &[1usize, 2, 4, 8] {
-            let got = pool::with_threads(t, || {
-                let oracle = Oracle::builder(g.clone()).eps(eps).kappa(4).build().unwrap();
-                oracle.distances_to_nearest(&sources).unwrap()
-            });
+            let oracle = Oracle::builder(g.clone()).eps(eps).kappa(4).threads(t).build().unwrap();
+            let got = oracle.distances_to_nearest(&sources).unwrap();
             for v in 0..n {
                 prop_assert!(got[v] >= reference[v] - 1e-9,
                     "threads={t} v={v}: {} undershoots {}", got[v], reference[v]);

@@ -12,6 +12,7 @@
 //!   the construction stays under the end-to-end contracts the other
 //!   suites now check on certified graphs only.
 
+use pram::pool::threads_from_env;
 use pram_sssp::hopset::build_hopset_on;
 use pram_sssp::pram::{bford, cc};
 use pram_sssp::prelude::*;
@@ -152,7 +153,10 @@ fn max_stretch(oracle: &Oracle, sources: &[u32]) -> f64 {
 #[test]
 fn small_diameter_graph_builds_no_scale() {
     let g = certified_graph();
-    let oracle = Oracle::builder(g.clone()).build().expect("params");
+    let oracle = Oracle::builder(g.clone())
+        .threads(threads_from_env())
+        .build()
+        .expect("params");
     assert_eq!(oracle.query_hops(), 400);
     assert_eq!(oracle.stretch_bound(), 1.25);
     assert_no_scale(&oracle, &g, &[0, 57, 399]);
@@ -179,7 +183,10 @@ fn every_component_gets_its_own_certificate() {
         b.add_edge(u + 100, v + 100, w);
     }
     let g = b.build().expect("graph");
-    let oracle = Oracle::builder(g.clone()).build().expect("params");
+    let oracle = Oracle::builder(g.clone())
+        .threads(threads_from_env())
+        .build()
+        .expect("params");
     let (_, dist) = certificate(oracle.executor(), &g, oracle.query_hops());
     assert!(
         dist.iter().all(|d| d.is_finite()),
@@ -201,7 +208,11 @@ fn every_component_gets_its_own_certificate() {
         b.add_edge(u + 100, v + 100, w);
     }
     let g = b.build().expect("graph");
-    let oracle = Oracle::builder(g.clone()).eps(0.9).build().expect("params");
+    let oracle = Oracle::builder(g.clone())
+        .eps(0.9)
+        .threads(threads_from_env())
+        .build()
+        .expect("params");
     assert_builds_todays_hopset(&oracle, &g, &builder_params(&g, 0.9, None), true);
     assert!(max_stretch(&oracle, &[0, 100, 699]) <= 1.9 + 1e-9);
 }
@@ -209,7 +220,11 @@ fn every_component_gets_its_own_certificate() {
 #[test]
 fn an_unreached_vertex_builds_todays_hopset() {
     let g = beta_binding_path();
-    let oracle = Oracle::builder(g.clone()).eps(0.9).build().expect("params");
+    let oracle = Oracle::builder(g.clone())
+        .eps(0.9)
+        .threads(threads_from_env())
+        .build()
+        .expect("params");
     assert_eq!(oracle.query_hops(), 399);
     let (_, dist) = certificate(oracle.executor(), &g, 399);
     assert_eq!(dist.iter().filter(|&&d| d == INF).count(), 200);
@@ -220,7 +235,11 @@ fn an_unreached_vertex_builds_todays_hopset() {
 #[test]
 fn a_reached_graph_past_the_budget_builds_todays_hopset() {
     let g = gen::road_grid(3, 200, 5, 1.0, 10.0);
-    let oracle = Oracle::builder(g.clone()).eps(0.9).build().expect("params");
+    let oracle = Oracle::builder(g.clone())
+        .eps(0.9)
+        .threads(threads_from_env())
+        .build()
+        .expect("params");
     let hops = oracle.query_hops();
     assert_eq!(hops, 399);
     let (_, dist) = certificate(oracle.executor(), &g, hops);
@@ -236,6 +255,7 @@ fn a_binding_hop_cap_skips_the_certificate() {
     let g = certified_graph();
     let oracle = Oracle::builder(g.clone())
         .hop_cap(16)
+        .threads(threads_from_env())
         .build()
         .expect("params");
     assert_eq!(oracle.query_hops(), 16);
@@ -244,6 +264,7 @@ fn a_binding_hop_cap_skips_the_certificate() {
     // A cap at min(β, n) does not bind: the certificate runs.
     let oracle = Oracle::builder(g.clone())
         .hop_cap(400)
+        .threads(threads_from_env())
         .build()
         .expect("params");
     assert_no_scale(&oracle, &g, &[0]);
@@ -324,7 +345,7 @@ fn concurrent_oracles_are_bit_identical_when_beta_binds() {
                         assert_bits(
                             ref_multi.dist.row(i),
                             got.dist.row(i),
-                            &format!("caller {caller} t={:?} row {i}", oracle.threads()),
+                            &format!("caller {caller} t={} row {i}", oracle.executor().threads()),
                         );
                     }
                 });
@@ -342,6 +363,7 @@ fn sssp_contract_varied_kappa_when_beta_binds() {
         let oracle = Oracle::builder(g.clone())
             .eps(0.3)
             .kappa(kappa)
+            .threads(threads_from_env())
             .build()
             .expect("params");
         assert!(oracle.hopset_size() > 0, "kappa {kappa} built no hopset");
@@ -354,7 +376,11 @@ fn sssp_contract_varied_kappa_when_beta_binds() {
 fn sssp_contract_varied_eps_when_beta_binds() {
     let g = beta_binding_path();
     for eps in [0.1, 0.25, 0.5, 0.9] {
-        let oracle = Oracle::builder(g.clone()).eps(eps).build().expect("params");
+        let oracle = Oracle::builder(g.clone())
+            .eps(eps)
+            .threads(threads_from_env())
+            .build()
+            .expect("params");
         assert!(oracle.hopset_size() > 0, "eps {eps} built no hopset");
         let s = max_stretch(&oracle, &[0, 599]);
         assert!(s <= 1.0 + eps + 1e-9, "eps {eps}: stretch {s}");

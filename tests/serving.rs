@@ -9,7 +9,7 @@
 //! determinism (same request sequence ⇒ same hit/miss trace) and its
 //! behavior under concurrent mixed hit/miss load.
 
-use pram::pool;
+use pram::pool::threads_from_env;
 use pram_sssp::prelude::*;
 use std::sync::Arc;
 
@@ -25,11 +25,12 @@ fn families() -> Vec<(&'static str, Graph)> {
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-fn build(g: &Graph, pipeline: Pipeline) -> Oracle {
+fn build(g: &Graph, pipeline: Pipeline, threads: usize) -> Oracle {
     Oracle::builder(g.clone())
         .eps(0.25)
         .kappa(4)
         .pipeline(pipeline)
+        .threads(threads)
         .build()
         .expect("params")
 }
@@ -41,22 +42,20 @@ fn early_exit_p2p_bit_identical_to_full_row() {
     for (name, g) in families() {
         for (pname, pipeline) in [("plain", Pipeline::Plain), ("reduced", Pipeline::Reduced)] {
             for &t in &THREADS {
-                pool::with_threads(t, || {
-                    let oracle = build(&g, pipeline);
-                    let n = oracle.num_vertices() as u32;
-                    for &u in &[0u32, n / 3, n - 1] {
-                        let row = oracle.distances_from(u).expect("in range");
-                        for &v in &[0u32, 1, u, n / 2, n - 2, n - 1] {
-                            let p2p = oracle.distance(u, v).expect("in range");
-                            assert_eq!(
-                                p2p.to_bits(),
-                                row[v as usize].to_bits(),
-                                "{name}/{pname}/threads={t}: {u} -> {v}: {p2p} vs {}",
-                                row[v as usize]
-                            );
-                        }
+                let oracle = build(&g, pipeline, t);
+                let n = oracle.num_vertices() as u32;
+                for &u in &[0u32, n / 3, n - 1] {
+                    let row = oracle.distances_from(u).expect("in range");
+                    for &v in &[0u32, 1, u, n / 2, n - 2, n - 1] {
+                        let p2p = oracle.distance(u, v).expect("in range");
+                        assert_eq!(
+                            p2p.to_bits(),
+                            row[v as usize].to_bits(),
+                            "{name}/{pname}/threads={t}: {u} -> {v}: {p2p} vs {}",
+                            row[v as usize]
+                        );
                     }
-                });
+                }
             }
         }
     }
@@ -68,29 +67,27 @@ fn early_exit_p2p_bit_identical_to_full_row() {
 fn batched_multi_source_bit_identical_to_sequential() {
     for (name, g) in families() {
         for &t in &THREADS {
-            pool::with_threads(t, || {
-                let oracle = build(&g, Pipeline::Plain);
-                let n = oracle.num_vertices() as u32;
-                // Repeated source included: batching must not dedup.
-                let sources = vec![0u32, n / 3, n - 1, n / 3];
-                let multi = oracle.distances_multi(&sources).expect("in range");
-                assert_eq!(multi.sources, sources);
-                let mut ledger = Ledger::new();
-                for (i, &s) in sources.iter().enumerate() {
-                    let (row, l) = oracle.distances_from_with_ledger(s).expect("in range");
-                    ledger.absorb_parallel(&l);
-                    let batched = multi.dist.row(i);
-                    assert_eq!(batched.len(), row.len());
-                    for (v, (a, b)) in batched.iter().zip(&row).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{name}/threads={t}: row {i} vertex {v}"
-                        );
-                    }
+            let oracle = build(&g, Pipeline::Plain, t);
+            let n = oracle.num_vertices() as u32;
+            // Repeated source included: batching must not dedup.
+            let sources = vec![0u32, n / 3, n - 1, n / 3];
+            let multi = oracle.distances_multi(&sources).expect("in range");
+            assert_eq!(multi.sources, sources);
+            let mut ledger = Ledger::new();
+            for (i, &s) in sources.iter().enumerate() {
+                let (row, l) = oracle.distances_from_with_ledger(s).expect("in range");
+                ledger.absorb_parallel(&l);
+                let batched = multi.dist.row(i);
+                assert_eq!(batched.len(), row.len());
+                for (v, (a, b)) in batched.iter().zip(&row).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{name}/threads={t}: row {i} vertex {v}"
+                    );
                 }
-                assert_eq!(multi.ledger, ledger, "{name}/threads={t}: batch ledger");
-            });
+            }
+            assert_eq!(multi.ledger, ledger, "{name}/threads={t}: batch ledger");
         }
     }
 }
@@ -103,7 +100,10 @@ fn exact_backend_p2p_bit_identical_to_full_row() {
         let g = Arc::new(g);
         let backends: Vec<Box<dyn DistanceOracle>> = vec![
             Box::new(DijkstraOracle::new(Arc::clone(&g))),
-            Box::new(DeltaSteppingOracle::new(Arc::clone(&g))),
+            Box::new(
+                DeltaSteppingOracle::new(Arc::clone(&g))
+                    .with_executor(Executor::new(threads_from_env())),
+            ),
         ];
         let n = g.num_vertices() as u32;
         for b in &backends {
@@ -128,7 +128,7 @@ fn exact_backend_p2p_bit_identical_to_full_row() {
 #[test]
 fn cache_hits_bit_identical_to_cold_answers() {
     for (name, g) in families() {
-        let oracle = build(&g, Pipeline::Plain);
+        let oracle = build(&g, Pipeline::Plain, threads_from_env());
         let n = oracle.num_vertices() as u32;
         let reference: Vec<Vec<f64>> = (0..n)
             .step_by((n as usize / 4).max(1))
@@ -160,7 +160,7 @@ fn cache_hits_bit_identical_to_cold_answers() {
 #[test]
 fn cache_concurrent_mixed_load_is_bit_identical() {
     let g = gen::gnm_connected(120, 360, 6, 1.0, 9.0);
-    let oracle = build(&g, Pipeline::Plain);
+    let oracle = build(&g, Pipeline::Plain, threads_from_env());
     let n = oracle.num_vertices() as u32;
     let reference: Arc<Vec<Vec<f64>>> = Arc::new(
         (0..n)
@@ -233,7 +233,8 @@ fn cache_eviction_trace_is_deterministic() {
     let expected = [false, false, false, false, true, false, false];
     let mut traces = Vec::new();
     for _ in 0..2 {
-        let served = CachedOracle::new(build(&g, Pipeline::Plain), 2).expect("capacity");
+        let served =
+            CachedOracle::new(build(&g, Pipeline::Plain, threads_from_env()), 2).expect("capacity");
         let trace: Vec<bool> = sequence
             .iter()
             .map(|&s| served.row(s).expect("in range").1)
@@ -279,7 +280,7 @@ fn extended_counter_trace_is_deterministic() {
     let mut runs = Vec::new();
     for _ in 0..2 {
         let served = CachedOracle::with_config(
-            build(&g, Pipeline::Plain),
+            build(&g, Pipeline::Plain, threads_from_env()),
             CacheConfig::new(2)
                 .policy(FillPolicy::PromoteAfterMisses(2))
                 .landmarks(LandmarkConfig::new(6, 1.0)),
@@ -321,8 +322,14 @@ fn cached_oracle_is_send_sync_and_object_safe() {
     let g = Arc::new(gen::path(32));
     let backends: Vec<Box<dyn DistanceOracle>> = vec![
         Box::new(
-            CachedOracle::new(Oracle::builder(Arc::clone(&g)).build().expect("params"), 4)
-                .expect("capacity"),
+            CachedOracle::new(
+                Oracle::builder(Arc::clone(&g))
+                    .threads(threads_from_env())
+                    .build()
+                    .expect("params"),
+                4,
+            )
+            .expect("capacity"),
         ),
         Box::new(CachedOracle::new(DijkstraOracle::new(g), 4).expect("capacity")),
     ];
@@ -343,19 +350,19 @@ fn cached_oracle_is_send_sync_and_object_safe() {
 #[test]
 fn cached_rows_bit_identical_across_thread_counts() {
     let g = gen::wide_weights(80, 160, 12, 5);
-    let base = pool::with_threads(1, || {
-        let served = CachedOracle::new(build(&g, Pipeline::Plain), 4).expect("capacity");
+    let base = {
+        let served = CachedOracle::new(build(&g, Pipeline::Plain, 1), 4).expect("capacity");
         let cold = served.distances_from(7).expect("in range");
         let warm = served.distances_from(7).expect("in range");
         (cold, warm)
-    });
+    };
     for &t in &THREADS[1..] {
-        let got = pool::with_threads(t, || {
-            let served = CachedOracle::new(build(&g, Pipeline::Plain), 4).expect("capacity");
+        let got = {
+            let served = CachedOracle::new(build(&g, Pipeline::Plain, t), 4).expect("capacity");
             let cold = served.distances_from(7).expect("in range");
             let warm = served.distances_from(7).expect("in range");
             (cold, warm)
-        });
+        };
         for (v, ((a, b), (c, d))) in base
             .0
             .iter()

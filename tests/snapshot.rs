@@ -21,6 +21,7 @@ use pgraph::snapshot::{
     load_graph_snapshot, read_graph_snapshot, save_graph_snapshot, write_graph_snapshot,
     SnapshotError,
 };
+use pram::pool::threads_from_env;
 use pram_sssp::prelude::*;
 use proptest::prelude::*;
 
@@ -85,6 +86,7 @@ proptest! {
             .eps(0.25)
             .kappa(4)
             .pipeline(Pipeline::Plain)
+            .threads(threads_from_env())
             .build()
             .unwrap();
         let loaded = reload(&oracle);
@@ -103,6 +105,7 @@ proptest! {
             .eps(0.5)
             .kappa(4)
             .pipeline(Pipeline::Reduced)
+            .threads(threads_from_env())
             .build()
             .unwrap();
         let loaded = reload(&oracle);
@@ -114,7 +117,13 @@ proptest! {
     /// Layer 2 with memory paths: the loaded oracle extracts the same SPT.
     #[test]
     fn spt_survives_roundtrip(g in arb_graph()) {
-        let oracle = Oracle::builder(g).eps(0.3).kappa(4).paths(true).build().unwrap();
+        let oracle = Oracle::builder(g)
+            .eps(0.3)
+            .kappa(4)
+            .paths(true)
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
         let loaded = reload(&oracle);
         assert!(loaded.has_paths());
         let a = oracle.spt(0).unwrap();
@@ -191,7 +200,10 @@ fn out_of_bounds_column_is_corrupt() {
 #[test]
 fn oracle_snapshot_rejects_the_same_lies() {
     let g = gen::road_grid(5, 5, 3, 1.0, 4.0);
-    let oracle = Oracle::builder(g).build().unwrap();
+    let oracle = Oracle::builder(g)
+        .threads(threads_from_env())
+        .build()
+        .unwrap();
     let mut buf = Vec::new();
     oracle.write_snapshot(&mut buf).unwrap();
     let exec = oracle.executor().clone();
@@ -261,10 +273,15 @@ fn dimacs_to_oracle_to_snapshot_pipeline() {
     assert_eq!(g.num_vertices(), 9);
     assert_eq!(g.num_edges(), 12);
 
-    let oracle = Oracle::builder(g).eps(0.25).kappa(4).build().unwrap();
+    let oracle = Oracle::builder(g)
+        .eps(0.25)
+        .kappa(4)
+        .threads(threads_from_env())
+        .build()
+        .unwrap();
     let path = std::env::temp_dir().join("pram-sssp-test-dimacs-oracle.bin");
     oracle.save_snapshot(&path).expect("save");
-    let loaded = OracleBuilder::from_snapshot(&path).expect("load");
+    let loaded = OracleBuilder::from_snapshot_on(&path, oracle.executor().clone()).expect("load");
     let _ = std::fs::remove_file(&path);
 
     // Corner-to-corner: two rights (2+2) + two downs (3+3).

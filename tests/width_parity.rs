@@ -11,6 +11,7 @@
 //! (re-record the goldens only in that case, with the tier-1 determinism
 //! suite green).
 
+use pram::pool::threads_from_env;
 use pram_sssp::prelude::*;
 
 /// FNV-1a over a u64 stream — order-sensitive, width-independent.
@@ -95,6 +96,7 @@ fn oracle_outputs_are_width_independent() {
     let oracle = Oracle::builder(g)
         .eps(0.5)
         .kappa(8)
+        .threads(threads_from_env())
         .build()
         .expect("params");
     let mut f = Fnv::new();
@@ -129,6 +131,7 @@ fn memory_path_fingerprint(g: Graph, hop_cap: usize) -> u64 {
         .kappa(4)
         .hop_cap(hop_cap)
         .paths(true)
+        .threads(threads_from_env())
         .build()
         .expect("params");
     let built = oracle.built().expect("constructed oracle keeps its hopset");
