@@ -390,10 +390,11 @@ pub struct UnionView<'g> {
 }
 
 impl<'g> UnionView<'g> {
-    /// View of the base graph alone.
+    /// View of the base graph alone (allocates nothing: the overlay is an
+    /// empty block stack).
     pub fn base_only(base: &'g Graph) -> Self {
         UnionView {
-            overlay: OverlayPart::One(Cow::Owned(OverlayCsr::empty(base.num_vertices()))),
+            overlay: OverlayPart::Stack(&[]),
             extra_total: 0,
             base,
         }
@@ -454,9 +455,14 @@ impl<'g> UnionView<'g> {
         }
     }
 
-    /// The overlay blocks, unified: one slice whatever the storage flavor.
+    /// The overlay blocks, unified: one slice whatever the storage flavor,
+    /// and none at all when the overlay holds no edge, so adjacency scans
+    /// skip an empty block's offset column.
     #[inline]
     fn blocks(&self) -> &[OverlayCsr] {
+        if self.extra_total == 0 {
+            return &[];
+        }
         match &self.overlay {
             OverlayPart::One(c) => std::slice::from_ref(c.as_ref()),
             OverlayPart::Stack(s) => s,

@@ -6,6 +6,13 @@
 //! (1+ε)-SPT of §4 (Algorithm 1, line 3).
 //!
 //! Implementation notes:
+//! * *one round loop, two candidates*: a round minimizes, per vertex,
+//!   either the distance alone ([`bellman_ford_into`],
+//!   [`bellman_ford_to`]: every distance query) or the distance together
+//!   with the edge it came through ([`bellman_ford`]: Theorem 4.6's parent
+//!   edge, which only the SPT of §4 reads). A round's minimum distance
+//!   does not depend on how equal distances break ties, so distances,
+//!   frontiers, round counts and ledgers are the same in both;
 //! * *frontier-driven rounds*: only a vertex whose distance changed in the
 //!   previous round can offer a candidate that beats its neighbor's label
 //!   (an unchanged vertex offered the same candidate last round, where it
@@ -13,17 +20,19 @@
 //!   the frontier `F`, and picks each round's kind from its union degree
 //!   `touched = Σ_{u∈F} deg(u)`:
 //!   - *sparse* (`4·touched < 2|E∪H|`): every frontier vertex pushes its
-//!     improving candidates into a per-chunk buffer, and the caller folds
-//!     the buffers into a per-target minimum. The round costs the
-//!     frontier's slots, not `|E∪H|`;
-//!   - *dense* (otherwise): every vertex pulls over all its neighbors.
-//!     Each write is owned by one vertex — CREW-clean and trivially
-//!     parallel;
-//! * *determinism*: both kinds take the per-vertex minimum over the
-//!   totally ordered key `(distance, parent id, edge layer, overlay
-//!   index)`, and the set they minimize over is the same, so distances and
-//!   parent trees are unique regardless of round kind or thread count
-//!   (DESIGN.md §9 has the argument);
+//!     improving candidates. A one-chunk round folds them straight into
+//!     the per-vertex update slots; a chunked round pushes into one buffer
+//!     per chunk, and the caller folds the buffers in chunk order. The
+//!     round costs the frontier's slots, not `|E∪H|`;
+//!   - *dense* (otherwise): every vertex pulls over all its neighbors, and
+//!     each chunk of the vertex range lists the vertices it wrote, in
+//!     vertex order. Each write is owned by one vertex — CREW-clean and
+//!     trivially parallel;
+//! * *determinism*: both kinds take the per-vertex minimum over a total
+//!   order (the distance, or with parents the key `(distance, parent id,
+//!   edge layer, overlay index)`), and the set they minimize over is the
+//!   same, so distances and parent trees are unique regardless of round
+//!   kind or thread count (DESIGN.md §9 has the argument);
 //! * *double buffering*: reads go to the previous round's array, exactly
 //!   like the PRAM's odd/even read/write rounds (§1.5.1);
 //! * *cost accounting*: the [`Ledger`] still charges Theorem 3.8's
@@ -31,8 +40,9 @@
 //!   slots the frontier actually touches.
 
 use crate::pool::Executor;
-use crate::{prim, Ledger};
+use crate::Ledger;
 use pgraph::{EdgeTag, UnionView, VId, Weight, INF};
+use std::ops::Range;
 
 /// The parent edge chosen for a vertex by the exploration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -78,30 +88,128 @@ impl BellmanFordResult {
     }
 }
 
-/// A relaxation candidate: the distance it offers and the edge it comes
-/// through. Candidates compare by [`cand_key`].
-type Candidate = (Weight, ParentEdge);
+/// What a round minimizes per vertex: the distance alone (`Weight`), or
+/// the distance with the edge it came through (`(Weight, ParentEdge)`,
+/// ordered by [`cand_key`]).
+trait Candidate: Copy + Send + Sync {
+    /// The least candidate at distance `d`: a candidate beats it iff its
+    /// distance is below `d`. `at(INF)` marks an unwritten update slot;
+    /// a real candidate is strictly below its target's previous label,
+    /// hence finite.
+    fn at(d: Weight) -> Self;
+    /// The candidate offering `dist` through the edge from `parent` of
+    /// weight `weight` in layer `tag`.
+    fn new(dist: Weight, parent: VId, weight: Weight, tag: EdgeTag) -> Self;
+    /// The distance this candidate offers.
+    fn dist(self) -> Weight;
+    /// Strictly smaller than `other` in the candidate order.
+    fn beats(self, other: Self) -> bool;
+}
 
-/// Reusable buffers for repeated explorations over graphs of the same
-/// size: the three `n`-sized arrays (distances, parents, per-round
-/// updates), the frontier lists and the sparse rounds' candidate buffers
-/// live here, so a serving batch pays one allocation set for the whole
-/// batch instead of one per query ([`bellman_ford_into`]).
-#[derive(Clone, Debug, Default)]
-pub struct BfordScratch {
+impl Candidate for Weight {
+    #[inline]
+    fn at(d: Weight) -> Self {
+        d
+    }
+
+    #[inline]
+    fn new(dist: Weight, _: VId, _: Weight, _: EdgeTag) -> Self {
+        dist
+    }
+
+    #[inline]
+    fn dist(self) -> Weight {
+        self
+    }
+
+    #[inline]
+    fn beats(self, other: Self) -> bool {
+        self < other
+    }
+}
+
+impl Candidate for (Weight, ParentEdge) {
+    #[inline]
+    fn at(d: Weight) -> Self {
+        Self::new(d, 0, INF, EdgeTag::Base)
+    }
+
+    #[inline]
+    fn new(dist: Weight, parent: VId, weight: Weight, tag: EdgeTag) -> Self {
+        (
+            dist,
+            ParentEdge {
+                parent,
+                weight,
+                tag,
+            },
+        )
+    }
+
+    #[inline]
+    fn dist(self) -> Weight {
+        self.0
+    }
+
+    #[inline]
+    fn beats(self, other: Self) -> bool {
+        cand_key(&self) < cand_key(&other)
+    }
+}
+
+/// One exploration's buffers for candidate type `C`: the distance row, the
+/// per-round update slots, the frontier lists and the chunked rounds'
+/// candidate buffers.
+#[derive(Clone, Debug)]
+struct Rounds<C> {
     dist: Vec<Weight>,
-    parent: Vec<Option<ParentEdge>>,
-    /// This round's best candidate per vertex; every slot is `None`
+    /// This round's best candidate per vertex; every slot is `at(INF)`
     /// between rounds.
-    updates: Vec<Option<Candidate>>,
+    updates: Vec<C>,
     /// The vertices written in the previous round (before round 1: the
     /// sorted, deduplicated sources).
     frontier: Vec<VId>,
     /// The vertices written in this round.
     next: Vec<VId>,
-    /// One `(target, candidate)` buffer per sparse-round chunk.
-    pushed: Vec<Vec<(VId, Candidate)>>,
+    /// One `(target, candidate)` buffer per chunk of a chunked round.
+    pushed: Vec<Vec<(VId, C)>>,
 }
+
+impl<C> Default for Rounds<C> {
+    fn default() -> Self {
+        Rounds {
+            dist: Vec::new(),
+            updates: Vec::new(),
+            frontier: Vec::new(),
+            next: Vec::new(),
+            pushed: Vec::new(),
+        }
+    }
+}
+
+impl<C: Candidate> Rounds<C> {
+    fn reset(&mut self, n: usize, sources: &[VId]) {
+        self.dist.clear();
+        self.dist.resize(n, INF);
+        self.updates.clear();
+        self.updates.resize(n, C::at(INF));
+        for &s in sources {
+            self.dist[s as usize] = 0.0;
+        }
+        self.frontier.clear();
+        self.frontier.extend_from_slice(sources);
+        self.frontier.sort_unstable();
+        self.frontier.dedup();
+    }
+}
+
+/// Reusable buffers for repeated distance-only explorations over graphs of
+/// the same size: the two `n`-sized arrays (distances and per-round
+/// updates), the frontier lists and the chunked rounds' candidate buffers
+/// live here, so a serving batch pays one allocation set for the whole
+/// batch instead of one per query ([`bellman_ford_into`]).
+#[derive(Clone, Debug, Default)]
+pub struct BfordScratch(Rounds<Weight>);
 
 impl BfordScratch {
     /// Empty scratch; buffers grow on first use and are reused after.
@@ -113,29 +221,12 @@ impl BfordScratch {
     /// scratch (`d^{(h)}` of eq. (1)).
     #[inline]
     pub fn dist(&self) -> &[Weight] {
-        &self.dist
+        &self.0.dist
     }
 
-    /// The parent row written by the last exploration.
-    #[inline]
-    pub fn parent(&self) -> &[Option<ParentEdge>] {
-        &self.parent
-    }
-
-    fn reset(&mut self, n: usize, sources: &[VId]) {
-        self.dist.clear();
-        self.dist.resize(n, INF);
-        self.parent.clear();
-        self.parent.resize(n, None);
-        self.updates.clear();
-        self.updates.resize(n, None);
-        for &s in sources {
-            self.dist[s as usize] = 0.0;
-        }
-        self.frontier.clear();
-        self.frontier.extend_from_slice(sources);
-        self.frontier.sort_unstable();
-        self.frontier.dedup();
+    /// The distance row written by the last exploration, moved out.
+    pub fn into_dist(self) -> Vec<Weight> {
+        self.0.dist
     }
 }
 
@@ -153,7 +244,9 @@ pub struct TargetResult {
     pub settled_early: bool,
 }
 
-/// The shared round loop. With `target = Some(t)` it additionally applies
+/// The shared round loop, generic over what a round minimizes; `record`
+/// sees every vertex written in a round with its winning candidate. With
+/// `target = Some(t)` it additionally applies
 /// the serving-plane settle criterion (DESIGN.md §9): stop after round `r`
 /// once `dist[t]` is finite and `min_changed_r ≥ dist[t]`, where
 /// `min_changed_r` is the smallest distance written in round `r`. Safety:
@@ -166,21 +259,23 @@ pub struct TargetResult {
 /// The early answer is the full-β answer bit for bit.
 ///
 /// Returns `(rounds_run, converged_at, settled_early)`.
-fn explore(
+#[allow(clippy::too_many_arguments)]
+fn explore<C: Candidate>(
     exec: &Executor,
     view: &UnionView<'_>,
     sources: &[VId],
     target: Option<VId>,
     max_hops: usize,
     ledger: &mut Ledger,
-    scratch: &mut BfordScratch,
+    rounds: &mut Rounds<C>,
+    mut record: impl FnMut(VId, C),
 ) -> (usize, Option<usize>, bool) {
     let n = view.num_vertices();
-    scratch.reset(n, sources);
+    rounds.reset(n, sources);
     if let Some(t) = target {
         // A target at distance 0 (it is a source) can never improve:
         // every candidate is a positive-weight path sum.
-        if scratch.dist[t as usize] == 0.0 {
+        if rounds.dist[t as usize] == 0.0 {
             return (0, None, true);
         }
     }
@@ -194,26 +289,25 @@ fn explore(
         // Both round kinds read only the previous round's distances and
         // write the round's best candidates into `updates` (double
         // buffering), listing the written vertices in `next`.
-        let BfordScratch {
+        let Rounds {
             dist,
-            parent,
             updates,
             frontier,
             next,
             pushed,
-        } = scratch;
+        } = rounds;
         next.clear();
         if is_sparse(view, frontier, edge_slots) {
             push_round(exec, view, dist, frontier, updates, next, pushed);
         } else {
-            pull_round(exec, view, dist, updates);
-            next.extend((0..n as VId).filter(|&v| updates[v as usize].is_some()));
+            pull_round(exec, view, dist, updates, next, pushed);
         }
         let mut min_changed = INF;
         for &v in next.iter() {
-            let (nd, pe) = updates[v as usize].take().expect("written this round");
+            let c = std::mem::replace(&mut updates[v as usize], C::at(INF));
+            let nd = c.dist();
             dist[v as usize] = nd;
-            parent[v as usize] = Some(pe);
+            record(v, c);
             if nd < min_changed {
                 min_changed = nd;
             }
@@ -249,24 +343,75 @@ fn is_sparse(view: &UnionView<'_>, frontier: &[VId], edge_slots: u64) -> bool {
     4 * touched < edge_slots
 }
 
-/// Sparse round: each chunk of the frontier pushes every candidate that
-/// beats its target's previous label into its own buffer; the buffers are
-/// then folded, in chunk order, into a per-target minimum under
-/// [`cand_key`]. A total-order minimum does not depend on the fold order,
-/// so the result is the same for every chunking, i.e. at every thread
-/// count. Leaves the written targets in `next` in first-write order; the
-/// chunks are contiguous pieces of the frontier folded in chunk order, so
-/// that order is the frontier scan's at every thread count too.
-fn push_round(
+/// Sparse round: every frontier vertex offers each candidate that beats
+/// its target's previous label. A frontier below the parallel threshold
+/// folds them straight into `updates`; a larger one is cut into chunks
+/// ([`in_chunks`]). Either way `next` lists the written targets in the
+/// order of the frontier scan, at every thread count.
+fn push_round<C: Candidate>(
     exec: &Executor,
     view: &UnionView<'_>,
     prev: &[Weight],
     frontier: &[VId],
-    updates: &mut [Option<Candidate>],
+    updates: &mut [C],
     next: &mut Vec<VId>,
-    pushed: &mut Vec<Vec<(VId, Candidate)>>,
+    pushed: &mut Vec<Vec<(VId, C)>>,
 ) {
-    let bounds = exec.round_bounds(frontier.len());
+    if !exec.parallel_eligible(frontier.len()) {
+        for &u in frontier {
+            push_from(view, prev, u, |v, c| offer(updates, next, v, c));
+        }
+        return;
+    }
+    let bounds = exec.chunk_bounds(frontier.len());
+    in_chunks(exec, &bounds, pushed, updates, next, |r, buf| {
+        for &u in &frontier[r] {
+            push_from(view, prev, u, |v, c| buf.push((v, c)));
+        }
+    });
+}
+
+/// Dense round: every vertex pulls its best candidate over all its
+/// neighbors. Below the parallel threshold the winners go straight into
+/// `updates`; above it each chunk of the vertex range lists its own
+/// ([`in_chunks`]). Either way `next` is in vertex order.
+fn pull_round<C: Candidate>(
+    exec: &Executor,
+    view: &UnionView<'_>,
+    prev: &[Weight],
+    updates: &mut [C],
+    next: &mut Vec<VId>,
+    pushed: &mut Vec<Vec<(VId, C)>>,
+) {
+    let n = prev.len();
+    if !exec.parallel_eligible(n) {
+        for v in 0..n as VId {
+            pull_to(view, prev, v, |v, c| offer(updates, next, v, c));
+        }
+        return;
+    }
+    let bounds = exec.chunk_bounds(n);
+    in_chunks(exec, &bounds, pushed, updates, next, |r, buf| {
+        for v in r {
+            pull_to(view, prev, v as VId, |v, c| buf.push((v, c)));
+        }
+    });
+}
+
+/// Runs `fill` on every chunk of `bounds`, each into its own buffer of
+/// `(target, candidate)` offers, then folds the buffers in chunk order
+/// into `updates` ([`offer`]). A total-order minimum does not depend on
+/// the fold order, so the result is the same for every chunking, i.e. at
+/// every thread count; `next` gets the written targets in first-offer
+/// order, which is the chunks' own orders concatenated.
+fn in_chunks<C: Candidate>(
+    exec: &Executor,
+    bounds: &[Range<usize>],
+    pushed: &mut Vec<Vec<(VId, C)>>,
+    updates: &mut [C],
+    next: &mut Vec<VId>,
+    fill: impl Fn(Range<usize>, &mut Vec<(VId, C)>) + Sync,
+) {
     if pushed.len() < bounds.len() {
         pushed.resize_with(bounds.len(), Vec::new);
     }
@@ -276,73 +421,68 @@ fn push_round(
     exec.for_each_chunk_mut(bufs, &owners, |ci, buf| {
         let buf = &mut buf[0];
         buf.clear();
-        for &u in &frontier[bounds[ci].clone()] {
-            let du = prev[u as usize];
-            view.for_each_neighbor(u, |v, w, tag| {
-                let nd = du + w;
-                if nd < prev[v as usize] {
-                    let pe = ParentEdge {
-                        parent: u,
-                        weight: w,
-                        tag,
-                    };
-                    buf.push((v, (nd, pe)));
-                }
-            });
-        }
+        fill(bounds[ci].clone(), buf);
     });
     for buf in bufs.iter() {
-        for &(v, cand) in buf {
-            let slot = &mut updates[v as usize];
-            *slot = Some(match *slot {
-                None => {
-                    next.push(v);
-                    cand
-                }
-                Some(cur) => min_candidate(cur, cand),
-            });
+        for &(v, c) in buf {
+            offer(updates, next, v, c);
         }
     }
 }
 
-/// Dense round: every vertex pulls the best candidate over all its
-/// neighbors (`None` where nothing beats its previous label).
-fn pull_round(
-    exec: &Executor,
+/// Offers `sink` every candidate frontier vertex `u` has for a neighbor
+/// whose previous label it beats.
+#[inline]
+fn push_from<C: Candidate>(
     view: &UnionView<'_>,
     prev: &[Weight],
-    updates: &mut [Option<Candidate>],
+    u: VId,
+    mut sink: impl FnMut(VId, C),
 ) {
-    prim::par_fill(exec, updates, |v| {
-        let vid = v as VId;
-        let mut best: Option<Candidate> = None;
-        view.for_each_neighbor(vid, |u, w, tag| {
-            let du = prev[u as usize];
-            if du == INF {
-                return;
-            }
-            let nd = du + w;
-            if nd >= prev[v] {
-                return;
-            }
-            let cand = (
-                nd,
-                ParentEdge {
-                    parent: u,
-                    weight: w,
-                    tag,
-                },
-            );
-            best = Some(match best.take() {
-                None => cand,
-                Some(cur) => min_candidate(cur, cand),
-            });
-        });
-        best
+    let du = prev[u as usize];
+    view.for_each_neighbor(u, |v, w, tag| {
+        let nd = du + w;
+        if nd < prev[v as usize] {
+            sink(v, C::new(nd, u, w, tag));
+        }
     });
 }
 
-/// Run a hop-limited multi-source Bellman–Ford exploration.
+/// Offers `sink` the best candidate over all of `v`'s neighbors, if one
+/// beats `v`'s previous label. The scan has no early exit, so with
+/// distances alone it is a branch-free running minimum.
+#[inline]
+fn pull_to<C: Candidate>(view: &UnionView<'_>, prev: &[Weight], v: VId, sink: impl FnOnce(VId, C)) {
+    let dv = prev[v as usize];
+    let mut best = C::at(dv);
+    view.for_each_neighbor(v, |u, w, tag| {
+        let cand = C::new(prev[u as usize] + w, u, w, tag);
+        if cand.beats(best) {
+            best = cand;
+        }
+    });
+    if best.dist() < dv {
+        sink(v, best);
+    }
+}
+
+/// Folds candidate `c` into `v`'s update slot, listing `v` in `next` on
+/// the slot's first write of the round.
+#[inline]
+fn offer<C: Candidate>(updates: &mut [C], next: &mut Vec<VId>, v: VId, c: C) {
+    let slot = &mut updates[v as usize];
+    if slot.dist() == INF {
+        next.push(v);
+        *slot = c;
+    } else if c.beats(*slot) {
+        *slot = c;
+    }
+}
+
+/// Run a hop-limited multi-source Bellman–Ford exploration that also
+/// returns the parent tree (Theorem 4.6's parent edges, the input of the
+/// path-reporting SPT). Every other caller wants distances only and runs
+/// [`bellman_ford_into`] or [`bellman_ford_to`], which skip the parents.
 ///
 /// * `exec` — the pool the per-round relaxations run on;
 /// * `view` — the graph `G ∪ H` (overlay = hopset);
@@ -356,23 +496,33 @@ pub fn bellman_ford(
     max_hops: usize,
     ledger: &mut Ledger,
 ) -> BellmanFordResult {
-    let mut scratch = BfordScratch::new();
-    let (rounds_run, converged_at) =
-        bellman_ford_into(exec, view, sources, max_hops, ledger, &mut scratch);
+    let mut rounds = Rounds::default();
+    let mut parent = vec![None; view.num_vertices()];
+    let (rounds_run, converged_at, _) = explore(
+        exec,
+        view,
+        sources,
+        None,
+        max_hops,
+        ledger,
+        &mut rounds,
+        |v, (_, pe): (Weight, ParentEdge)| parent[v as usize] = Some(pe),
+    );
     BellmanFordResult {
-        dist: scratch.dist,
-        parent: scratch.parent,
+        dist: rounds.dist,
+        parent,
         rounds_run,
         converged_at,
     }
 }
 
-/// Like [`bellman_ford`], writing into caller-owned [`BfordScratch`]
-/// buffers (read the row back with [`BfordScratch::dist`]). A request
-/// batch reuses one scratch across all its explorations — the serving
-/// path of `sssp::Oracle::distances_multi`. Returns
-/// `(rounds_run, converged_at)`; results are bit-identical to
-/// [`bellman_ford`].
+/// Distance-only [`bellman_ford`], writing into caller-owned
+/// [`BfordScratch`] buffers (read the row back with
+/// [`BfordScratch::dist`], or take it with [`BfordScratch::into_dist`]).
+/// A request batch reuses one scratch across all its explorations — the
+/// serving path of `sssp::Oracle::distances_multi`. Returns
+/// `(rounds_run, converged_at)`; the row, both counts and the ledger are
+/// bit-identical to [`bellman_ford`]'s.
 pub fn bellman_ford_into(
     exec: &Executor,
     view: &UnionView<'_>,
@@ -381,15 +531,23 @@ pub fn bellman_ford_into(
     ledger: &mut Ledger,
     scratch: &mut BfordScratch,
 ) -> (usize, Option<usize>) {
-    let (rounds_run, converged_at, _) =
-        explore(exec, view, sources, None, max_hops, ledger, scratch);
+    let (rounds_run, converged_at, _) = explore(
+        exec,
+        view,
+        sources,
+        None,
+        max_hops,
+        ledger,
+        &mut scratch.0,
+        |_, _| {},
+    );
     (rounds_run, converged_at)
 }
 
-/// Point-to-point exploration with early exit: identical rounds to
-/// [`bellman_ford`], but the loop stops as soon as the target's label has
-/// provably settled (the settle criterion is documented on the internal
-/// `explore` loop; DESIGN.md §9 has the
+/// Distance-only point-to-point exploration with early exit: identical
+/// rounds to [`bellman_ford`], but the loop stops as soon as the target's
+/// label has provably settled (the settle criterion is documented on the
+/// internal `explore` loop; DESIGN.md §9 has the
 /// proof sketch). The returned distance is **bit-identical** to
 /// `bellman_ford(..).dist[target]` — only the number of rounds (and hence
 /// the ledger's charge, which reflects work actually done) can shrink.
@@ -409,30 +567,21 @@ pub fn bellman_ford_to(
         Some(target),
         max_hops,
         ledger,
-        &mut scratch,
+        &mut scratch.0,
+        |_, _| {},
     );
     TargetResult {
-        dist: scratch.dist[target as usize],
+        dist: scratch.dist()[target as usize],
         rounds_run,
         settled_early: settled || converged_at.is_some(),
     }
 }
 
-/// Total order on relaxation candidates: distance, then parent id, then base
-/// edges before overlay, then overlay index. Deterministic tie-breaking.
+/// Total order on parent-carrying candidates: distance, then parent id,
+/// then base edges before overlay, then overlay index. Deterministic
+/// tie-breaking.
 #[inline]
-fn min_candidate(a: Candidate, b: Candidate) -> Candidate {
-    let ka = cand_key(&a);
-    let kb = cand_key(&b);
-    if kb < ka {
-        b
-    } else {
-        a
-    }
-}
-
-#[inline]
-fn cand_key(c: &Candidate) -> (u64, VId, u8, u32) {
+fn cand_key(c: &(Weight, ParentEdge)) -> (u64, VId, u8, u32) {
     let (d, pe) = c;
     let (layer, idx) = match pe.tag {
         EdgeTag::Base => (0u8, 0u32),
@@ -617,8 +766,9 @@ mod tests {
         assert!(r.settled_early); // via whole-exploration convergence
     }
 
-    /// Scratch reuse: back-to-back explorations through one scratch give
-    /// the same bits as fresh runs (no state leaks between requests).
+    /// Scratch reuse: back-to-back distance-only explorations through one
+    /// scratch give the same bits as fresh parent-carrying runs (no state
+    /// leaks between requests).
     #[test]
     fn scratch_reuse_is_bit_identical_to_fresh_runs() {
         let g = gen::gnm_connected(70, 210, 13, 1.0, 6.0);
@@ -635,7 +785,6 @@ mod tests {
             for (a, b) in scratch.dist().iter().zip(&fresh.dist) {
                 assert_eq!(a.to_bits(), b.to_bits(), "src={src}");
             }
-            assert_eq!(scratch.parent(), &fresh.parent[..]);
             assert_eq!(l1, l2);
         }
     }

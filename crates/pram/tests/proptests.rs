@@ -482,8 +482,10 @@ fn hub_instance(
     (g, extra)
 }
 
-/// Assert one `bellman_ford` run (and a `bellman_ford_into` run through a
-/// reused scratch) against the reference at the same hop budget.
+/// Assert one parent-carrying `bellman_ford` run and one distance-only
+/// `bellman_ford_into` run through a reused scratch against the reference
+/// at the same hop budget: the distance-only run has the same distance
+/// bits, round counts and ledger as the reference, without a parent row.
 fn check_full_run(
     exec: &Executor,
     view: &UnionView<'_>,
@@ -510,7 +512,6 @@ fn check_full_run(
         ctx
     );
     prop_assert_eq!(bits(scratch.dist()), bits(&want.dist), "into dist {}", ctx);
-    prop_assert_eq!(scratch.parent(), &want.parent[..], "into parent {}", ctx);
     prop_assert_eq!(&ledger, &want.ledger, "into ledger {}", ctx);
     Ok(())
 }
@@ -566,7 +567,8 @@ proptest! {
 
     /// The frontier-driven kernel equals the full-pull reference bit for
     /// bit: distances, parents, `rounds_run`, `converged_at`, the
-    /// early-exit answer with its `settled_early`, and the ledger. Checked
+    /// early-exit answer with its `settled_early`, and the ledger, in both
+    /// its parent-carrying and its distance-only instantiation. Checked
     /// at 1/2/4/8 threads, at hop budgets from 1 through convergence,
     /// with duplicate sources, on hub overlays with base/overlay parallel
     /// edges.
@@ -602,11 +604,12 @@ proptest! {
     }
 }
 
-/// The chunked sparse path: a sparse round whose frontier reaches
+/// The chunked paths: a sparse round whose frontier reaches
 /// `PAR_THRESHOLD` splits into one candidate buffer per chunk at two or
 /// more threads. Ten hubs joined to every vertex hold most of the slots,
 /// so ~4 500 grid sources (hubs left out) stay under a quarter of them;
-/// the round after has every hub in its frontier and is dense.
+/// the round after has every hub in its frontier and is dense, and its
+/// 12 000 vertices split into per-chunk change lists.
 #[test]
 fn bellman_ford_kernel_chunks_large_sparse_frontiers() {
     let (g, extra) = hub_instance(120, 100, 10, 1, 7);

@@ -23,8 +23,9 @@ pub fn plain_bellman_ford(
 ) -> (Vec<Weight>, Ledger) {
     let view = UnionView::base_only(g);
     let mut ledger = Ledger::new();
-    let r = bford::bellman_ford(exec, &view, &[source], hops, &mut ledger);
-    (r.dist, ledger)
+    let mut scratch = bford::BfordScratch::new();
+    bford::bellman_ford_into(exec, &view, &[source], hops, &mut ledger, &mut scratch);
+    (scratch.into_dist(), ledger)
 }
 
 /// Rounds a plain Bellman–Ford needs to converge to the exact distances —
@@ -34,10 +35,17 @@ pub fn plain_bellman_ford(
 pub fn bf_rounds_to_converge(exec: &Executor, g: &Graph, source: VId) -> usize {
     let view = UnionView::base_only(g);
     let mut ledger = Ledger::new();
-    let r = bford::bellman_ford(exec, &view, &[source], g.num_vertices() + 1, &mut ledger);
+    let (rounds_run, converged_at) = bford::bellman_ford_into(
+        exec,
+        &view,
+        &[source],
+        g.num_vertices() + 1,
+        &mut ledger,
+        &mut bford::BfordScratch::new(),
+    );
     // `converged_at` = first round with no change; convergence was reached
     // the round before.
-    r.converged_at.map(|c| c - 1).unwrap_or(r.rounds_run)
+    converged_at.map(|c| c - 1).unwrap_or(rounds_run)
 }
 
 #[cfg(test)]

@@ -627,8 +627,17 @@ fn g_alone_is_exact(exec: &Executor, g: &Graph, query_hops: usize, ledger: &mut 
     let roots: Vec<VId> = (0..g.num_vertices() as VId)
         .filter(|&v| cc.label[v as usize] == v)
         .collect();
-    let r = bford::bellman_ford(exec, &UnionView::base_only(g), &roots, query_hops, ledger);
-    r.dist
+    let mut scratch = bford::BfordScratch::new();
+    bford::bellman_ford_into(
+        exec,
+        &UnionView::base_only(g),
+        &roots,
+        query_hops,
+        ledger,
+        &mut scratch,
+    );
+    scratch
+        .dist()
         .iter()
         .copied()
         .max_by(pgraph::wcmp)
@@ -812,14 +821,16 @@ impl DistanceOracle for Oracle {
     fn distances_from_with_ledger(&self, source: VId) -> Result<(Vec<Weight>, Ledger), SsspError> {
         check_source(self.num_vertices(), source)?;
         let mut ledger = Ledger::new();
-        let r = bford::bellman_ford(
+        let mut scratch = bford::BfordScratch::new();
+        bford::bellman_ford_into(
             &self.exec,
             &self.union.view(),
             &[source],
             self.query_hops,
             &mut ledger,
+            &mut scratch,
         );
-        Ok((r.dist, ledger))
+        Ok((scratch.into_dist(), ledger))
     }
 
     /// `|S|` independent β-hop explorations, batched: **one** union view
@@ -894,14 +905,16 @@ impl DistanceOracle for Oracle {
             check_source(n, s)?;
         }
         let mut ledger = Ledger::new();
-        let r = bford::bellman_ford(
+        let mut scratch = bford::BfordScratch::new();
+        bford::bellman_ford_into(
             &self.exec,
             &self.union.view(),
             sources,
             self.query_hops,
             &mut ledger,
+            &mut scratch,
         );
-        Ok(r.dist)
+        Ok(scratch.into_dist())
     }
 
     /// True point-to-point: the β-round loop stops as soon as `v`'s label

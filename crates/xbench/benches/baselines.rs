@@ -1,11 +1,14 @@
 //! Criterion bench: the backends behind the `DistanceOracle` trait —
 //! hopset oracle vs sequential Dijkstra vs Δ-stepping — plus bare
-//! hop-limited Bellman–Ford (the E10 comparison).
+//! hop-limited Bellman–Ford (the E10 comparison). The bare rows run
+//! `plain_bellman_ford`, the same distance-only kernel the hopset rows
+//! run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pgraph::{gen, UnionView};
+use pgraph::gen;
 use pram::pool::threads_from_env;
-use pram::{Executor, Ledger};
+use pram::Executor;
+use sssp::baseline::plain_bellman_ford;
 use sssp::{DeltaSteppingOracle, DijkstraOracle, DistanceOracle, Oracle};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -35,11 +38,7 @@ fn bench_query_vs_baselines(c: &mut Criterion) {
         });
     }
     group.bench_function("bare-bf-to-convergence", |b| {
-        b.iter(|| {
-            let view = UnionView::base_only(&g);
-            let mut ledger = Ledger::new();
-            black_box(pram::bellman_ford(&exec, &view, &[0], n, &mut ledger))
-        })
+        b.iter(|| black_box(plain_bellman_ford(&exec, &g, 0, n)))
     });
     group.finish();
 }
@@ -59,11 +58,7 @@ fn bench_bf_round_counts(c: &mut Criterion) {
     let mut group = c.benchmark_group("baselines/path-4096-rounds");
     group.sample_size(10);
     group.bench_function("bare-bf-full-rounds", |b| {
-        b.iter(|| {
-            let view = UnionView::base_only(&g);
-            let mut ledger = Ledger::new();
-            black_box(pram::bellman_ford(&exec, &view, &[0], 4096, &mut ledger))
-        })
+        b.iter(|| black_box(plain_bellman_ford(&exec, &g, 0, 4096)))
     });
     group.bench_function("hopset-bf-beta-rounds", |b| {
         b.iter(|| black_box(oracle.distances_from(0).unwrap()))
