@@ -12,7 +12,7 @@
 //!   construction instead of by radius arithmetic);
 //! * `path` — the path itself, only in path-reporting mode.
 //!
-//! [`reduce_labels_in_place`] implements Algorithm 3 ("Sort Array"): sort by
+//! [`reduce_labels_in_place_scratch`] implements Algorithm 3 ("Sort Array"): sort by
 //! source (ties by distance), drop duplicate sources, re-sort by distance
 //! (ties by id), keep the best `x` — **in place** on the caller's buffer, so
 //! a caller looping over candidate sets never allocates per set. It serves
@@ -214,20 +214,6 @@ pub fn reduce_labels_in_place_scratch(
     cands.append(tmp);
 }
 
-/// [`reduce_labels_in_place_scratch`] with a throwaway scratch — the
-/// drop-in signature the non-hot call sites keep using. Hot loops hold a
-/// [`ReduceScratch`] per chunk instead.
-pub fn reduce_labels_in_place(cands: &mut Vec<Label>, x: usize) {
-    reduce_labels_in_place_scratch(cands, x, &mut ReduceScratch::new());
-}
-
-/// [`reduce_labels_in_place`] on an owned vector (the non-hot-path
-/// convenience used by tests and aggregation call sites).
-pub fn reduce_labels(mut cands: Vec<Label>, x: usize) -> Vec<Label> {
-    reduce_labels_in_place(&mut cands, x);
-    cands
-}
-
 /// True if two label lists agree on the paper-visible fields (src, dist) and
 /// the realized weights — used for fixpoint detection.
 pub fn labels_equal(a: &[Label], b: &[Label]) -> bool {
@@ -381,6 +367,12 @@ mod tests {
         }
     }
 
+    /// Algorithm 3 on an owned candidate list, with a fresh scratch.
+    fn reduce_labels(mut cands: Vec<Label>, x: usize) -> Vec<Label> {
+        reduce_labels_in_place_scratch(&mut cands, x, &mut ReduceScratch::new());
+        cands
+    }
+
     #[test]
     fn dedup_keeps_min_distance_per_source() {
         let out = reduce_labels(vec![l(2, 5.0), l(1, 3.0), l(2, 1.0), l(1, 4.0)], 10);
@@ -416,15 +408,16 @@ mod tests {
 
     #[test]
     fn in_place_reuses_the_buffer() {
+        let mut scratch = ReduceScratch::new();
         let mut buf = vec![l(2, 5.0), l(1, 3.0), l(2, 1.0)];
         let cap = buf.capacity();
-        reduce_labels_in_place(&mut buf, 10);
+        reduce_labels_in_place_scratch(&mut buf, 10, &mut scratch);
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.capacity(), cap, "no reallocation");
         // Reuse for the next candidate set, as the pulse loop does.
         buf.clear();
         buf.extend([l(5, 1.0), l(5, 0.5), l(6, 2.0)]);
-        reduce_labels_in_place(&mut buf, 1);
+        reduce_labels_in_place_scratch(&mut buf, 1, &mut scratch);
         assert_eq!(buf.len(), 1);
         assert_eq!((buf[0].src, buf[0].dist), (5, 0.5));
     }

@@ -56,7 +56,6 @@
 //! ```
 
 pub mod baseline;
-pub mod io;
 pub mod label;
 pub mod multi_scale;
 pub mod params;
@@ -71,10 +70,8 @@ pub mod store;
 pub mod validate;
 pub mod virtual_bfs;
 
-pub use io::{read_hopset, write_hopset};
 pub use label::{
-    reduce_labels, reduce_labels_in_place, reduce_labels_in_place_scratch, reduce_labels_two_sort,
-    Label, LabelArena, ReduceScratch,
+    reduce_labels_in_place_scratch, reduce_labels_two_sort, Label, LabelArena, ReduceScratch,
 };
 pub use multi_scale::{build_hopset_on, BuildOptions, BuiltHopset};
 pub use params::{DeltaSchedule, HopsetParams, ParamError, ParamMode, ScaleParams};

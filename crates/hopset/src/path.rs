@@ -196,21 +196,6 @@ pub fn path_splice(p: &PathHandle, seg: &Arc<MemoryPath>, reverse: bool) -> Path
     })
 }
 
-/// The current end vertex of a persistent path.
-pub fn path_end(p: &PathHandle) -> VId {
-    match &p.step {
-        PathStep::Start(v) => *v,
-        PathStep::Edge { to, .. } => *to,
-        PathStep::Segment { seg, reverse } => {
-            if *reverse {
-                seg.start()
-            } else {
-                seg.end()
-            }
-        }
-    }
-}
-
 /// Materialize a persistent path into a [`MemoryPath`] (start → end).
 /// Panics if spliced segments do not meet — construction-time logic error.
 pub fn path_materialize(p: &PathHandle) -> MemoryPath {
@@ -323,8 +308,8 @@ mod tests {
         let h = path_start(0);
         let h = path_extend(&h, 2, MemEdge::Base, 1.0);
         let h = path_extend(&h, 5, MemEdge::Hop(3), 2.0);
-        assert_eq!(path_end(&h), 5);
         let m = path_materialize(&h);
+        assert_eq!(m.end(), 5);
         assert_eq!(m.verts, vec![0, 2, 5]);
         assert_eq!(m.links, vec![(MemEdge::Base, 1.0), (MemEdge::Hop(3), 2.0)]);
     }
@@ -346,12 +331,12 @@ mod tests {
         });
         let h = path_start(5);
         let fwd = path_splice(&h, &seg, false);
-        assert_eq!(path_end(&fwd), 7);
+        assert_eq!(path_materialize(&fwd).end(), 7);
         assert_eq!(path_materialize(&fwd).verts, vec![5, 6, 7]);
 
         let h2 = path_start(7);
         let rev = path_splice(&h2, &seg, true);
-        assert_eq!(path_end(&rev), 5);
+        assert_eq!(path_materialize(&rev).end(), 5);
         assert_eq!(path_materialize(&rev).verts, vec![7, 6, 5]);
     }
 

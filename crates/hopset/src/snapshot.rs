@@ -16,7 +16,7 @@
 //! length-prefixed records: `L` (u32), `L + 1` vertex ids, then `L` links
 //! as (tag u32, weight f64) where tag `u32::MAX` is a base-graph edge and
 //! anything else a hopset edge index, bounds-checked against the edge
-//! count exactly like the text loader.
+//! count.
 //!
 //! ## Weight width (format v2, DESIGN.md §12)
 //!
@@ -206,9 +206,9 @@ fn read_f64(r: &mut dyn Read, region: &str) -> Result<f64, SnapshotError> {
 
 /// Load a hopset snapshot and validate every store invariant: scale order,
 /// offset-table and kind-tally consistency, path-id referential integrity,
-/// and — same rule as the text loader — hop links bounds-checked against
-/// the edge count. Endpoint ids are *not* range-checked here (a hopset
-/// container does not know `n`); the oracle loader cross-validates them.
+/// and hop links bounds-checked against the edge count. Endpoint ids are
+/// *not* range-checked here (a hopset container does not know `n`); the
+/// oracle loader cross-validates them.
 pub fn read_hopset_snapshot(r: impl Read) -> Result<Hopset, SnapshotError> {
     let mut cr = ContainerReader::open(r, &HOPSET_MAGIC)?;
     let version = cr.version();
@@ -434,10 +434,10 @@ mod tests {
     }
 
     /// Write every column after `wgts` of a hopset without memory paths,
-    /// the way the writer does.
-    fn write_tail_columns(cw: &mut ContainerWriter<'_, Vec<u8>>, h: &Hopset) {
+    /// the way the writer does, with `scales` as the scale column.
+    fn write_tail_columns(cw: &mut ContainerWriter<'_, Vec<u8>>, h: &Hopset, scales: &[u32]) {
         assert!(h.paths.is_empty());
-        cw.col_u32(*b"scal", h.scales()).unwrap();
+        cw.col_u32(*b"scal", scales).unwrap();
         let (kinds, phases): (Vec<u8>, Vec<u8>) = h.kinds().iter().map(|&k| kind_code(k)).unzip();
         cw.col_u8(*b"kind", &kinds).unwrap();
         cw.col_u8(*b"phas", &phases).unwrap();
@@ -469,10 +469,44 @@ mod tests {
         cw.col_u32(*b"vs  ", h.vs()).unwrap();
         let q: Vec<u32> = h.ws().iter().map(|&w| (w / scale).round() as u32).collect();
         cw.col_u32(*b"wgts", &q).unwrap();
-        write_tail_columns(&mut cw, &h);
+        write_tail_columns(&mut cw, &h, h.scales());
         cw.finish().unwrap();
         match read_hopset_snapshot(buf.as_slice()) {
             Err(SnapshotError::Corrupt { what }) => assert!(what.contains("4-byte"), "{what}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn rejects_a_decreasing_scale_column() {
+        // `Hopset::push` requires non-decreasing scales; a file whose scale
+        // column decreases must be a typed error, not a panic in the store.
+        let mut h = Hopset::new();
+        for (u, scale) in [(0, 3), (1, 5)] {
+            h.push(HopsetEdge {
+                u,
+                v: u + 1,
+                w: 2.0,
+                scale,
+                kind: EdgeKind::Star,
+                path: None,
+            });
+        }
+        let mut params = v1_params(&h);
+        params.u8(8).f64(0.0);
+        let mut buf = Vec::new();
+        let mut cw =
+            ContainerWriter::begin(&mut buf, &HOPSET_MAGIC, params.as_slice(), sections(&h))
+                .unwrap();
+        cw.col_u32(*b"us  ", h.us()).unwrap();
+        cw.col_u32(*b"vs  ", h.vs()).unwrap();
+        cw.col_f64(*b"wgts", h.ws()).unwrap();
+        write_tail_columns(&mut cw, &h, &[5, 3]);
+        cw.finish().unwrap();
+        match read_hopset_snapshot(buf.as_slice()) {
+            Err(SnapshotError::Corrupt { what }) => {
+                assert!(what.contains("scale column decreases"), "{what}")
+            }
             other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
         }
     }
@@ -494,7 +528,7 @@ mod tests {
         cw.col_u32(*b"us  ", h.us()).unwrap();
         cw.col_u32(*b"vs  ", h.vs()).unwrap();
         cw.col_f64(*b"wgts", h.ws()).unwrap();
-        write_tail_columns(&mut cw, &h);
+        write_tail_columns(&mut cw, &h, h.scales());
         cw.finish().unwrap();
 
         let h2 = read_hopset_snapshot(buf.as_slice()).unwrap();
@@ -507,8 +541,8 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range_hop_link() {
-        // Same satellite rule as the text loader: a path link naming a
-        // hopset edge index past the edge count must be a typed error.
+        // A path link naming a hopset edge index past the edge count must
+        // be a typed error.
         let mut h = Hopset::new();
         let pid = h.push_path(MemoryPath {
             verts: vec![0, 1],

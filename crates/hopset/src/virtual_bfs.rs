@@ -37,11 +37,9 @@
 //!   previous step, keeping a sorted list of at most `x` records
 //!   (`merge`); most records are rejected with one comparison, and only
 //!   survivors materialize a label. Changed flags live in a double
-//!   buffer. Rounds use the executor's autotuned bounds
-//!   (`round_bounds_auto`), switching to fine chunks + donation when the
-//!   changed-vertex frontier is skewed. Each parallel chunk reuses one
-//!   bounded list, and new lists are written back into the arena's fixed
-//!   per-vertex regions.
+//!   buffer. Rounds split by the executor's `round_bounds`. Each parallel
+//!   chunk reuses one bounded list, and new lists are written back into
+//!   the arena's fixed per-vertex regions.
 //!
 //! Both kernels compute the labels, memory paths and step counts of the
 //! full pull — every recomputed vertex reducing its own and all its
@@ -584,18 +582,11 @@ impl<'a> Explorer<'a> {
             *c = labels.len_of(v) > 0;
         }
         for _step in 0..self.hop_limit {
-            // Autotuned bounds: later pulses typically touch a shrinking
-            // frontier (few `changed` vertices do real work), which skews
-            // per-chunk cost. The fine split hands the executor more
-            // chunks than threads so its claim counter can donate
-            // trailing chunks to early finishers; `active` is computed
-            // from the data, so the fine/coarse choice is deterministic.
-            let active = changed.iter().filter(|&&c| c).count();
-            if active == 0 {
+            if !changed.contains(&true) {
                 break;
             }
             self.charge_step(x, ledger);
-            let bounds = self.exec.round_bounds_auto(n, active);
+            let bounds = self.exec.round_bounds(n);
             let cur = &*labels;
             let prev_changed = &*changed;
             // Recompute v iff some neighbor changed last step. One output

@@ -5,8 +5,8 @@
 //! at lengths straddling `PAR_THRESHOLD` and thread counts 1–8.
 
 use hopset::label::{
-    labels_equal, reduce_labels, reduce_labels_in_place_scratch, reduce_labels_two_sort, Label,
-    LabelArena, ReduceScratch,
+    labels_equal, reduce_labels_in_place_scratch, reduce_labels_two_sort, Label, LabelArena,
+    ReduceScratch,
 };
 use hopset::{ClusterMemory, EdgeKind, ExploreScratch, Explorer, Hopset, HopsetEdge, Partition};
 use pgraph::{gen, OverlayCsrBuilder, UnionView, VId, Weight};
@@ -78,7 +78,8 @@ proptest! {
     /// pw), for every truncation bound.
     #[test]
     fn reduce_in_place_matches_reference(cands in arb_labels(), x in 1usize..12) {
-        let got = reduce_labels(cands.clone(), x);
+        let mut got = cands.clone();
+        reduce_labels_in_place_scratch(&mut got, x, &mut ReduceScratch::new());
         let expect = reduce_reference(cands, x);
         prop_assert!(labels_equal(&got, &expect));
     }
@@ -274,17 +275,16 @@ fn builder_parallel_scan_matches_sequential_across_threads() {
             })
             .collect();
         let ws: Vec<Weight> = (0..m).map(|i| 1.0 + (i % 13) as f64).collect();
-        let mut seq_builder = OverlayCsrBuilder::new(n);
-        seq_builder.append_scale_seq(&us, &vs, &ws);
-        let seq_view = UnionView::with_csr(&g, seq_builder.block(0));
+        let mut seq_builder = OverlayCsrBuilder::rolling(n);
+        let seq_view = UnionView::with_csr(&g, seq_builder.append_scale_seq(&us, &vs, &ws));
         for threads in [1usize, 2, 3, 4, 8] {
             let exec = Executor::new(threads);
             let mut ledger = Ledger::new();
-            let mut b = OverlayCsrBuilder::new(n);
-            b.append_scale(&us, &vs, &ws, |deg| {
+            let mut b = OverlayCsrBuilder::rolling(n);
+            let block = b.append_scale(&us, &vs, &ws, |deg| {
                 scan::exclusive_prefix_sum(&exec, deg, &mut ledger).0
             });
-            let view = UnionView::with_csr(&g, b.block(0));
+            let view = UnionView::with_csr(&g, block);
             for v in (0..n as VId).step_by(97) {
                 let a: Vec<_> = view.neighbors(v).collect();
                 let e: Vec<_> = seq_view.neighbors(v).collect();

@@ -84,12 +84,6 @@ impl Graph {
         slice.binary_search(&v).ok().map(|i| self.wt[lo + i])
     }
 
-    /// True if the graph contains edge `(u, v)`.
-    #[inline]
-    pub fn has_edge(&self, u: VId, v: VId) -> bool {
-        self.edge_weight(u, v).is_some()
-    }
-
     /// Minimum edge weight, or `None` for an edgeless graph.
     pub fn min_weight(&self) -> Option<Weight> {
         self.wt.iter().copied().min_by(crate::wcmp)
@@ -158,11 +152,6 @@ impl Graph {
                 .max()
                 .unwrap_or(0),
         }
-    }
-
-    /// Total weight of all edges.
-    pub fn total_weight(&self) -> Weight {
-        self.edges.iter().map(|e| e.2).sum()
     }
 
     /// The raw CSR offsets column (`n + 1` entries; `offsets[v]..offsets[v+1]`
@@ -438,7 +427,7 @@ mod tests {
         assert_eq!(n0, vec![(1, 1.0), (2, 2.0)]);
         assert_eq!(g.edge_weight(3, 1), Some(2.0));
         assert_eq!(g.edge_weight(0, 3), None);
-        assert!(g.has_edge(2, 0));
+        assert_eq!(g.edge_weight(2, 0), Some(2.0));
     }
 
     #[test]
@@ -509,7 +498,6 @@ mod tests {
         assert_eq!(s.m, 4);
         assert_eq!(s.max_degree, 2);
         assert_eq!(s.min_weight, 1.0);
-        assert_eq!(g.total_weight(), 6.0);
     }
 
     #[test]

@@ -102,30 +102,6 @@ pub fn dijkstra_to(g: &Graph, src: VId, target: VId) -> Weight {
     dist[target as usize]
 }
 
-/// Dijkstra truncated at distance `limit`: vertices farther than `limit`
-/// keep `INF`. Used to compute exact distances only inside a scale.
-pub fn dijkstra_truncated(view: &UnionView<'_>, src: VId, limit: Weight) -> Vec<Weight> {
-    let n = view.num_vertices();
-    let mut dist = vec![INF; n];
-    let mut heap: BinaryHeap<Reverse<(u64, VId)>> = BinaryHeap::new();
-    dist[src as usize] = 0.0;
-    heap.push(Reverse((0, src)));
-    while let Some(Reverse((dk, u))) = heap.pop() {
-        let du = key_to_f64(dk);
-        if du > dist[u as usize] {
-            continue;
-        }
-        view.for_each_neighbor(u, |v, w, _| {
-            let nd = du + w;
-            if nd <= limit && nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                heap.push(Reverse((f64_to_key(nd), v)));
-            }
-        });
-    }
-    dist
-}
-
 /// Order-preserving mapping from non-negative finite `f64` to `u64`, so the
 /// binary heap can order keys without float wrappers.
 #[inline]
@@ -191,36 +167,6 @@ pub fn bfs_hops(g: &Graph, src: VId) -> Vec<usize> {
     dist
 }
 
-/// The minimum number of edges over all *shortest* (by weight) `src → v`
-/// paths, i.e. the hop count a hopset must beat. Computed by lexicographic
-/// Dijkstra on (distance, hops).
-pub fn shortest_path_hops(g: &Graph, src: VId) -> Vec<usize> {
-    let view = UnionView::base_only(g);
-    let n = g.num_vertices();
-    let mut dist = vec![INF; n];
-    let mut hops = vec![usize::MAX; n];
-    let mut heap: BinaryHeap<Reverse<(u64, usize, VId)>> = BinaryHeap::new();
-    dist[src as usize] = 0.0;
-    hops[src as usize] = 0;
-    heap.push(Reverse((0, 0, src)));
-    while let Some(Reverse((dk, h, u))) = heap.pop() {
-        let du = key_to_f64(dk);
-        if (du, h) > (dist[u as usize], hops[u as usize]) {
-            continue;
-        }
-        view.for_each_neighbor(u, |v, w, _| {
-            let nd = du + w;
-            let nh = h + 1;
-            if (nd, nh) < (dist[v as usize], hops[v as usize]) {
-                dist[v as usize] = nd;
-                hops[v as usize] = nh;
-                heap.push(Reverse((f64_to_key(nd), nh, v)));
-            }
-        });
-    }
-    hops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,14 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_dijkstra_respects_limit() {
-        let g = weighted_square();
-        let view = UnionView::base_only(&g);
-        let d = dijkstra_truncated(&view, 0, 2.0);
-        assert_eq!(d, vec![0.0, 1.0, 2.0, INF]);
-    }
-
-    #[test]
     fn bellman_ford_hop_limits() {
         let g = weighted_square();
         let view = UnionView::base_only(&g);
@@ -316,7 +254,5 @@ mod tests {
     fn bfs_and_hop_counts() {
         let g = weighted_square();
         assert_eq!(bfs_hops(&g, 0), vec![0, 1, 2, 1]);
-        // shortest (by weight) path to 3 has 3 hops even though BFS says 1.
-        assert_eq!(shortest_path_hops(&g, 0), vec![0, 1, 2, 3]);
     }
 }

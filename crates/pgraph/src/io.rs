@@ -1,22 +1,17 @@
-//! A tiny DIMACS-like text format for weighted undirected graphs.
+//! Ingestion of external graph files.
 //!
-//! ```text
-//! c comment lines start with 'c'
-//! p <num_vertices> <num_edges>
-//! e <u> <v> <weight>
-//! ```
+//! * [`dimacs`] — the DIMACS shortest-path challenge format (`.gr`);
+//! * [`edge_list`] — plain edge lists (`.el` / `.csv`).
 //!
-//! Self-contained (no serde) and line-oriented so experiment inputs and
-//! outputs can be versioned and diffed.
-
-use crate::{Graph, GraphBuilder, VId, Weight};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+//! Both readers stream lines straight into a [`crate::GraphBuilder`] and
+//! report every failure as a typed [`IoError`] carrying the 1-based line
+//! number. Graphs this workspace produces itself are persisted as binary
+//! snapshots ([`crate::snapshot`]), not as text.
 
 pub mod dimacs;
 pub mod edge_list;
 
-/// Errors raised while parsing the text format.
+/// Errors raised while ingesting a graph file.
 #[derive(Debug)]
 pub enum IoError {
     /// Underlying I/O failure.
@@ -50,97 +45,6 @@ impl From<std::io::Error> for IoError {
     }
 }
 
-/// Write `g` in the text format.
-pub fn write_graph(g: &Graph, w: impl Write) -> Result<(), IoError> {
-    let mut out = BufWriter::new(w);
-    writeln!(out, "p {} {}", g.num_vertices(), g.num_edges())?;
-    for &(u, v, wt) in g.edges() {
-        writeln!(out, "e {u} {v} {wt}")?;
-    }
-    out.flush()?;
-    Ok(())
-}
-
-/// Write `g` to a file path.
-pub fn save_graph(g: &Graph, path: impl AsRef<Path>) -> Result<(), IoError> {
-    write_graph(g, std::fs::File::create(path)?)
-}
-
-/// Read a graph in the text format.
-pub fn read_graph(r: impl Read) -> Result<Graph, IoError> {
-    let reader = BufReader::new(r);
-    let mut builder: Option<GraphBuilder> = None;
-    let mut declared_edges = 0usize;
-    let mut line_str = String::new();
-    let mut reader = reader;
-    let mut lineno = 0usize;
-    loop {
-        line_str.clear();
-        let read = reader.read_line(&mut line_str)?;
-        if read == 0 {
-            break;
-        }
-        lineno += 1;
-        let line = line_str.trim();
-        if line.is_empty() || line.starts_with('c') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("p") => {
-                if builder.is_some() {
-                    return Err(IoError::Parse {
-                        line: lineno,
-                        msg: "duplicate 'p' line".into(),
-                    });
-                }
-                let n: usize = parse_field(it.next(), lineno, "n")?;
-                declared_edges = parse_field(it.next(), lineno, "m")?;
-                builder = Some(GraphBuilder::with_capacity(n, declared_edges));
-            }
-            Some("e") => {
-                let b = builder.as_mut().ok_or(IoError::Parse {
-                    line: lineno,
-                    msg: "'e' before 'p'".into(),
-                })?;
-                let u: VId = parse_field(it.next(), lineno, "u")?;
-                let v: VId = parse_field(it.next(), lineno, "v")?;
-                let w: Weight = parse_field(it.next(), lineno, "w")?;
-                b.add_edge(u, v, w);
-            }
-            Some(tok) => {
-                return Err(IoError::Parse {
-                    line: lineno,
-                    msg: format!("unknown record '{tok}'"),
-                })
-            }
-            None => unreachable!("non-empty line has a token"),
-        }
-    }
-    // Report line 1 for empty input: `lineno` is still 0 when no line was
-    // ever read, and "line 0" points at nothing.
-    let b = builder.ok_or_else(|| IoError::Parse {
-        line: lineno.max(1),
-        msg: if lineno == 0 {
-            "empty input (missing 'p' line)".into()
-        } else {
-            "missing 'p' line".into()
-        },
-    })?;
-    if b.len() != declared_edges {
-        return Err(IoError::Parse {
-            line: lineno,
-            msg: format!("declared {declared_edges} edges, found {}", b.len()),
-        });
-    }
-    b.build().map_err(IoError::Graph)
-}
-
-/// Load a graph from a file path.
-pub fn load_graph(path: impl AsRef<Path>) -> Result<Graph, IoError> {
-    read_graph(std::fs::File::open(path)?)
-}
-
 fn parse_field<T: std::str::FromStr>(
     tok: Option<&str>,
     line: usize,
@@ -158,72 +62,64 @@ fn parse_field<T: std::str::FromStr>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::gen;
+    //! The contract both readers share: comments and blank lines are
+    //! skipped, structural problems are `Parse` errors at the offending
+    //! line, and graph-invariant violations are `Graph` errors.
 
-    #[test]
-    fn roundtrip() {
-        let g = gen::gnm(30, 60, 1, 1.0, 5.0);
-        let mut buf = Vec::new();
-        write_graph(&g, &mut buf).unwrap();
-        let h = read_graph(buf.as_slice()).unwrap();
-        assert_eq!(g.num_vertices(), h.num_vertices());
-        assert_eq!(g.edges(), h.edges());
-    }
+    use super::dimacs::read_dimacs;
+    use super::edge_list::{read_edge_list, IndexBase};
+    use super::*;
 
     #[test]
     fn comments_and_blank_lines_ok() {
-        let text = "c hello\n\np 3 2\nc mid\ne 0 1 1.5\ne 1 2 2.5\n";
-        let g = read_graph(text.as_bytes()).unwrap();
+        let text = "c hello\n\np sp 3 2\nc mid\na 1 2 1.5\n\na 2 3 2.5\n";
+        let g = read_dimacs(text.as_bytes()).unwrap();
+        assert_eq!(g.num_edges(), 2);
+        assert_eq!(g.edge_weight(1, 2), Some(2.5));
+        let text = "# hello\n\n0 1 1.5\n% mid\nc mid\n1 2 2.5\n";
+        let g = read_edge_list(text.as_bytes(), IndexBase::Zero).unwrap();
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.edge_weight(1, 2), Some(2.5));
     }
 
     #[test]
     fn rejects_edge_before_header() {
-        let err = read_graph("e 0 1 1.0\n".as_bytes()).unwrap_err();
-        assert!(matches!(err, IoError::Parse { .. }));
-    }
-
-    #[test]
-    fn rejects_wrong_edge_count() {
-        let err = read_graph("p 3 2\ne 0 1 1.0\n".as_bytes()).unwrap_err();
-        assert!(matches!(err, IoError::Parse { .. }));
-    }
-
-    #[test]
-    fn rejects_unknown_record() {
-        let err = read_graph("p 2 0\nx 1 2\n".as_bytes()).unwrap_err();
-        assert!(matches!(err, IoError::Parse { .. }));
-    }
-
-    #[test]
-    fn rejects_invalid_graph() {
-        let err = read_graph("p 2 1\ne 0 0 1.0\n".as_bytes()).unwrap_err();
-        assert!(matches!(err, IoError::Graph(_)));
-    }
-
-    #[test]
-    fn empty_input_reports_line_one() {
-        // Regression: `lineno` stays 0 when no line is read, and the old
-        // code reported "parse error at line 0".
-        let err = read_graph("".as_bytes()).unwrap_err();
+        let err = read_dimacs("a 1 2 1.0\np sp 2 1\n".as_bytes()).unwrap_err();
         match err {
             IoError::Parse { line, msg } => {
-                assert_eq!(line, 1, "empty input must point at line 1, not 0");
-                assert!(msg.contains("empty input"), "got: {msg}");
+                assert_eq!(line, 1);
+                assert!(msg.contains("before 'p sp'"), "got: {msg}");
             }
             other => panic!("expected Parse, got {other:?}"),
         }
     }
 
     #[test]
+    fn rejects_unknown_record() {
+        let err = read_dimacs("p sp 2 0\nx 1 2\n".as_bytes()).unwrap_err();
+        assert!(matches!(err, IoError::Parse { line: 2, .. }));
+        let err = read_dimacs("p sp 2 0\np sp 2 0\n".as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, IoError::Parse { line: 2, .. }),
+            "duplicate 'p'"
+        );
+    }
+
+    #[test]
+    fn rejects_invalid_graph() {
+        let err = read_dimacs("p sp 2 1\na 1 1 1.0\n".as_bytes()).unwrap_err();
+        assert!(matches!(err, IoError::Graph(_)), "self loop");
+        let err = read_edge_list("0 1 inf\n".as_bytes(), IndexBase::Zero).unwrap_err();
+        assert!(matches!(err, IoError::Graph(_)), "non-finite weight");
+    }
+
+    #[test]
     fn comment_only_input_reports_last_line() {
-        let err = read_graph("c nothing here\nc still nothing\n".as_bytes()).unwrap_err();
+        let err = read_dimacs("c nothing here\nc still nothing\n".as_bytes()).unwrap_err();
         match err {
             IoError::Parse { line, msg } => {
                 assert_eq!(line, 2);
-                assert!(msg.contains("missing 'p' line"), "got: {msg}");
+                assert!(msg.contains("missing 'p sp' line"), "got: {msg}");
             }
             other => panic!("expected Parse, got {other:?}"),
         }

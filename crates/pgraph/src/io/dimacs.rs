@@ -18,6 +18,12 @@ use crate::{Graph, GraphBuilder, VId, Weight};
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
+/// The most arcs a `p` line may reserve up front: 32 MiB of edge triples,
+/// the cap the snapshot readers put on a column's preallocation. Beyond it
+/// the builder grows as arcs actually arrive, so a header that lies about
+/// its arc count costs at most this much before the count check rejects it.
+const MAX_RESERVED_ARCS: usize = (32 << 20) / std::mem::size_of::<(VId, VId, Weight)>();
+
 /// Read a DIMACS `.gr` graph (see module docs). Arc endpoints are 1-based
 /// in the file and shifted to this crate's 0-based ids.
 pub fn read_dimacs(r: impl Read) -> Result<Graph, IoError> {
@@ -60,9 +66,18 @@ pub fn read_dimacs(r: impl Read) -> Result<Graph, IoError> {
                     }
                 }
                 n = parse_field(it.next(), lineno, "n")?;
+                if n > u32::MAX as usize {
+                    return Err(IoError::Parse {
+                        line: lineno,
+                        msg: format!("vertex count {n} exceeds u32 ids"),
+                    });
+                }
                 declared_arcs = parse_field(it.next(), lineno, "m")?;
                 // Arc pairs fold, so at most `m` undirected edges result.
-                builder = Some(GraphBuilder::with_capacity(n, declared_arcs));
+                builder = Some(GraphBuilder::with_capacity(
+                    n,
+                    declared_arcs.min(MAX_RESERVED_ARCS),
+                ));
             }
             Some("a") => {
                 let b = builder.as_mut().ok_or(IoError::Parse {
@@ -176,6 +191,30 @@ a 4 3 1
     fn rejects_arc_count_mismatch() {
         let err = read_dimacs("p sp 2 3\na 1 2 1\n".as_bytes()).unwrap_err();
         assert!(matches!(err, IoError::Parse { .. }));
+        // Counts past any capacity, or far past memory (2·10¹¹ arcs would
+        // reserve 3.2 TB): the reserve is capped, and the count check
+        // rejects the lie.
+        for (text, found) in [
+            ("p sp 4 1000000000000000000\n", "found 0"),
+            ("p sp 4 200000000000\na 1 2 1\n", "found 1"),
+        ] {
+            match read_dimacs(text.as_bytes()).unwrap_err() {
+                IoError::Parse { msg, .. } => assert!(msg.contains(found), "got: {msg}"),
+                other => panic!("expected Parse, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_vertex_count_above_u32_ids() {
+        let err = read_dimacs("c big\np sp 5000000000 0\n".as_bytes()).unwrap_err();
+        match err {
+            IoError::Parse { line, msg } => {
+                assert_eq!(line, 2);
+                assert!(msg.contains("exceeds u32 ids"), "got: {msg}");
+            }
+            other => panic!("expected Parse, got {other:?}"),
+        }
     }
 
     #[test]

@@ -83,7 +83,8 @@ pub fn read_edge_list(r: impl Read, base: IndexBase) -> Result<Graph, IoError> {
                     msg: format!("vertex {name} = {id} in a 1-based file"),
                 });
             }
-            if id - shift > u32::MAX as u64 {
+            // The vertex count is `max id + 1`, which must fit a u32 too.
+            if id - shift >= u32::MAX as u64 {
                 return Err(IoError::Parse {
                     line: lineno,
                     msg: format!("vertex {name} = {id} exceeds u32 ids"),
@@ -183,6 +184,26 @@ mod tests {
         assert!(matches!(err, IoError::Graph(_)));
         let err = read_edge_list("0 1 -2.0\n".as_bytes(), IndexBase::Zero).unwrap_err();
         assert!(matches!(err, IoError::Graph(_)));
+    }
+
+    #[test]
+    fn rejects_an_id_whose_vertex_count_overflows_u32() {
+        for (text, base) in [
+            ("0 4294967295 1\n", IndexBase::Zero),
+            ("1 4294967296 1\n", IndexBase::One),
+        ] {
+            match read_edge_list(text.as_bytes(), base).unwrap_err() {
+                IoError::Parse { line, msg } => {
+                    assert_eq!(line, 1);
+                    assert!(msg.contains("exceeds u32 ids"), "got: {msg}");
+                }
+                other => panic!("expected Parse, got {other:?}"),
+            }
+        }
+        // The largest id that still fits is accepted by the id check (the
+        // graph itself is then too big to build here, so stop at parsing).
+        let err = read_edge_list("0 4294967294 0\n".as_bytes(), IndexBase::Zero).unwrap_err();
+        assert!(matches!(err, IoError::Graph(_)), "got: {err:?}");
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   the experiment harness,
 //! * [`exact`] — exact reference algorithms (Dijkstra, hop-limited
 //!   Bellman–Ford, BFS) used as ground truth when measuring stretch,
-//! * [`io`] — a tiny DIMACS-like text format (no external dependencies) and
-//!   [`io::dimacs`], ingestion of the standard DIMACS `.gr` challenge format,
+//! * [`io`] — ingestion of external graph files: [`io::dimacs`] (the
+//!   standard DIMACS `.gr` challenge format) and [`io::edge_list`],
 //! * [`snapshot`] — versioned binary snapshots of the CSR columns
 //!   (zero-decode load; DESIGN.md §11).
 //!

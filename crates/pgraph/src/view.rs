@@ -15,16 +15,13 @@
 //! * [`OverlayCsr`] — one bucketed CSR block over an extra edge set, built
 //!   either from an edge list ([`OverlayCsr::build`]) or zero-copy from
 //!   structure-of-arrays columns ([`OverlayCsr::build_columns`]);
-//! * [`OverlayCsrBuilder`] — the **incremental** construction-side store: one
-//!   CSR block per appended scale, each bucketed exactly once (counting-sort
-//!   over a caller-supplied prefix-sum — the oracle's executor in practice),
-//!   never re-bucketing earlier scales. Any prefix of blocks is a zero-copy
-//!   "base + scales ≤ k" view ([`UnionView::with_stack`]), and
-//!   [`OverlayCsrBuilder::union_all`] merges the blocks into the single CSR
-//!   a from-scratch [`OverlayCsr::build`] over the whole edge set would
-//!   produce — per-vertex merges of already-sorted runs, no global re-sort;
+//! * [`OverlayCsrBuilder`] — the construction-side rolling store: one CSR
+//!   block per appended scale, bucketed exactly once (counting-sort over a
+//!   caller-supplied prefix-sum — the oracle's executor in practice), with
+//!   only the newest block kept, because a scale-`k` exploration reads
+//!   exactly `H_{k-1}` (§3.2);
 //! * [`UnionView`] / [`UnionGraph`] — borrowed and owned (Arc-backed,
-//!   `Send + Sync`) views over a base graph plus one block or a block stack.
+//!   `Send + Sync`) views over a base graph plus at most one block.
 
 use crate::{Graph, VId, Weight};
 use std::borrow::Cow;
@@ -67,15 +64,6 @@ fn seq_exclusive_scan(xs: &[u64]) -> Vec<u64> {
 }
 
 impl OverlayCsr {
-    /// An empty overlay for an `n`-vertex base graph.
-    pub fn empty(n: usize) -> Self {
-        OverlayCsr {
-            off: vec![0; n + 1],
-            adj: Vec::new(),
-            extra_count: 0,
-        }
-    }
-
     /// Bucket `extra` (undirected edges `(u, v, w)`) into a CSR over `n`
     /// vertices, with a deterministic per-vertex order (neighbor, then
     /// overlay index).
@@ -200,70 +188,32 @@ fn validate_overlay_edge(n: usize, u: VId, v: VId, w: Weight) {
     assert_ne!(u, v, "overlay self loop");
 }
 
-/// Incremental overlay store for the multi-scale construction: one
-/// [`OverlayCsr`] block per appended scale, appended in ascending scale
-/// order and bucketed exactly once.
+/// Rolling overlay store for the multi-scale construction: scales are
+/// appended in ascending order, each bucketed exactly once into one
+/// [`OverlayCsr`] block, and only the newest block is kept — a scale-`k`
+/// exploration reads exactly `H_{k-1}`, and a dense per-block offset array
+/// kept per scale would cost `O(scales · n)` memory for nothing.
 ///
-/// Invariants (what makes the blocks composable):
-///
-/// * overlay indices are **global and contiguous**: the `i`-th appended
-///   block tags its edges `base..base + len` where `base` is the total edge
-///   count of all earlier blocks — matching the hopset's global edge ids
-///   when scales are appended in push order;
-/// * within a block, per-vertex runs are sorted by (neighbor, index) —
-///   exactly [`OverlayCsr::build`]'s order;
-/// * across blocks, index ranges ascend, so concatenating per-vertex runs
-///   block by block keeps same-neighbor entries index-sorted. That is why
-///   [`OverlayCsrBuilder::union_all`] only needs a stable per-vertex merge
-///   (no global re-sort) to reproduce `OverlayCsr::build` over the union,
-///   and why any block prefix is a valid "base + scales ≤ k" overlay
-///   ([`UnionView::with_stack`]) without copying anything.
-///
-/// Retention: [`OverlayCsrBuilder::new`] keeps every block (the prefix-view
-/// and [`OverlayCsrBuilder::union_all`] capability);
-/// [`OverlayCsrBuilder::rolling`] keeps only the newest — the construction
-/// hot path's mode, since a scale-`k` exploration reads exactly `H_{k-1}`
-/// and a dense per-block offset array retained per scale would cost
-/// `O(scales · n)` memory for nothing.
+/// Overlay indices are **global and contiguous**: the `i`-th appended
+/// block tags its edges `base..base + len`, where `base` is the total edge
+/// count of all earlier blocks — the hopset's global edge ids when scales
+/// are appended in push order. Within a block, per-vertex runs are sorted
+/// by (neighbor, index), exactly [`OverlayCsr::build`]'s order.
 #[derive(Clone, Debug)]
 pub struct OverlayCsrBuilder {
     n: usize,
     base: u32,
-    blocks: Vec<OverlayCsr>,
-    rolling: bool,
+    newest: Option<OverlayCsr>,
 }
 
 impl OverlayCsrBuilder {
-    /// An empty builder over an `n`-vertex base graph, retaining every
-    /// appended block.
-    pub fn new(n: usize) -> Self {
-        OverlayCsrBuilder {
-            n,
-            base: 0,
-            blocks: Vec::new(),
-            rolling: false,
-        }
-    }
-
-    /// An empty builder retaining only the most recently appended block
-    /// (earlier blocks are dropped on append). Global index assignment is
-    /// unchanged; [`OverlayCsrBuilder::blocks`]/`blocks_upto`/`union_all`
-    /// see only the retained suffix ([`union_all`](Self::union_all) panics
-    /// in this mode — derive the full union from the source columns with
-    /// [`OverlayCsr::build_columns`] instead).
+    /// An empty builder over an `n`-vertex base graph.
     pub fn rolling(n: usize) -> Self {
         OverlayCsrBuilder {
             n,
             base: 0,
-            blocks: Vec::new(),
-            rolling: true,
+            newest: None,
         }
-    }
-
-    /// Number of vertices of the base graph.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.n
     }
 
     /// Total overlay edges appended so far (= the next block's index base).
@@ -272,16 +222,10 @@ impl OverlayCsrBuilder {
         self.base as usize
     }
 
-    /// Number of appended scale blocks.
-    #[inline]
-    pub fn num_scales(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Append one scale's edges (structure-of-arrays columns) as a new CSR
-    /// block, bucketing **only** these edges — earlier blocks are never
-    /// touched. `scan` supplies the exclusive prefix sum over the per-vertex
-    /// degree array (the counting-sort offsets); pass
+    /// block, bucketing **only** these edges; the previous block is
+    /// dropped. `scan` supplies the exclusive prefix sum over the
+    /// per-vertex degree array (the counting-sort offsets); pass
     /// `pram::scan::exclusive_prefix_sum` on the construction's executor to
     /// run it as a parallel round, or [`OverlayCsrBuilder::append_scale_seq`]
     /// when no executor is in scope. Returns the new block; its
@@ -296,105 +240,29 @@ impl OverlayCsrBuilder {
     ) -> &OverlayCsr {
         let block = OverlayCsr::build_block(self.n, us, vs, ws, self.base, scan);
         self.base += us.len() as u32;
-        if self.rolling {
-            self.blocks.clear();
-        }
-        self.blocks.push(block);
-        self.blocks.last().expect("just pushed")
+        self.newest.insert(block)
     }
 
     /// [`OverlayCsrBuilder::append_scale`] with a sequential prefix sum.
     pub fn append_scale_seq(&mut self, us: &[VId], vs: &[VId], ws: &[Weight]) -> &OverlayCsr {
         self.append_scale(us, vs, ws, seq_exclusive_scan)
     }
-
-    /// All appended blocks, in append (= ascending scale) order.
-    #[inline]
-    pub fn blocks(&self) -> &[OverlayCsr] {
-        &self.blocks
-    }
-
-    /// Block `i` (the `i`-th appended scale).
-    #[inline]
-    pub fn block(&self, i: usize) -> &OverlayCsr {
-        &self.blocks[i]
-    }
-
-    /// The zero-copy block prefix covering the first `count` appended scales
-    /// — "base + scales ≤ k" for [`UnionView::with_stack`].
-    #[inline]
-    pub fn blocks_upto(&self, count: usize) -> &[OverlayCsr] {
-        &self.blocks[..count]
-    }
-
-    /// Merge every block into the single [`OverlayCsr`] that
-    /// [`OverlayCsr::build`] over the whole (global-index-ordered) edge set
-    /// would produce: per-vertex stable merge of already-sorted runs. Cost
-    /// is linear in the output plus the per-vertex sorts of same-neighbor
-    /// ties — no global re-bucket.
-    pub fn union_all(&self) -> OverlayCsr {
-        assert!(
-            !self.rolling,
-            "union_all needs every block; a rolling builder dropped all but the last \
-             (build the union from the source columns with OverlayCsr::build_columns)"
-        );
-        let n = self.n;
-        let total: usize = self.blocks.iter().map(|b| b.adj.len()).sum();
-        // Degree accumulation and placement stream each block linearly
-        // (block-major passes) rather than touching every block per vertex.
-        let mut off = vec![0usize; n + 1];
-        for b in &self.blocks {
-            for v in 0..n {
-                off[v + 1] += b.off[v + 1] - b.off[v];
-            }
-        }
-        for v in 0..n {
-            off[v + 1] += off[v];
-        }
-        let mut cursor = off[..n].to_vec();
-        let mut adj: Vec<(VId, Weight, u32)> = vec![(0, 0.0, 0); total];
-        for b in &self.blocks {
-            for v in 0..n {
-                let run = b.run(v as VId);
-                adj[cursor[v]..cursor[v] + run.len()].copy_from_slice(run);
-                cursor[v] += run.len();
-            }
-        }
-        // Stable by neighbor: per-vertex regions hold the blocks' runs in
-        // block order, so same-neighbor entries are already index-ascending
-        // (within and across blocks) — sorting yields exactly the
-        // (neighbor, index) order of `OverlayCsr::build`.
-        for v in 0..n {
-            adj[off[v]..off[v + 1]].sort_by_key(|e| e.0);
-        }
-        OverlayCsr {
-            off,
-            adj,
-            extra_count: self.base as usize,
-        }
-    }
-}
-
-/// The overlay side of a [`UnionView`]: one CSR (owned or borrowed) or a
-/// borrowed stack of builder blocks.
-enum OverlayPart<'g> {
-    One(Cow<'g, OverlayCsr>),
-    Stack(&'g [OverlayCsr]),
 }
 
 /// A read-only adjacency view over a base [`Graph`] plus an overlay edge set.
 pub struct UnionView<'g> {
     base: &'g Graph,
-    overlay: OverlayPart<'g>,
+    /// `None` for the base graph alone.
+    overlay: Option<Cow<'g, OverlayCsr>>,
     extra_total: usize,
 }
 
 impl<'g> UnionView<'g> {
-    /// View of the base graph alone (allocates nothing: the overlay is an
-    /// empty block stack).
+    /// View of the base graph alone (allocates nothing: there is no
+    /// overlay).
     pub fn base_only(base: &'g Graph) -> Self {
         UnionView {
-            overlay: OverlayPart::Stack(&[]),
+            overlay: None,
             extra_total: 0,
             base,
         }
@@ -413,7 +281,7 @@ impl<'g> UnionView<'g> {
         let csr = OverlayCsr::build(base.num_vertices(), extra);
         UnionView {
             extra_total: csr.extra_count,
-            overlay: OverlayPart::One(Cow::Owned(csr)),
+            overlay: Some(Cow::Owned(csr)),
             base,
         }
     }
@@ -424,7 +292,7 @@ impl<'g> UnionView<'g> {
         let csr = OverlayCsr::build_columns(base.num_vertices(), us, vs, ws);
         UnionView {
             extra_total: csr.extra_count,
-            overlay: OverlayPart::One(Cow::Owned(csr)),
+            overlay: Some(Cow::Owned(csr)),
             base,
         }
     }
@@ -435,38 +303,18 @@ impl<'g> UnionView<'g> {
         UnionView {
             base,
             extra_total: csr.extra_count,
-            overlay: OverlayPart::One(Cow::Borrowed(csr)),
+            overlay: Some(Cow::Borrowed(csr)),
         }
     }
 
-    /// View over a stack of pre-built blocks (no copying, no sorting):
-    /// "base + scales ≤ k" is `with_stack(g, builder.blocks_upto(k))`.
-    /// Adjacency order is base edges, then each block's run in stack order
-    /// (ascending scale); [`EdgeTag::Extra`] reports each block's stored
-    /// (global) indices.
-    pub fn with_stack(base: &'g Graph, blocks: &'g [OverlayCsr]) -> Self {
-        debug_assert!(blocks
-            .iter()
-            .all(|b| b.off.len() == base.num_vertices() + 1));
-        UnionView {
-            base,
-            extra_total: blocks.iter().map(|b| b.extra_count).sum(),
-            overlay: OverlayPart::Stack(blocks),
-        }
-    }
-
-    /// The overlay blocks, unified: one slice whatever the storage flavor,
-    /// and none at all when the overlay holds no edge, so adjacency scans
-    /// skip an empty block's offset column.
+    /// The overlay block, or `None` when the overlay holds no edge, so
+    /// adjacency scans skip an empty block's offset column.
     #[inline]
-    fn blocks(&self) -> &[OverlayCsr] {
+    fn overlay(&self) -> Option<&OverlayCsr> {
         if self.extra_total == 0 {
-            return &[];
+            return None;
         }
-        match &self.overlay {
-            OverlayPart::One(c) => std::slice::from_ref(c.as_ref()),
-            OverlayPart::Stack(s) => s,
-        }
+        self.overlay.as_deref()
     }
 
     /// Number of vertices.
@@ -498,19 +346,19 @@ impl<'g> UnionView<'g> {
     /// Total degree of `v` in the union.
     #[inline]
     pub fn degree(&self, v: VId) -> usize {
-        self.base.degree(v) + self.blocks().iter().map(|b| b.run(v).len()).sum::<usize>()
+        self.base.degree(v) + self.overlay().map_or(0, |o| o.run(v).len())
     }
 
     /// Visit every `(neighbor, weight, tag)` of `v`: base edges first
-    /// (sorted by neighbor), then overlay edges block by block (each block
-    /// sorted by neighbor, then index).
+    /// (sorted by neighbor), then overlay edges (sorted by neighbor, then
+    /// index).
     #[inline]
     pub fn for_each_neighbor(&self, v: VId, mut f: impl FnMut(VId, Weight, EdgeTag)) {
         for (nb, w) in self.base.neighbors(v) {
             f(nb, w, EdgeTag::Base);
         }
-        for b in self.blocks() {
-            for &(nb, w, idx) in b.run(v) {
+        if let Some(o) = self.overlay() {
+            for &(nb, w, idx) in o.run(v) {
                 f(nb, w, EdgeTag::Extra(idx));
             }
         }
@@ -519,8 +367,8 @@ impl<'g> UnionView<'g> {
     /// Iterate neighbors of `v` as an iterator (allocation-free).
     pub fn neighbors(&self, v: VId) -> impl Iterator<Item = (VId, Weight, EdgeTag)> + '_ {
         let base = self.base.neighbors(v).map(|(nb, w)| (nb, w, EdgeTag::Base));
-        let extra = self.blocks().iter().flat_map(move |b| {
-            b.run(v)
+        let extra = self.overlay().into_iter().flat_map(move |o| {
+            o.run(v)
                 .iter()
                 .map(|&(nb, w, idx)| (nb, w, EdgeTag::Extra(idx)))
         });
@@ -531,9 +379,9 @@ impl<'g> UnionView<'g> {
     pub fn edge_weight(&self, u: VId, v: VId) -> Option<Weight> {
         let base = self.base.edge_weight(u, v);
         let extra = self
-            .blocks()
-            .iter()
-            .flat_map(|b| b.run(u).iter())
+            .overlay()
+            .into_iter()
+            .flat_map(|o| o.run(u).iter())
             .filter(|e| e.0 == v)
             .map(|e| e.1)
             .min_by(crate::wcmp);
@@ -558,30 +406,15 @@ pub struct UnionGraph {
 }
 
 impl UnionGraph {
-    /// Own `base` and overlay `extra` on it (builds the overlay CSR once).
-    ///
-    /// Panics on invalid overlay edges, exactly like
-    /// [`UnionView::with_extra`].
-    pub fn new(base: Arc<Graph>, extra: &[(VId, VId, Weight)]) -> Self {
-        let csr = OverlayCsr::build(base.num_vertices(), extra);
-        UnionGraph { base, csr }
-    }
-
-    /// Own `base` with a pre-built overlay CSR — e.g. a construction-side
-    /// [`OverlayCsrBuilder::union_all`], so nothing is re-bucketed at query
-    /// setup. Panics if the CSR was built for a different vertex count.
+    /// Own `base` with a pre-built overlay CSR (e.g.
+    /// [`OverlayCsr::build_columns`] over the hopset's columns). Panics if
+    /// the CSR was built for a different vertex count.
     pub fn from_csr(base: Arc<Graph>, csr: OverlayCsr) -> Self {
         assert_eq!(
             csr.off.len(),
             base.num_vertices() + 1,
             "overlay CSR built for a different vertex count"
         );
-        UnionGraph { base, csr }
-    }
-
-    /// Own `base` with an empty overlay.
-    pub fn base_only(base: Arc<Graph>) -> Self {
-        let csr = OverlayCsr::empty(base.num_vertices());
         UnionGraph { base, csr }
     }
 
@@ -707,63 +540,15 @@ mod tests {
     #[test]
     fn builder_blocks_carry_global_indices() {
         let g = path3();
-        let mut b = OverlayCsrBuilder::new(4);
+        let mut b = OverlayCsrBuilder::rolling(4);
         b.append_scale_seq(&[0, 1], &[2, 3], &[5.0, 6.0]); // ids 0, 1
-        b.append_scale_seq(&[0], &[3], &[7.0]); // id 2
-        assert_eq!(b.num_extra(), 3);
-        let blk = b.block(b.num_scales() - 1);
+        let blk = b.append_scale_seq(&[0], &[3], &[7.0]); // id 2
         assert_eq!(blk.num_extra(), 1);
         let v = UnionView::with_csr(&g, blk);
         let mut tags = Vec::new();
         v.for_each_neighbor(0, |nb, _, t| tags.push((nb, t)));
         assert_eq!(tags, vec![(1, EdgeTag::Base), (3, EdgeTag::Extra(2))]);
-    }
-
-    #[test]
-    fn builder_union_matches_from_scratch_build() {
-        let g = path3();
-        let all = vec![(0u32, 2u32, 5.0), (1, 3, 6.0), (0, 3, 7.0), (0, 2, 8.0)];
-        let mut b = OverlayCsrBuilder::new(4);
-        b.append_scale_seq(&[0, 1], &[2, 3], &[5.0, 6.0]);
-        b.append_scale_seq(&[0, 0], &[3, 2], &[7.0, 8.0]);
-        let merged = b.union_all();
-        let reference = UnionView::with_extra(&g, &all);
-        let view = UnionView::with_csr(&g, &merged);
-        assert_eq!(view.num_extra(), 4);
-        for v in 0..4 {
-            let x: Vec<_> = view.neighbors(v).collect();
-            let y: Vec<_> = reference.neighbors(v).collect();
-            assert_eq!(x, y, "vertex {v}");
-        }
-    }
-
-    #[test]
-    fn stacked_view_slices_scales_without_copying() {
-        let g = path3();
-        let mut b = OverlayCsrBuilder::new(4);
-        b.append_scale_seq(&[0], &[2], &[5.0]); // "scale 0"
-        b.append_scale_seq(&[1], &[3], &[6.0]); // "scale 1"
-        b.append_scale_seq(&[0], &[3], &[7.0]); // "scale 2"
-                                                // Base + scales ≤ 1 (two blocks), zero-copy.
-        let v = UnionView::with_stack(&g, b.blocks_upto(2));
-        assert_eq!(v.num_extra(), 2);
-        assert_eq!(v.edge_weight(0, 2), Some(5.0));
-        assert_eq!(v.edge_weight(1, 3), Some(6.0));
-        assert_eq!(v.edge_weight(0, 3), None, "scale 2 not in the prefix");
-        // The full stack sees everything, with global tags.
-        let full = UnionView::with_stack(&g, b.blocks());
-        assert_eq!(full.num_extra(), 3);
-        let mut tags = Vec::new();
-        full.for_each_neighbor(0, |nb, _, t| tags.push((nb, t)));
-        assert_eq!(
-            tags,
-            vec![
-                (1, EdgeTag::Base),
-                (2, EdgeTag::Extra(0)),
-                (3, EdgeTag::Extra(2))
-            ]
-        );
-        assert_eq!(full.degree(0), 3);
+        assert_eq!(b.num_extra(), 3);
     }
 
     #[test]
@@ -771,29 +556,25 @@ mod tests {
         let g = path3();
         let mut b = OverlayCsrBuilder::rolling(4);
         b.append_scale_seq(&[0], &[2], &[5.0]); // id 0
-        b.append_scale_seq(&[1], &[3], &[6.0]); // id 1
-        assert_eq!(b.num_scales(), 1, "earlier blocks dropped");
-        assert_eq!(b.num_extra(), 2, "global index assignment unchanged");
-        let v = UnionView::with_csr(&g, b.block(0));
+        let blk = b.append_scale_seq(&[1], &[3], &[6.0]); // id 1
+        let v = UnionView::with_csr(&g, blk);
+        assert_eq!(
+            v.num_extra(),
+            1,
+            "the first scale's edge is not in the block"
+        );
+        assert_eq!(v.edge_weight(0, 2), None);
         let mut tags = Vec::new();
         v.for_each_neighbor(3, |nb, _, t| tags.push((nb, t)));
         assert_eq!(tags, vec![(2, EdgeTag::Base), (1, EdgeTag::Extra(1))]);
-    }
-
-    #[test]
-    #[should_panic(expected = "union_all needs every block")]
-    fn rolling_builder_refuses_union_all() {
-        let mut b = OverlayCsrBuilder::rolling(4);
-        b.append_scale_seq(&[0], &[2], &[5.0]);
-        b.append_scale_seq(&[1], &[3], &[6.0]);
-        let _ = b.union_all();
+        assert_eq!(b.num_extra(), 2, "global index assignment unchanged");
     }
 
     #[test]
     fn owned_union_graph_matches_borrowed_view() {
         let g = Arc::new(path3());
         let extra = vec![(0u32, 3u32, 2.5), (1, 3, 9.0)];
-        let owned = UnionGraph::new(Arc::clone(&g), &extra);
+        let owned = UnionGraph::from_csr(Arc::clone(&g), OverlayCsr::build(4, &extra));
         let borrowed = UnionView::with_extra(&g, &extra);
         assert_eq!(owned.num_extra(), 2);
         for v in 0..4 {
@@ -807,9 +588,8 @@ mod tests {
     #[test]
     fn union_graph_from_prebuilt_csr() {
         let g = Arc::new(path3());
-        let mut b = OverlayCsrBuilder::new(4);
-        b.append_scale_seq(&[0], &[3], &[2.5]);
-        let owned = UnionGraph::from_csr(Arc::clone(&g), b.union_all());
+        let csr = OverlayCsr::build_columns(4, &[0], &[3], &[2.5]);
+        let owned = UnionGraph::from_csr(Arc::clone(&g), csr);
         assert_eq!(owned.num_extra(), 1);
         assert_eq!(owned.view().edge_weight(0, 3), Some(2.5));
     }
@@ -817,7 +597,7 @@ mod tests {
     #[test]
     fn union_graph_is_send_sync_and_shareable() {
         fn assert_send_sync<T: Send + Sync>(_: &T) {}
-        let ug = UnionGraph::base_only(Arc::new(path3()));
+        let ug = UnionGraph::from_csr(Arc::new(path3()), OverlayCsr::build(4, &[]));
         assert_send_sync(&ug);
         let shared = Arc::new(ug);
         let s2 = Arc::clone(&shared);

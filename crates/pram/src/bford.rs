@@ -70,24 +70,6 @@ pub struct BellmanFordResult {
     pub converged_at: Option<usize>,
 }
 
-impl BellmanFordResult {
-    /// Hop count of the tree path to `v` (follows parents). `None` if
-    /// unreached.
-    pub fn hops_to(&self, v: VId) -> Option<usize> {
-        if self.dist[v as usize] == INF {
-            return None;
-        }
-        let mut h = 0usize;
-        let mut cur = v;
-        while let Some(pe) = self.parent[cur as usize] {
-            h += 1;
-            cur = pe.parent;
-            debug_assert!(h <= self.dist.len(), "parent cycle");
-        }
-        Some(h)
-    }
-}
-
 /// What a round minimizes per vertex: the distance alone (`Weight`), or
 /// the distance with the edge it came through (`(Weight, ParentEdge)`,
 /// ordered by [`cand_key`]).
@@ -612,7 +594,11 @@ mod tests {
         assert_eq!(r1.dist[3], 10.0);
         let r3 = bellman_ford(&exec(), &view, &[0], 3, &mut l);
         assert_eq!(r3.dist[3], 3.0);
-        assert_eq!(r3.hops_to(3), Some(3));
+        // The tree path to 3 is the light one: 3 ← 2 ← 1 ← 0.
+        let chain: Vec<VId> =
+            std::iter::successors(Some(3), |&v| r3.parent[v as usize].map(|pe| pe.parent))
+                .collect();
+        assert_eq!(chain, vec![3, 2, 1, 0]);
     }
 
     #[test]
@@ -697,7 +683,7 @@ mod tests {
         let mut l = Ledger::new();
         let r = bellman_ford(&exec(), &view, &[0], 10, &mut l);
         assert_eq!(r.dist[2], INF);
-        assert_eq!(r.hops_to(2), None);
+        assert_eq!(r.parent[2], None);
     }
 
     /// The settle criterion: early-exit p2p answers are bit-identical to

@@ -48,22 +48,6 @@ pub fn pointer_jump_distances(
     (d, q)
 }
 
-/// Pointer jumping on pointers alone: returns the root of every vertex.
-/// Used by Appendix C.4's node-center selection over the nodes forest G¯.
-pub fn pointer_jump_roots(exec: &Executor, parent: &[VId], ledger: &mut Ledger) -> Vec<VId> {
-    let n = parent.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut q: Vec<VId> = parent.to_vec();
-    let rounds = pgraph::ceil_log2(n.max(2)) as usize + 1;
-    for _ in 0..rounds {
-        ledger.step(n as u64);
-        q = prim::par_map_range(exec, n, |v| q[q[v] as usize]);
-    }
-    q
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,7 +98,7 @@ mod tests {
     fn roots_only() {
         let parent = vec![0, 0, 1, 2, 4, 4];
         let mut l = Ledger::new();
-        let r = pointer_jump_roots(&exec(), &parent, &mut l);
+        let (_, r) = pointer_jump_distances(&exec(), &parent, &[0.0; 6], &mut l);
         assert_eq!(r, vec![0, 0, 0, 0, 4, 4]);
     }
 

@@ -24,7 +24,7 @@
 //! `Executor::new(t)` is a private pool of `t` threads, and
 //! `Executor::sequential()` is the one-thread executor, which spawns no
 //! workers and runs every round inline. No library code reads the
-//! environment or the hardware; binaries, benches and tests resolve
+//! environment or the hardware; binaries and tests resolve
 //! `PRAM_SSSP_THREADS` through [`pool::threads_from_env`].
 //!
 //! Modules:

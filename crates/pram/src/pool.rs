@@ -70,7 +70,7 @@
 //! The count is an input: whoever creates an [`Executor`] picks it. The
 //! one function that reads it from the environment is
 //! [`threads_from_env`] (`PRAM_SSSP_THREADS`, else the hardware's
-//! parallelism), and only binaries, benches and tests call it — the CI
+//! parallelism), and only binaries and tests call it — the CI
 //! matrix reaches every suite through it. Library code never does.
 //!
 //! Inside a pool task the effective count is pinned to 1: nested
@@ -107,7 +107,7 @@ thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The thread count a binary, bench or test runs on: `PRAM_SSSP_THREADS`
+/// The thread count a binary or test runs on: `PRAM_SSSP_THREADS`
 /// when it holds a positive integer (surrounding whitespace allowed),
 /// else the hardware's available parallelism; never below 1. This is the
 /// one place the variable is read — library code takes an [`Executor`]
@@ -153,33 +153,6 @@ fn balanced_split(len: usize, nchunks: usize) -> Vec<Range<usize>> {
     }
     debug_assert_eq!(start, len);
     bounds
-}
-
-/// Fine-mode chunk multiplier: skewed rounds split into up to
-/// `FINE_CHUNK_FACTOR × threads` chunks so the pool's chunk-claim counter
-/// can *donate* trailing chunks to whichever workers finish early.
-pub const FINE_CHUNK_FACTOR: usize = 4;
-
-/// Floor for fine-mode chunks, deliberately below [`MIN_CHUNK`]: fine mode
-/// exists for rounds whose per-element work is skewed (a few heavy
-/// elements among many trivial ones), where load balance matters more
-/// than per-chunk dispatch overhead.
-pub const MIN_FINE_CHUNK: usize = 512;
-
-/// The deterministic **fine** chunking rule for skewed rounds: split
-/// `0..len` into `min(threads × FINE_CHUNK_FACTOR, len / MIN_FINE_CHUNK)`
-/// (at least 1) balanced contiguous chunks. Like [`chunk_bounds`] this is
-/// a pure function of `(len, threads)` — scheduling never moves a
-/// boundary. With more chunks than threads, the shared claim counter in
-/// `dispatch` becomes a **donation** queue: a worker that finishes its
-/// chunk early claims the next unclaimed index instead of idling. Which
-/// chunk runs *where* changes; the boundaries (and therefore every
-/// computed value) do not — the §5 contract holds by construction, and
-/// the debug-build [`overlap`] detector re-verifies the executed
-/// partition every round.
-pub fn fine_chunk_bounds(len: usize, threads: usize) -> Vec<Range<usize>> {
-    let cap = (len / MIN_FINE_CHUNK).max(1);
-    balanced_split(len, (threads.max(1) * FINE_CHUNK_FACTOR).min(cap))
 }
 
 /// Chunking for **coarse-grained task lists** — `len` items that are each
@@ -580,42 +553,6 @@ impl Executor {
         }
     }
 
-    /// [`fine_chunk_bounds`] at this executor's thread count.
-    #[inline]
-    pub fn fine_chunk_bounds(&self, len: usize) -> Vec<Range<usize>> {
-        fine_chunk_bounds(len, self.effective_threads())
-    }
-
-    /// [`Executor::round_bounds`] with the **fine** split: same
-    /// eligibility rule, but an eligible round splits into
-    /// [`fine_chunk_bounds`] so the claim counter can donate trailing
-    /// chunks to early finishers.
-    pub fn round_bounds_fine(&self, len: usize) -> Vec<Range<usize>> {
-        if self.parallel_eligible(len) {
-            self.fine_chunk_bounds(len)
-        } else if len == 0 {
-            Vec::new()
-        } else {
-            std::iter::once(0..len).collect()
-        }
-    }
-
-    /// Autotuned round bounds: pick the fine split when the round is
-    /// **skewed** — fewer than half of the `len` elements are expected to
-    /// do real work (`active` is the caller's deterministic estimate,
-    /// e.g. the number of vertices whose labels changed last pulse) — and
-    /// the coarse split otherwise. `active` is computed from the input
-    /// data, never from timing or scheduling, so the fine/coarse decision
-    /// is itself deterministic and the §5 contract is preserved whichever
-    /// branch is taken.
-    pub fn round_bounds_auto(&self, len: usize, active: usize) -> Vec<Range<usize>> {
-        if active.saturating_mul(2) < len {
-            self.round_bounds_fine(len)
-        } else {
-            self.round_bounds(len)
-        }
-    }
-
     /// Execute `task(chunk_index)` for every `chunk_index in 0..nchunks`,
     /// distributed over the persistent workers + the calling thread, and
     /// barrier until all are done. Runs inline (sequentially, in index
@@ -859,69 +796,16 @@ mod tests {
     }
 
     #[test]
-    fn fine_chunk_bounds_partition_and_are_pure() {
-        for len in [0usize, 1, 511, 512, 4096, 4097, 100_000, 1 << 20] {
-            for t in [1usize, 2, 4, 8] {
-                let b = fine_chunk_bounds(len, t);
-                if len == 0 {
-                    assert!(b.is_empty());
-                    continue;
-                }
-                // Documented rule: min(t × FINE_CHUNK_FACTOR, len / MIN_FINE_CHUNK), ≥ 1.
-                assert_eq!(
-                    b.len(),
-                    (t * FINE_CHUNK_FACTOR).min((len / MIN_FINE_CHUNK).max(1)),
-                    "len={len} t={t}"
-                );
-                let mut next = 0usize;
-                let mut sizes = Vec::new();
-                for r in &b {
-                    assert_eq!(r.start, next);
-                    next = r.end;
-                    sizes.push(r.len());
-                }
-                assert_eq!(next, len);
-                let (max, min) = (sizes.iter().max().unwrap(), sizes.iter().min().unwrap());
-                assert!(max - min <= 1, "len={len} t={t}");
-                // Pure function of (len, threads): identical on re-derivation.
-                assert_eq!(b, fine_chunk_bounds(len, t));
-            }
-        }
-        // Fine mode produces strictly more chunks than coarse on big
-        // inputs — that headroom is what donation consumes.
-        assert!(fine_chunk_bounds(1 << 20, 4).len() > chunk_bounds(1 << 20, 4).len());
-    }
-
-    #[test]
-    fn round_bounds_auto_picks_fine_only_for_skewed_rounds() {
-        let exec = Executor::new(4);
-        let len = 1 << 16;
-        // Dense round (everything active): coarse split.
-        assert_eq!(exec.round_bounds_auto(len, len), exec.round_bounds(len));
-        assert_eq!(
-            exec.round_bounds_auto(len, len / 2),
-            exec.round_bounds(len),
-            "exactly half active is still dense"
-        );
-        // Skewed round (few active): fine split, more chunks than threads.
-        let fine = exec.round_bounds_auto(len, len / 4);
-        assert_eq!(fine, exec.round_bounds_fine(len));
-        assert!(fine.len() > exec.threads());
-        // Ineligible lengths collapse to one chunk in every mode.
-        assert_eq!(exec.round_bounds_auto(100, 0), vec![0..100]);
-        assert_eq!(Executor::sequential().round_bounds_fine(100), vec![0..100]);
-    }
-
-    #[test]
     fn donation_rounds_merge_in_chunk_order_and_match_coarse() {
         // More chunks than threads: the claim counter hands trailing
-        // chunks to whichever participant frees up first (donation). The
-        // per-chunk results still land in chunk-order slots, so the merged
-        // output is bit-identical to the coarse split's.
+        // chunks to whichever participant frees up first. The per-chunk
+        // results still land in chunk-order slots, so the merged output is
+        // bit-identical to the coarse split's. `run_chunks` accepts any
+        // partition; this one is built by hand.
         let exec = Executor::new(2);
-        let len = 64 * MIN_FINE_CHUNK;
-        let fine = exec.fine_chunk_bounds(len);
-        assert!(fine.len() > exec.threads(), "donation must be exercised");
+        let len = 1 << 15;
+        let fine: Vec<Range<usize>> = (0..16).map(|i| i * len / 16..(i + 1) * len / 16).collect();
+        assert!(fine.len() > exec.threads(), "more chunks than threads");
         let sum = |bounds: &[Range<usize>]| -> Vec<u64> {
             exec.run_chunks(bounds, |r| r.map(|i| i as u64 * 31).sum::<u64>())
         };

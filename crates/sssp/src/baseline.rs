@@ -1,16 +1,9 @@
-//! Baselines for the experiments: exact sequential Dijkstra (the work
-//! baseline of E10), plain hop-limited Bellman–Ford *without* a hopset
-//! (what the hopset accelerates), and convergence-round counting.
+//! Baselines for the experiments: plain hop-limited Bellman–Ford *without*
+//! a hopset (what the hopset accelerates) and convergence-round counting.
+//! The exact sequential baseline is `pgraph::exact::dijkstra`.
 
-use pgraph::exact::{self, SsspResult};
 use pgraph::{Graph, UnionView, VId, Weight};
 use pram::{bford, Executor, Ledger};
-
-/// Exact sequential Dijkstra (comparison point for counted work and
-/// wall-clock).
-pub fn dijkstra_exact(g: &Graph, source: VId) -> SsspResult {
-    exact::dijkstra(g, source)
-}
 
 /// Plain parallel Bellman–Ford on `G` alone with a hop budget, on `exec`.
 /// Returns `(distances, ledger)`; distances are `d^{(hops)}_G`, *not*
@@ -72,13 +65,5 @@ mod tests {
         assert_eq!(d[5], 5.0);
         assert_eq!(d[6], pgraph::INF);
         assert_eq!(ledger.depth(), 5);
-    }
-
-    #[test]
-    fn dijkstra_wrapper() {
-        let g = gen::gnm_connected(50, 120, 2, 1.0, 3.0);
-        let r = dijkstra_exact(&g, 0);
-        assert_eq!(r.dist[0], 0.0);
-        assert!(r.dist.iter().all(|d| d.is_finite()));
     }
 }

@@ -34,19 +34,6 @@ pub fn stretch_vs_hops(
     budgets: &[usize],
 ) -> Vec<HopCurvePoint> {
     let view = UnionView::with_extra(g, overlay);
-    stretch_vs_hops_view(&view, sources, budgets)
-}
-
-/// Like [`stretch_vs_hops`], but over a pre-built `G ∪ H` view — the entry
-/// point the owned [`crate::Oracle`] uses, so the overlay CSR is not
-/// rebuilt per measurement. Exact references come from the view's base
-/// graph.
-pub fn stretch_vs_hops_view(
-    view: &UnionView<'_>,
-    sources: &[VId],
-    budgets: &[usize],
-) -> Vec<HopCurvePoint> {
-    let g = view.base();
     // Exact baseline in a flat row-major DistanceMatrix — the query layer's
     // one distance-table layout (no nested Vec<Vec<Weight>>).
     let mut exact = DistanceMatrix::with_capacity(sources.len(), g.num_vertices());
@@ -61,7 +48,7 @@ pub fn stretch_vs_hops_view(
             let mut cnt = 0usize;
             let mut unreached = 0usize;
             for (si, &s) in sources.iter().enumerate() {
-                let approx = bellman_ford_hops(view, &[s], hops);
+                let approx = bellman_ford_hops(&view, &[s], hops);
                 #[allow(clippy::needless_range_loop)] // indexes several parallel arrays
                 for v in 0..g.num_vertices() {
                     let e = exact.row(si)[v];

@@ -216,11 +216,6 @@ impl LandmarkPlane {
         self.delta
     }
 
-    /// The row stretch `ε` the lower bounds are deflated by.
-    pub fn row_eps(&self) -> f64 {
-        self.eps
-    }
-
     /// Guaranteed multiplicative stretch of certified answers against the
     /// **exact** distance: `1 + δ` (module docs — the row `ε` is absorbed
     /// by the lower-bound deflation).

@@ -162,14 +162,6 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// An empty matrix with `num_targets` columns.
-    pub fn with_targets(num_targets: usize) -> Self {
-        DistanceMatrix {
-            data: Vec::new(),
-            num_targets,
-        }
-    }
-
     /// An empty matrix pre-allocating space for `rows` rows.
     pub fn with_capacity(rows: usize, num_targets: usize) -> Self {
         DistanceMatrix {
@@ -207,13 +199,6 @@ impl DistanceMatrix {
     #[inline]
     pub fn as_slice(&self) -> &[Weight] {
         &self.data
-    }
-
-    /// Copy out into the legacy nested shape (tests, pretty-printing).
-    pub fn to_nested(&self) -> Vec<Vec<Weight>> {
-        (0..self.num_sources())
-            .map(|i| self.row(i).to_vec())
-            .collect()
     }
 }
 
@@ -770,29 +755,6 @@ impl Oracle {
             OracleBackend::Reduced(r) => build_spt_reduced_on(&self.exec, &view, r, source),
         })
     }
-
-    /// Measure the stretch-vs-hop-budget curve of this oracle's `G ∪ H`
-    /// from `sources` at each budget in `budgets`.
-    ///
-    /// The oracle's `H` targets its own budget [`Oracle::query_hops`] only:
-    /// a certified oracle has no scale at all, because `G` alone is exact
-    /// at that budget, so at smaller budgets its curve is the bare graph's.
-    /// Experiment F2, which charts budgets below β, measures Theorem 3.7's
-    /// hopset from `hopset::build_hopset_on` instead.
-    pub fn stretch_curve(
-        &self,
-        sources: &[VId],
-        budgets: &[usize],
-    ) -> Result<Vec<crate::eval::HopCurvePoint>, SsspError> {
-        for &s in sources {
-            check_source(self.num_vertices(), s)?;
-        }
-        Ok(crate::eval::stretch_vs_hops_view(
-            &self.union.view(),
-            sources,
-            budgets,
-        ))
-    }
 }
 
 impl DistanceOracle for Oracle {
@@ -1284,7 +1246,7 @@ mod tests {
             let single = oracle.distances_from(s).unwrap();
             assert_eq!(multi.dist.row(i), &single[..], "source {s}");
         }
-        assert_eq!(multi.dist.to_nested()[1][37], 0.0);
+        assert_eq!(multi.dist.row(1)[37], 0.0);
     }
 
     #[test]
@@ -1347,34 +1309,12 @@ mod tests {
 
     #[test]
     fn distance_matrix_shape() {
-        let mut m = DistanceMatrix::with_targets(3);
+        let mut m = DistanceMatrix::with_capacity(2, 3);
         assert_eq!(m.num_sources(), 0);
         m.push_row(&[0.0, 1.0, 2.0]);
         m.push_row(&[5.0, 0.0, 1.0]);
         assert_eq!(m.num_sources(), 2);
         assert_eq!(m.row(1), &[5.0, 0.0, 1.0]);
-        assert_eq!(m.as_slice().len(), 6);
-        assert_eq!(
-            m.to_nested(),
-            vec![vec![0.0, 1.0, 2.0], vec![5.0, 0.0, 1.0]]
-        );
-    }
-
-    #[test]
-    fn stretch_curve_through_the_oracle() {
-        let g = gen::path(128);
-        let oracle = Oracle::builder(g)
-            .threads(threads_from_env())
-            .build()
-            .unwrap();
-        let pts = oracle.stretch_curve(&[0], &[4, 16, 128]).unwrap();
-        assert_eq!(pts.len(), 3);
-        // Unreached counts are non-increasing in budget; exact at n hops.
-        assert!(pts[0].unreached >= pts[2].unreached);
-        assert_eq!(pts[2].unreached, 0);
-        assert!(matches!(
-            oracle.stretch_curve(&[999], &[4]),
-            Err(SsspError::InvalidSource { .. })
-        ));
+        assert_eq!(m.as_slice(), &[0.0, 1.0, 2.0, 5.0, 0.0, 1.0]);
     }
 }

@@ -27,7 +27,7 @@ pub struct OverheadRow {
 }
 
 /// One round on the persistent pool.
-pub fn persistent_round(exec: &Executor, bounds: &[Range<usize>], data: &[u64]) -> u64 {
+fn persistent_round(exec: &Executor, bounds: &[Range<usize>], data: &[u64]) -> u64 {
     exec.run_chunks(bounds, |r| data[r].iter().sum::<u64>())
         .into_iter()
         .sum()

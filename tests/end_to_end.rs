@@ -214,8 +214,8 @@ fn hop_reduction_is_real() {
 fn io_roundtrip_through_public_api() {
     let g = gen::gnm_connected(60, 150, 21, 1.0, 5.0);
     let mut buf = Vec::new();
-    pgraph::io::write_graph(&g, &mut buf).unwrap();
-    let h = pgraph::io::read_graph(buf.as_slice()).unwrap();
+    pgraph::snapshot::write_graph_snapshot(&g, &mut buf).unwrap();
+    let h = pgraph::snapshot::read_graph_snapshot(buf.as_slice()).unwrap();
     assert_eq!(g.edges(), h.edges());
     // The reloaded graph builds the same hopset.
     let p = HopsetParams::practical(60, 0.25, 4, g.aspect_ratio_bound()).unwrap();
@@ -291,8 +291,8 @@ fn hopset_serialization_through_public_api() {
     let p = HopsetParams::practical(80, 0.25, 4, g.aspect_ratio_bound()).unwrap();
     let built = build_hopset_on(&exec(), &g, &p, BuildOptions::default());
     let mut buf = Vec::new();
-    hopset::write_hopset(&built.hopset, &mut buf).unwrap();
-    let loaded = hopset::read_hopset(buf.as_slice()).unwrap();
+    hopset::write_hopset_snapshot(&built.hopset, &mut buf).unwrap();
+    let loaded = hopset::read_hopset_snapshot(buf.as_slice()).unwrap();
     let v1 = UnionView::with_extra(&g, &built.hopset.all_slice().to_overlay_vec());
     let v2 = UnionView::with_extra(&g, &loaded.all_slice().to_overlay_vec());
     let d1 = exact::bellman_ford_hops(&v1, &[3], p.query_hops);
