@@ -12,17 +12,29 @@
 //!   with the edge it came through ([`bellman_ford`]: Theorem 4.6's parent
 //!   edge, which only the SPT of §4 reads). A round's minimum distance
 //!   does not depend on how equal distances break ties, so distances,
-//!   frontiers, round counts and ledgers are the same in both;
+//!   frontiers (content and order), round counts and ledgers are the same
+//!   in both;
+//! * *one slot fold per candidate*: every write of a round into the
+//!   per-vertex update slots goes through the candidate's fold. A
+//!   distance folds without a data-dependent branch: an offer that does
+//!   not beat the previous label becomes `INF`, the slot takes the
+//!   minimum, and the vertex is written to the round's write list every
+//!   time but counted only on the slot's first write. The list is sized
+//!   once per round to the most first writes the round can make. The
+//!   parent-carrying fold keeps its branches, which cost less than a
+//!   select of its 32-byte candidate;
 //! * *frontier-driven rounds*: only a vertex whose distance changed in the
 //!   previous round can offer a candidate that beats its neighbor's label
 //!   (an unchanged vertex offered the same candidate last round, where it
 //!   was taken or rejected). The kernel keeps those vertices as a list,
 //!   the frontier `F`, and picks each round's kind from its union degree
 //!   `touched = Σ_{u∈F} deg(u)`:
-//!   - *sparse* (`4·touched < 2|E∪H|`): every frontier vertex pushes its
-//!     improving candidates. A one-chunk round folds them straight into
-//!     the per-vertex update slots; a chunked round pushes into one buffer
-//!     per chunk, and the caller folds the buffers in chunk order. The
+//!   - *sparse* (`4·touched < 2|E∪H|`): every frontier vertex offers a
+//!     candidate over each of its slots, kept iff it improves the target.
+//!     A one-chunk round folds them straight into the per-vertex update
+//!     slots, with at most one first write per touched slot; a chunked
+//!     round appends the kept offers to one buffer per chunk, sized to the
+//!     chunk's slots, and the caller folds the buffers in chunk order. The
 //!     round costs the frontier's slots, not `|E∪H|`;
 //!   - *dense* (otherwise): every vertex pulls over all its neighbors, and
 //!     each chunk of the vertex range lists the vertices it wrote, in
@@ -72,7 +84,8 @@ pub struct BellmanFordResult {
 
 /// What a round minimizes per vertex: the distance alone (`Weight`), or
 /// the distance with the edge it came through (`(Weight, ParentEdge)`,
-/// ordered by [`cand_key`]).
+/// ordered by [`cand_key`]). The candidate also supplies the one slot fold
+/// every round kind uses ([`Candidate::fold`]).
 trait Candidate: Copy + Send + Sync {
     /// The least candidate at distance `d`: a candidate beats it iff its
     /// distance is below `d`. `at(INF)` marks an unwritten update slot;
@@ -86,6 +99,12 @@ trait Candidate: Copy + Send + Sync {
     fn dist(self) -> Weight;
     /// Strictly smaller than `other` in the candidate order.
     fn beats(self, other: Self) -> bool;
+    /// Folds the offer `c` into `v`'s update slot if `keep` (`c` beats
+    /// `v`'s previous label), and appends `v` to `next` at `*len` on the
+    /// slot's first write of the round. `next` has room for one entry per
+    /// offer. Both folds take the same minimum and list first writes in
+    /// offer order.
+    fn fold(updates: &mut [Self], next: &mut [VId], len: &mut usize, v: VId, c: Self, keep: bool);
 }
 
 impl Candidate for Weight {
@@ -107,6 +126,18 @@ impl Candidate for Weight {
     #[inline]
     fn beats(self, other: Self) -> bool {
         self < other
+    }
+
+    /// Branch-free: an offer that is not kept becomes `INF`, the slot
+    /// takes the minimum, and `v` is written at the end of the list every
+    /// time but counted only on a first write.
+    #[inline]
+    fn fold(updates: &mut [Self], next: &mut [VId], len: &mut usize, v: VId, c: Self, keep: bool) {
+        let cand = if keep { c } else { INF };
+        let slot = &mut updates[v as usize];
+        let old = *slot;
+        *slot = if cand < old { cand } else { old };
+        append(next, len, v, (old == INF) & (cand != INF));
     }
 }
 
@@ -137,6 +168,44 @@ impl Candidate for (Weight, ParentEdge) {
     fn beats(self, other: Self) -> bool {
         cand_key(&self) < cand_key(&other)
     }
+
+    /// Branching: a select of the 32-byte candidate costs more than the
+    /// mispredictions it would save (DESIGN.md §9).
+    #[inline]
+    fn fold(updates: &mut [Self], next: &mut [VId], len: &mut usize, v: VId, c: Self, keep: bool) {
+        if !keep {
+            return;
+        }
+        let slot = &mut updates[v as usize];
+        if slot.0 == INF {
+            append(next, len, v, true);
+            *slot = c;
+        } else if c.beats(*slot) {
+            *slot = c;
+        }
+    }
+}
+
+/// Writes `x` at `buf[*len]` and keeps it iff `keep`: a branch-free append
+/// into a buffer sized for every offer.
+#[inline]
+fn append<T>(buf: &mut [T], len: &mut usize, x: T, keep: bool) {
+    buf[*len] = x;
+    *len += keep as usize;
+}
+
+/// Sizes `buf` to `room` entries (`blank` fills any growth), lets `fill`
+/// append to it ([`append`]), and keeps the `len` entries it appended.
+fn append_into<T: Clone>(
+    buf: &mut Vec<T>,
+    room: usize,
+    blank: T,
+    fill: impl FnOnce(&mut [T], &mut usize),
+) {
+    buf.resize(room, blank);
+    let mut len = 0;
+    fill(buf, &mut len);
+    buf.truncate(len);
 }
 
 /// One exploration's buffers for candidate type `C`: the distance row, the
@@ -278,11 +347,9 @@ fn explore<C: Candidate>(
             next,
             pushed,
         } = rounds;
-        next.clear();
-        if is_sparse(view, frontier, edge_slots) {
-            push_round(exec, view, dist, frontier, updates, next, pushed);
-        } else {
-            pull_round(exec, view, dist, updates, next, pushed);
+        match sparse_slots(view, frontier, edge_slots) {
+            Some(touched) => push_round(exec, view, dist, frontier, touched, updates, next, pushed),
+            None => pull_round(exec, view, dist, updates, next, pushed),
         }
         let mut min_changed = INF;
         for &v in next.iter() {
@@ -311,52 +378,66 @@ fn explore<C: Candidate>(
     (rounds_run, converged_at, settled)
 }
 
-/// The round-kind rule, a pure function of the data: sparse iff the
-/// frontier's union degree is under a quarter of the union's slots,
-/// `4·Σ_{u∈F} deg(u) < 2|E∪H|`. Stops summing once the answer is known.
-fn is_sparse(view: &UnionView<'_>, frontier: &[VId], edge_slots: u64) -> bool {
+/// The round-kind rule, a pure function of the data: a round is sparse iff
+/// the frontier's union degree is under a quarter of the union's slots,
+/// `4·touched < 2|E∪H|` with `touched = Σ_{u∈F} deg(u)`. Returns `touched`
+/// for a sparse round and `None` for a dense one; stops summing once the
+/// round is known to be dense.
+fn sparse_slots(view: &UnionView<'_>, frontier: &[VId], edge_slots: u64) -> Option<usize> {
     let mut touched = 0u64;
     for &u in frontier {
         touched += view.degree(u) as u64;
         if 4 * touched >= edge_slots {
-            return false;
+            return None;
         }
     }
-    4 * touched < edge_slots
+    (4 * touched < edge_slots).then_some(touched as usize)
 }
 
-/// Sparse round: every frontier vertex offers each candidate that beats
-/// its target's previous label. A frontier below the parallel threshold
-/// folds them straight into `updates`; a larger one is cut into chunks
-/// ([`in_chunks`]). Either way `next` lists the written targets in the
-/// order of the frontier scan, at every thread count.
+/// Sparse round: every frontier vertex offers a candidate to each of its
+/// `touched` neighbor slots, kept iff it beats the target's previous
+/// label. A frontier below the parallel threshold folds them straight
+/// into `updates`, listing at most one first write per touched slot; a
+/// larger one is cut into chunks ([`in_chunks`]), each sized to its own
+/// slots. Either way `next` lists the written targets in the order of the
+/// frontier scan, at every thread count.
+#[allow(clippy::too_many_arguments)]
 fn push_round<C: Candidate>(
     exec: &Executor,
     view: &UnionView<'_>,
     prev: &[Weight],
     frontier: &[VId],
+    touched: usize,
     updates: &mut [C],
     next: &mut Vec<VId>,
     pushed: &mut Vec<Vec<(VId, C)>>,
 ) {
     if !exec.parallel_eligible(frontier.len()) {
-        for &u in frontier {
-            push_from(view, prev, u, |v, c| offer(updates, next, v, c));
-        }
+        append_into(next, touched, 0, |next, len| {
+            for &u in frontier {
+                push_from(view, prev, u, |v, c, keep| {
+                    C::fold(updates, next, len, v, c, keep)
+                });
+            }
+        });
         return;
     }
     let bounds = exec.chunk_bounds(frontier.len());
     in_chunks(exec, &bounds, pushed, updates, next, |r, buf| {
-        for &u in &frontier[r] {
-            push_from(view, prev, u, |v, c| buf.push((v, c)));
-        }
+        let slots = frontier[r.clone()].iter().map(|&u| view.degree(u)).sum();
+        append_into(buf, slots, (0, C::at(INF)), |buf, len| {
+            for &u in &frontier[r] {
+                push_from(view, prev, u, |v, c, keep| append(buf, len, (v, c), keep));
+            }
+        });
     });
 }
 
 /// Dense round: every vertex pulls its best candidate over all its
-/// neighbors. Below the parallel threshold the winners go straight into
-/// `updates`; above it each chunk of the vertex range lists its own
-/// ([`in_chunks`]). Either way `next` is in vertex order.
+/// neighbors, kept iff it beats the vertex's previous label. Below the
+/// parallel threshold the winners go straight into `updates`; above it
+/// each chunk of the vertex range lists its own ([`in_chunks`]). Either
+/// way `next` is in vertex order.
 fn pull_round<C: Candidate>(
     exec: &Executor,
     view: &UnionView<'_>,
@@ -367,25 +448,33 @@ fn pull_round<C: Candidate>(
 ) {
     let n = prev.len();
     if !exec.parallel_eligible(n) {
-        for v in 0..n as VId {
-            pull_to(view, prev, v, |v, c| offer(updates, next, v, c));
-        }
+        append_into(next, n, 0, |next, len| {
+            for v in 0..n as VId {
+                pull_to(view, prev, v, |v, c, keep| {
+                    C::fold(updates, next, len, v, c, keep)
+                });
+            }
+        });
         return;
     }
     let bounds = exec.chunk_bounds(n);
     in_chunks(exec, &bounds, pushed, updates, next, |r, buf| {
-        for v in r {
-            pull_to(view, prev, v as VId, |v, c| buf.push((v, c)));
-        }
+        append_into(buf, r.len(), (0, C::at(INF)), |buf, len| {
+            for v in r {
+                pull_to(view, prev, v as VId, |v, c, keep| {
+                    append(buf, len, (v, c), keep)
+                });
+            }
+        });
     });
 }
 
 /// Runs `fill` on every chunk of `bounds`, each into its own buffer of
-/// `(target, candidate)` offers, then folds the buffers in chunk order
-/// into `updates` ([`offer`]). A total-order minimum does not depend on
-/// the fold order, so the result is the same for every chunking, i.e. at
-/// every thread count; `next` gets the written targets in first-offer
-/// order, which is the chunks' own orders concatenated.
+/// kept `(target, candidate)` offers, then folds the buffers in chunk
+/// order into `updates` ([`Candidate::fold`]). A total-order minimum does
+/// not depend on the fold order, so the result is the same for every
+/// chunking, i.e. at every thread count; `next` gets the written targets
+/// in first-offer order, which is the chunks' own orders concatenated.
 fn in_chunks<C: Candidate>(
     exec: &Executor,
     bounds: &[Range<usize>],
@@ -401,40 +490,45 @@ fn in_chunks<C: Candidate>(
     // One unit range per buffer: chunk `ci` owns buffer `ci`.
     let owners: Vec<_> = (0..bounds.len()).map(|ci| ci..ci + 1).collect();
     exec.for_each_chunk_mut(bufs, &owners, |ci, buf| {
-        let buf = &mut buf[0];
-        buf.clear();
-        fill(bounds[ci].clone(), buf);
+        fill(bounds[ci].clone(), &mut buf[0])
     });
-    for buf in bufs.iter() {
-        for &(v, c) in buf {
-            offer(updates, next, v, c);
+    // At most one first write per kept offer.
+    let kept = bufs.iter().map(Vec::len).sum();
+    append_into(next, kept, 0, |next, len| {
+        for buf in bufs.iter() {
+            for &(v, c) in buf {
+                C::fold(updates, next, len, v, c, true);
+            }
         }
-    }
+    });
 }
 
-/// Offers `sink` every candidate frontier vertex `u` has for a neighbor
-/// whose previous label it beats.
+/// Offers `sink` frontier vertex `u`'s candidate for each neighbor, with
+/// whether it beats that neighbor's previous label.
 #[inline]
 fn push_from<C: Candidate>(
     view: &UnionView<'_>,
     prev: &[Weight],
     u: VId,
-    mut sink: impl FnMut(VId, C),
+    mut sink: impl FnMut(VId, C, bool),
 ) {
     let du = prev[u as usize];
     view.for_each_neighbor(u, |v, w, tag| {
         let nd = du + w;
-        if nd < prev[v as usize] {
-            sink(v, C::new(nd, u, w, tag));
-        }
+        sink(v, C::new(nd, u, w, tag), nd < prev[v as usize]);
     });
 }
 
-/// Offers `sink` the best candidate over all of `v`'s neighbors, if one
-/// beats `v`'s previous label. The scan has no early exit, so with
-/// distances alone it is a branch-free running minimum.
+/// Offers `sink` the best candidate over all of `v`'s neighbors, with
+/// whether it beats `v`'s previous label. The scan has no early exit, so
+/// with distances alone it is a branch-free running minimum.
 #[inline]
-fn pull_to<C: Candidate>(view: &UnionView<'_>, prev: &[Weight], v: VId, sink: impl FnOnce(VId, C)) {
+fn pull_to<C: Candidate>(
+    view: &UnionView<'_>,
+    prev: &[Weight],
+    v: VId,
+    sink: impl FnOnce(VId, C, bool),
+) {
     let dv = prev[v as usize];
     let mut best = C::at(dv);
     view.for_each_neighbor(v, |u, w, tag| {
@@ -443,22 +537,7 @@ fn pull_to<C: Candidate>(view: &UnionView<'_>, prev: &[Weight], v: VId, sink: im
             best = cand;
         }
     });
-    if best.dist() < dv {
-        sink(v, best);
-    }
-}
-
-/// Folds candidate `c` into `v`'s update slot, listing `v` in `next` on
-/// the slot's first write of the round.
-#[inline]
-fn offer<C: Candidate>(updates: &mut [C], next: &mut Vec<VId>, v: VId, c: C) {
-    let slot = &mut updates[v as usize];
-    if slot.dist() == INF {
-        next.push(v);
-        *slot = c;
-    } else if c.beats(*slot) {
-        *slot = c;
-    }
+    sink(v, best, best.dist() < dv);
 }
 
 /// Run a hop-limited multi-source Bellman–Ford exploration that also
@@ -573,11 +652,17 @@ fn cand_key(c: &(Weight, ParentEdge)) -> (u64, VId, u8, u32) {
 }
 
 #[cfg(test)]
+#[path = "../tests/hub/mod.rs"]
+mod hub;
+
+#[cfg(test)]
 mod tests {
+    use super::hub::{chunked_instance, chunked_sources, hub_instance, Mix};
     use super::*;
     use pgraph::exact;
     use pgraph::gen;
     use pgraph::Graph;
+    use proptest::prelude::*;
 
     fn exec() -> Executor {
         Executor::new(2)
@@ -773,5 +858,67 @@ mod tests {
             }
             assert_eq!(l1, l2);
         }
+    }
+
+    /// What one run of the round loop over candidate `C` writes: every
+    /// written vertex with its distance bits, in write order, and
+    /// `(rounds_run, converged_at)`.
+    type Writes = (Vec<(VId, u64)>, usize, Option<usize>);
+
+    fn writes<C: Candidate>(exec: &Executor, view: &UnionView<'_>, sources: &[VId]) -> Writes {
+        let mut log = Vec::new();
+        let (rounds_run, converged_at, _) = explore(
+            exec,
+            view,
+            sources,
+            None,
+            view.num_vertices() + 1,
+            &mut Ledger::new(),
+            &mut Rounds::<C>::default(),
+            |v, c| log.push((v, c.dist().to_bits())),
+        );
+        (log, rounds_run, converged_at)
+    }
+
+    /// Both candidates write the same frontiers in the same order and run
+    /// the same rounds (DESIGN.md §9), at 1/2/4/8 threads.
+    fn assert_same_writes(view: &UnionView<'_>, sources: &[VId]) {
+        for threads in [1usize, 2, 4, 8] {
+            let exec = Executor::new(threads);
+            let with_parents = writes::<(Weight, ParentEdge)>(&exec, view, sources);
+            let distance_only = writes::<Weight>(&exec, view, sources);
+            assert_eq!(with_parents, distance_only, "threads={threads}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// On the hub overlays, whose explorations mix sparse and dense
+        /// rounds and whose ties only the parent order breaks.
+        #[test]
+        fn both_candidates_write_the_same_frontiers(
+            rows in 2usize..16,
+            cols in 2usize..16,
+            hubs in 0usize..4,
+            stride in 1usize..6,
+            nsrc in 1usize..4,
+            seed in any::<u64>(),
+        ) {
+            let (g, extra) = hub_instance(rows, cols, hubs, stride, seed);
+            let view = UnionView::with_extra(&g, &extra);
+            let mut mix = Mix(seed ^ 0x5EED);
+            let sources: Vec<VId> =
+                (0..nsrc).map(|_| mix.below(g.num_vertices()) as VId).collect();
+            assert_same_writes(&view, &sources);
+        }
+    }
+
+    /// On the instance whose sparse and dense rounds split into chunks.
+    #[test]
+    fn both_candidates_write_the_same_chunked_frontiers() {
+        let (g, extra) = chunked_instance();
+        let view = UnionView::with_extra(&g, &extra);
+        assert_same_writes(&view, &chunked_sources(&view));
     }
 }

@@ -9,6 +9,9 @@
 //! The last block pins the frontier-driven Bellman–Ford kernel against
 //! the full-pull round loop it replaced, kept here as the reference.
 
+mod hub;
+
+use hub::{chunked_instance, chunked_sources, hub_instance, Mix};
 use pgraph::{gen, EdgeTag, Graph, UnionView, VId, Weight, INF};
 use pram::{cc, jump, prim, scan, sort, BfordScratch, Executor, Ledger, ParentEdge};
 use proptest::prelude::*;
@@ -423,65 +426,6 @@ fn sparse_round(touched: u64, view: &UnionView<'_>) -> bool {
     4 * touched < 2 * view.num_edges() as u64
 }
 
-/// SplitMix64, the instance generator's stream.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, k: usize) -> usize {
-        (self.next() % k as u64) as usize
-    }
-}
-
-/// A union view whose explorations mix sparse and dense rounds. The base
-/// is a `rows × cols` grid with integer weights 1–4, so equal distances
-/// through different parents are common. The overlay joins `hubs` hub
-/// vertices to every `stride`-th vertex (a hub in the frontier makes the
-/// round dense), and adds a parallel copy of every fourth base edge at
-/// the base weight (a tie only the edge layer breaks), half a unit
-/// lighter, or one heavier.
-fn hub_instance(
-    rows: usize,
-    cols: usize,
-    hubs: usize,
-    stride: usize,
-    seed: u64,
-) -> (Graph, Vec<(VId, VId, Weight)>) {
-    let g = gen::grid(rows, cols, |u, v| {
-        let mut m = Mix(seed ^ ((u as u64) << 32 | v as u64));
-        1.0 + m.below(4) as f64
-    });
-    let n = g.num_vertices();
-    let mut mix = Mix(seed);
-    let mut extra = Vec::new();
-    for _ in 0..hubs {
-        let hub = mix.below(n) as VId;
-        for v in (mix.below(stride)..n).step_by(stride) {
-            if v as VId != hub {
-                extra.push((hub, v as VId, 2.0 + mix.below(12) as f64));
-            }
-        }
-    }
-    let mut i = 0usize;
-    for u in 0..n as VId {
-        for (v, w) in g.neighbors(u).filter(|&(v, _)| v > u) {
-            if i.is_multiple_of(4) {
-                let w2 = [w, w - 0.5, w + 1.0][mix.below(3)];
-                extra.push((u, v, w2));
-            }
-            i += 1;
-        }
-    }
-    (g, extra)
-}
-
 /// Assert one parent-carrying `bellman_ford` run and one distance-only
 /// `bellman_ford_into` run through a reused scratch against the reference
 /// at the same hop budget: the distance-only run has the same distance
@@ -606,19 +550,14 @@ proptest! {
 
 /// The chunked paths: a sparse round whose frontier reaches
 /// `PAR_THRESHOLD` splits into one candidate buffer per chunk at two or
-/// more threads. Ten hubs joined to every vertex hold most of the slots,
-/// so ~4 500 grid sources (hubs left out) stay under a quarter of them;
-/// the round after has every hub in its frontier and is dense, and its
-/// 12 000 vertices split into per-chunk change lists.
+/// more threads, and the dense round after it splits its 12 000 vertices
+/// into per-chunk change lists (`hub::chunked_instance`).
 #[test]
 fn bellman_ford_kernel_chunks_large_sparse_frontiers() {
-    let (g, extra) = hub_instance(120, 100, 10, 1, 7);
+    let (g, extra) = chunked_instance();
     let view = UnionView::with_extra(&g, &extra);
     let n = g.num_vertices();
-    let mut sources: Vec<VId> = (0..n as VId)
-        .filter(|&v| v % 8 < 3 && view.degree(v) < 100)
-        .collect();
-    sources.push(sources[sources.len() / 2]);
+    let sources = chunked_sources(&view);
     let full = pull_reference(&view, &sources, None, n + 1);
     let rounds = full.converged_at.expect("converges");
     let (f0, t0) = full.frontiers[0];
@@ -635,6 +574,41 @@ fn bellman_ford_kernel_chunks_large_sparse_frontiers() {
             check_full_run(&exec, &view, &sources, hops, &mut scratch).unwrap();
         }
         check_target_run(&exec, &view, &sources, target, rounds + 1).unwrap();
+    }
+}
+
+/// The write lists at their bound: a sparse round lists at most one first
+/// write per touched slot. On a path with a source at every fifth vertex,
+/// round 1 is sparse and every slot it touches is a distinct first write,
+/// so its list is exactly full. At n = 2 000 the round runs as one chunk;
+/// at n = 25 000 its 5 000-vertex frontier reaches `PAR_THRESHOLD` and
+/// splits into chunks at two or more threads, and round 2 is dense.
+#[test]
+fn bellman_ford_kernel_fills_the_write_list_bound() {
+    for n in [2_000usize, 25_000] {
+        let g = gen::path(n);
+        let view = UnionView::base_only(&g);
+        let sources: Vec<VId> = (0..n as VId).step_by(5).collect();
+        let full = pull_reference(&view, &sources, None, n + 1);
+        let rounds = full.converged_at.expect("converges");
+        let (f0, t0) = full.frontiers[0];
+        let (f1, t1) = full.frontiers[1];
+        assert!(sparse_round(t0, &view), "n={n}");
+        assert_eq!(f1 as u64, t0, "n={n}: every touched slot is a first write");
+        if n == 25_000 {
+            assert!(f0 >= prim::PAR_THRESHOLD && !sparse_round(t1, &view));
+        } else {
+            assert!(f0 < prim::PAR_THRESHOLD);
+        }
+        let target = (n - 1) as VId;
+        let mut scratch = BfordScratch::new();
+        for threads in [1usize, 2, 4, 8] {
+            let exec = Executor::new(threads);
+            for hops in [1, 2, rounds + 1] {
+                check_full_run(&exec, &view, &sources, hops, &mut scratch).unwrap();
+            }
+            check_target_run(&exec, &view, &sources, target, rounds + 1).unwrap();
+        }
     }
 }
 

@@ -145,6 +145,11 @@ impl LandmarkPlane {
     /// break to the smallest id). Selection depends only on the rows,
     /// which are bit-identical at every thread count, so the plane is a
     /// pure function of (graph, backend config, `cfg`).
+    ///
+    /// Errors: [`SsspError::Config`] for a count outside `[1, n]`, a δ
+    /// that is not positive and finite, or a backend whose
+    /// [`DistanceOracle::stretch_bound`] is not finite — the lower bounds
+    /// deflate by it, and an oracle under a binding hop cap has none.
     pub fn build<O: DistanceOracle + ?Sized>(
         backend: &O,
         cfg: &LandmarkConfig,
@@ -162,7 +167,14 @@ impl LandmarkPlane {
                 cfg.delta
             )));
         }
-        let eps = backend.stretch_bound() - 1.0;
+        let bound = backend.stretch_bound();
+        if !bound.is_finite() {
+            return Err(SsspError::Config(format!(
+                "a landmark plane needs a backend with a finite stretch bound, got {bound} \
+                 (a binding hop cap voids the bound)"
+            )));
+        }
+        let eps = bound - 1.0;
 
         let mut build_ledger = Ledger::new();
         // Seed row: distances from vertex 0, used only to pick ℓ₀.

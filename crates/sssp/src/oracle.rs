@@ -253,7 +253,10 @@ pub trait DistanceOracle: Send + Sync {
 
     /// Guaranteed multiplicative stretch: answers are within
     /// `[d, stretch_bound() * d]` of the exact distance `d`. Exact backends
-    /// return `1.0`.
+    /// return `1.0`; a backend with no guarantee (an [`Oracle`] under a
+    /// binding [`hop_cap`](OracleBuilder::hop_cap)) returns
+    /// `f64::INFINITY`. A gate against it must not multiply by a zero
+    /// distance (`∞ · 0` is NaN): at `d = 0` the answer must be `0`.
     fn stretch_bound(&self) -> f64;
 
     /// The construction-cost ledger (PRAM work/depth paid up front, before
@@ -429,8 +432,11 @@ impl OracleBuilder {
     /// Clamp exploration/query hop budgets (practical-scale runs). Only
     /// meaningful on the plain pipeline; conflicts with
     /// [`Pipeline::Reduced`] (under [`Pipeline::Auto`] it forces plain).
-    /// A cap below `min(β, n)` also skips the distance-range certificate
-    /// (DESIGN.md §4): the capped build is the full construction.
+    /// A cap below `min(β, n)` binds: it voids the `(1+ε)` bound, so the
+    /// oracle's [`stretch_bound`](DistanceOracle::stretch_bound) is
+    /// `f64::INFINITY` and no landmark plane builds over it, and it skips
+    /// the distance-range certificate (DESIGN.md §4): the capped build is
+    /// the full construction.
     pub fn hop_cap(mut self, cap: usize) -> Self {
         self.hop_cap = Some(cap);
         self
@@ -540,11 +546,10 @@ impl OracleBuilder {
                 )?;
                 let hops = params.query_hops;
                 let mut ledger = Ledger::new();
-                // A cap below min(β, n) already voids Theorem 3.7's hop
-                // budget, so capped builds skip the certificate and stay
-                // exactly as they were.
-                let capped = hops < params.beta.min(params.n);
-                if !capped && g_alone_is_exact(&exec, g, hops, &mut ledger) {
+                // A binding cap already voids Theorem 3.7's hop budget, so
+                // capped builds skip the certificate and stay exactly as
+                // they were.
+                if !cap_binds(&params) && g_alone_is_exact(&exec, g, hops, &mut ledger) {
                     let k0 = params.k0();
                     let built = BuiltHopset {
                         hopset: Hopset::new(),
@@ -594,6 +599,15 @@ impl OracleBuilder {
             exec,
         })
     }
+}
+
+/// Whether a hop cap binds: the query budget is below `min(β, n)`, the
+/// budget Theorem 3.7's `(1+ε)` bound assumes. A binding cap voids the
+/// bound (a capped row can overshoot it, or miss a connected vertex) and
+/// skips the distance-range certificate. Derived from the params alone, so
+/// a loaded snapshot gets the same answer as the build it came from.
+fn cap_binds(params: &HopsetParams) -> bool {
+    params.query_hops < params.beta.min(params.n)
 }
 
 /// The distance-range certificate (DESIGN.md §4): one `query_hops`-round
@@ -769,8 +783,13 @@ impl DistanceOracle for Oracle {
         self.union.num_vertices()
     }
 
+    /// `1 + ε`, or `f64::INFINITY` when a binding
+    /// [`hop_cap`](OracleBuilder::hop_cap) voids the bound.
     fn stretch_bound(&self) -> f64 {
-        1.0 + self.eps
+        match &self.backend {
+            OracleBackend::Plain(b) if cap_binds(&b.params) => f64::INFINITY,
+            _ => 1.0 + self.eps,
+        }
     }
 
     fn cost(&self) -> &Ledger {

@@ -259,15 +259,95 @@ fn a_binding_hop_cap_skips_the_certificate() {
         .build()
         .expect("params");
     assert_eq!(oracle.query_hops(), 16);
+    assert_eq!(oracle.stretch_bound(), f64::INFINITY);
     assert_builds_todays_hopset(&oracle, &g, &builder_params(&g, 0.25, Some(16)), false);
 
-    // A cap at min(β, n) does not bind: the certificate runs.
+    // A cap at min(β, n) does not bind: the certificate runs, and the
+    // bound stays 1 + ε, also after a snapshot round trip.
     let oracle = Oracle::builder(g.clone())
         .hop_cap(400)
         .threads(threads_from_env())
         .build()
         .expect("params");
     assert_no_scale(&oracle, &g, &[0]);
+    assert_eq!(oracle.stretch_bound(), 1.25);
+    assert_eq!(reloaded(&oracle).stretch_bound(), 1.25);
+}
+
+/// `oracle` written to a snapshot and read back on its own executor.
+fn reloaded(oracle: &Oracle) -> Oracle {
+    let mut bytes = Vec::new();
+    oracle.write_snapshot(&mut bytes).expect("write snapshot");
+    OracleBuilder::from_snapshot_reader(bytes.as_slice(), oracle.executor().clone())
+        .expect("read snapshot")
+}
+
+/// Two instances whose rows at a binding cap overshoot `1 + ε = 1.25`,
+/// each with its cap.
+fn capped_instances() -> [(Graph, usize); 2] {
+    [
+        (gen::gnm_connected(400, 1_200, 5, 1.0, 10.0), 3),
+        (gen::road_grid(12, 12, 3, 1.0, 10.0), 6),
+    ]
+}
+
+/// A binding hop cap voids Theorem 3.7's `(1+ε)` bound, and the capped
+/// rows do overshoot it. The oracle reports `f64::INFINITY`, also after a
+/// snapshot round trip and behind the cache, and no landmark plane builds
+/// over it: its lower bounds deflate by the backend's bound.
+#[test]
+fn a_binding_hop_cap_voids_the_stretch_bound() {
+    for (g, cap) in capped_instances() {
+        let n = g.num_vertices() as u32;
+        let oracle = Arc::new(
+            Oracle::builder(g)
+                .eps(0.25)
+                .kappa(4)
+                .hop_cap(cap)
+                .threads(threads_from_env())
+                .build()
+                .expect("params"),
+        );
+        assert_eq!(oracle.query_hops(), cap);
+        let bound = oracle.stretch_bound();
+        assert_eq!(bound, f64::INFINITY, "cap {cap}");
+        let sources = [0, n / 2, n - 1];
+        let worst = max_stretch(&oracle, &sources);
+        assert!(worst > 1.25, "cap {cap}: worst row stretch {worst}");
+        // The rows meet the reported bound under a gate that never forms
+        // `bound · 0`: `∞ · 0` is NaN, and no answer compares below NaN.
+        // A zero distance must be answered with zero.
+        for s in sources {
+            let row = oracle.distances_from(s).expect("in range");
+            let exact = exact::dijkstra(oracle.graph(), s).dist;
+            for (v, (&d, &e)) in row.iter().zip(&exact).enumerate() {
+                let ok = if e == 0.0 { d == 0.0 } else { d <= bound * e };
+                assert!(ok, "cap {cap}: {s} → {v}: {d} vs {e}");
+            }
+        }
+        assert_eq!(reloaded(&oracle).stretch_bound(), f64::INFINITY);
+        assert_eq!(
+            CachedOracle::new(Arc::clone(&oracle), 4)
+                .expect("capacity")
+                .stretch_bound(),
+            f64::INFINITY
+        );
+        let landmarks = LandmarkConfig::new(4, 1.0);
+        match LandmarkPlane::build(&oracle, &landmarks) {
+            Err(SsspError::Config(msg)) => assert!(msg.contains("stretch bound"), "{msg}"),
+            other => panic!(
+                "cap {cap}: expected Config error, got {:?}",
+                other.map(|_| ())
+            ),
+        }
+        let served = CachedOracle::with_config(
+            Arc::clone(&oracle),
+            CacheConfig::new(4)
+                .policy(FillPolicy::LandmarkOnly)
+                .landmarks(landmarks),
+        );
+        assert!(matches!(served, Err(SsspError::Config(_))), "cap {cap}");
+    }
 }
 
 /// λ, the hopset, the rows and the ledger are bit-identical for every
