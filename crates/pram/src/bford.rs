@@ -40,6 +40,12 @@
 //!     each chunk of the vertex range lists the vertices it wrote, in
 //!     vertex order. Each write is owned by one vertex — CREW-clean and
 //!     trivially parallel;
+//! * *target-bounded frontiers*: a point-to-point run ([`bellman_ford_to`])
+//!   needs only the target's label, so once that label is finite the next
+//!   frontier keeps only the round's writes below it. Every label below
+//!   the target's, the target's own label, the round count and the ledger
+//!   are the unbounded run's (DESIGN.md §9); only the slots later rounds
+//!   read shrink. Rows, batches and trees run unbounded;
 //! * *determinism*: both kinds take the per-vertex minimum over a total
 //!   order (the distance, or with parents the key `(distance, parent id,
 //!   edge layer, overlay index)`), and the set they minimize over is the
@@ -307,7 +313,11 @@ pub struct TargetResult {
 /// from the frontier alone), so every distance written after round `r` is
 /// `> min_changed_r` — edge weights are strictly positive, a `pgraph`
 /// construction invariant — and therefore can never undercut `dist[t]`.
-/// The early answer is the full-β answer bit for bit.
+/// Until it settles, a targeted run also keeps only the round's writes
+/// below `dist[t]` as the next frontier: a label reached through a vertex
+/// at or above the target's label is at or above it too, so the writes
+/// below it, the target's label and the round count are the unbounded
+/// run's. The early answer is the full-β answer bit for bit.
 ///
 /// Returns `(rounds_run, converged_at, settled_early)`.
 #[allow(clippy::too_many_arguments)]
@@ -359,6 +369,15 @@ fn explore<C: Candidate>(
             record(v, c);
             if nd < min_changed {
                 min_changed = nd;
+            }
+        }
+        if let Some(t) = target {
+            // Target-bounded frontier: a write that is not below the
+            // target's label cannot lead to one that is (DESIGN.md §9). A
+            // round that does not settle keeps its smallest write.
+            let dt = dist[t as usize];
+            if dt.is_finite() && min_changed < dt {
+                next.retain(|&v| dist[v as usize] < dt);
             }
         }
         std::mem::swap(frontier, next);
@@ -605,13 +624,16 @@ pub fn bellman_ford_into(
     (rounds_run, converged_at)
 }
 
-/// Distance-only point-to-point exploration with early exit: identical
-/// rounds to [`bellman_ford`], but the loop stops as soon as the target's
-/// label has provably settled (the settle criterion is documented on the
-/// internal `explore` loop; DESIGN.md §9 has the
-/// proof sketch). The returned distance is **bit-identical** to
-/// `bellman_ford(..).dist[target]` — only the number of rounds (and hence
-/// the ledger's charge, which reflects work actually done) can shrink.
+/// Distance-only point-to-point exploration with early exit and a
+/// target-bounded frontier: the loop stops as soon as the target's label
+/// has provably settled, and before that a vertex whose new label is not
+/// below the target's does not propagate (both rules are documented on
+/// the internal `explore` loop; DESIGN.md §9 has the proofs). The
+/// returned distance is **bit-identical** to
+/// `bellman_ford(..).dist[target]`, and every round it runs is a round of
+/// the full run — only the number of rounds (and hence the ledger's
+/// charge, which reflects work actually done) can shrink, and each round
+/// reads only the slots of its bounded frontier.
 pub fn bellman_ford_to(
     exec: &Executor,
     view: &UnionView<'_>,
@@ -835,6 +857,46 @@ mod tests {
         let r = bellman_ford_to(&exec(), &view, &[0], 3, 10, &mut l);
         assert_eq!(r.dist, INF);
         assert!(r.settled_early); // via whole-exploration convergence
+    }
+
+    /// The target bound is live: a target whose label is final long before
+    /// the run settles stops every write at or above its label from
+    /// propagating, so over the same rounds the bounded run writes
+    /// strictly fewer vertices than the unbounded one, with the same
+    /// target bits.
+    #[test]
+    fn target_bound_writes_fewer_vertices_over_the_same_rounds() {
+        let g = gen::road_grid(12, 12, 5, 1.0, 10.0);
+        let view = UnionView::base_only(&g);
+        // Grid cell (3, 4): seven hops from the corner source.
+        let (source, target) = (0, 40);
+        let run = |bound: Option<VId>, max_hops: usize| {
+            let mut rounds = Rounds::<Weight>::default();
+            let mut writes = 0usize;
+            let (rounds_run, _, _) = explore(
+                &exec(),
+                &view,
+                &[source],
+                bound,
+                max_hops,
+                &mut Ledger::new(),
+                &mut rounds,
+                |_, _| writes += 1,
+            );
+            (rounds.dist[target as usize].to_bits(), rounds_run, writes)
+        };
+        let (bounded_bits, rounds_run, bounded) = run(Some(target), g.num_vertices());
+        let (full_bits, full_rounds, full) = run(None, rounds_run);
+        assert_eq!(bounded_bits, full_bits);
+        assert_eq!(full_rounds, rounds_run);
+        let final_at = (1..=rounds_run)
+            .find(|&k| run(None, k).0 == full_bits)
+            .unwrap();
+        assert!(
+            final_at + 2 < rounds_run,
+            "final after {final_at} of {rounds_run} rounds"
+        );
+        assert!(bounded < full, "bounded {bounded} writes, unbounded {full}");
     }
 
     /// Scratch reuse: back-to-back distance-only explorations through one

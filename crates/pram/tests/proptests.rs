@@ -515,7 +515,8 @@ proptest! {
     /// its parent-carrying and its distance-only instantiation. Checked
     /// at 1/2/4/8 threads, at hop budgets from 1 through convergence,
     /// with duplicate sources, on hub overlays with base/overlay parallel
-    /// edges.
+    /// edges; the target-bounded early exit at every [`probe_targets`]
+    /// target of two budgets.
     #[test]
     fn bellman_ford_kernel_matches_full_pull(
         rows in 2usize..16,
@@ -531,21 +532,55 @@ proptest! {
         let mut mix = Mix(seed ^ 0x5EED);
         let mut sources: Vec<VId> = (0..nsrc).map(|_| mix.below(n) as VId).collect();
         sources.push(sources[0]);
-        let target = mix.below(n) as VId;
+        let drawn = [mix.below(n) as VId, mix.below(n) as VId];
         let pick = mix.next() as usize;
         let full = pull_reference(&view, &sources, None, n + 1);
         let rounds = full.converged_at.expect("n + 1 rounds always converge");
+        let target_hops = [1 + pick % rounds, rounds + 1];
+        let targets: Vec<Vec<VId>> = target_hops
+            .iter()
+            .map(|&hops| {
+                let run = pull_reference(&view, &sources, None, hops);
+                probe_targets(&run, &sources, drawn)
+            })
+            .collect();
         let mut scratch = BfordScratch::new();
         for threads in [1usize, 2, 4, 8] {
             let exec = Executor::new(threads);
             for hops in hop_budgets(rounds, pick) {
                 check_full_run(&exec, &view, &sources, hops, &mut scratch)?;
             }
-            for hops in [1 + pick % rounds, rounds + 1] {
-                check_target_run(&exec, &view, &sources, target, hops)?;
+            for (&hops, targets) in target_hops.iter().zip(&targets) {
+                for &target in targets {
+                    check_target_run(&exec, &view, &sources, target, hops)?;
+                }
             }
         }
     }
+}
+
+/// The targets a point-to-point run is checked at, from both sides of its
+/// target bound: every distinct source (label 0 before any round), the
+/// farthest vertex `run` reaches (its bound keeps almost every write), the
+/// first vertex `run` leaves at `INF` (no bound ever applies), and the
+/// `drawn` vertices.
+fn probe_targets(run: &PullRun, sources: &[VId], drawn: [VId; 2]) -> Vec<VId> {
+    let n = run.dist.len() as VId;
+    let reached = |v: &VId| run.dist[*v as usize] < INF;
+    let farthest = (0..n)
+        .filter(reached)
+        .max_by(|&a, &b| run.dist[a as usize].total_cmp(&run.dist[b as usize]));
+    let unreached = (0..n).find(|v| !reached(v));
+    let mut targets: Vec<VId> = sources
+        .iter()
+        .copied()
+        .chain(farthest)
+        .chain(unreached)
+        .collect();
+    targets.extend(drawn);
+    targets.sort_unstable();
+    targets.dedup();
+    targets
 }
 
 /// The chunked paths: a sparse round whose frontier reaches

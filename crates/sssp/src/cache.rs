@@ -429,11 +429,14 @@ impl<O: DistanceOracle> CachedOracle<O> {
     }
 
     /// The serving entry point: the row for `source`, shared, plus whether
-    /// it was a cache hit. Misses pass the admission gate (if configured),
-    /// compute **outside** the lock (concurrent requests for other sources
-    /// proceed) and then fill the cache, evicting the least recently used
-    /// row if the table is full.
+    /// it was a cache hit. An out-of-range `source` fails with
+    /// [`SsspError::InvalidSource`] before it touches the table, the
+    /// counters or the gate. Misses pass the admission gate (if
+    /// configured), compute **outside** the lock (concurrent requests for
+    /// other sources proceed) and then fill the cache, evicting the least
+    /// recently used row if the table is full.
     pub fn row(&self, source: VId) -> Result<(Arc<CachedRow>, bool), SsspError> {
+        check_source(self.num_vertices(), source)?;
         if let Some(row) = self.lookup(source) {
             return Ok((row, true));
         }
@@ -555,9 +558,13 @@ impl<O: DistanceOracle> DistanceOracle for CachedOracle<O> {
     /// Mixed hit/miss batches go row by row through the cache (hits are
     /// free, misses fill — and pass the admission gate, so an overloaded
     /// server rejects the batch at its first cold row), merged in source
-    /// order like every other backend.
+    /// order like every other backend. Every source is checked before the
+    /// first row, so a batch with an out-of-range source explores nothing.
     fn distances_multi(&self, sources: &[VId]) -> Result<MultiSourceResult, SsspError> {
         let n = self.num_vertices();
+        for &s in sources {
+            check_source(n, s)?;
+        }
         let mut dist = crate::DistanceMatrix::with_capacity(sources.len(), n);
         let mut ledger = Ledger::new();
         for &s in sources {
@@ -579,7 +586,9 @@ impl<O: DistanceOracle> DistanceOracle for CachedOracle<O> {
         self.inner.distances_to_nearest(sources)
     }
 
-    /// Point-to-point, in increasing cost order:
+    /// Point-to-point, in increasing cost order, after both ids are checked
+    /// (an out-of-range id fails with [`SsspError::InvalidSource`] before
+    /// it touches the table, the counters or the gate):
     ///
     /// 1. a resident row for `u` answers immediately (hit, refreshes
     ///    recency) — bit-identical to the backend;
@@ -593,11 +602,10 @@ impl<O: DistanceOracle> DistanceOracle for CachedOracle<O> {
     fn distance(&self, u: VId, v: VId) -> Result<Weight, SsspError> {
         let n = self.num_vertices();
         check_source(n, v)?;
+        check_source(n, u)?;
         if let Some(row) = self.lookup(u) {
-            check_source(n, u)?; // resident rows imply validity; keep the contract anyway
             return Ok(row.dist[v as usize]);
         }
-        check_source(n, u)?;
         if !matches!(self.policy, FillPolicy::NeverFill) {
             if let Some(plane) = &self.plane {
                 if let Some(d) = plane.certify(u, v) {
@@ -923,9 +931,65 @@ mod tests {
             c.distance(0, 999),
             Err(SsspError::InvalidSource { .. })
         ));
-        // The failed miss was counted, but nothing was inserted.
+        // Nothing was looked up, counted or inserted.
         let st = c.stats();
         assert_eq!(st.len, 0);
-        assert_eq!(st.misses, 1);
+        assert_eq!(st.misses, 0);
+    }
+
+    /// A cache over `road_grid(6, 6)` (n = 36) whose one-slot gate rejects.
+    fn gated() -> CachedOracle<Oracle> {
+        let oracle = Oracle::builder(gen::road_grid(6, 6, 3, 1.0, 6.0))
+            .threads(threads_from_env())
+            .build()
+            .unwrap();
+        CachedOracle::with_config(oracle, CacheConfig::new(2).admission(1, false)).unwrap()
+    }
+
+    /// `got` is `InvalidSource` for vertex 1000, and `c` counted nothing.
+    fn assert_invalid_and_untouched<T: std::fmt::Debug>(
+        c: &CachedOracle<Oracle>,
+        got: Result<T, SsspError>,
+    ) {
+        assert!(
+            matches!(
+                got,
+                Err(SsspError::InvalidSource {
+                    source: 1000,
+                    n: 36
+                })
+            ),
+            "{got:?}"
+        );
+        let untouched = CacheStats {
+            capacity: 2,
+            ..CacheStats::default()
+        };
+        assert_eq!(c.stats(), untouched);
+    }
+
+    /// A bad row source is bad input whatever the load: with the gate's
+    /// one slot held it is still `InvalidSource`, and it counts neither a
+    /// miss nor a rejection.
+    #[test]
+    fn invalid_row_source_is_rejected_before_the_gate() {
+        let c = gated();
+        let _held = c.admit().unwrap();
+        assert_invalid_and_untouched(&c, c.row(1000));
+    }
+
+    /// A bad p2p source fails before the row table counts a miss.
+    #[test]
+    fn invalid_p2p_source_counts_no_miss() {
+        let c = gated();
+        assert_invalid_and_untouched(&c, c.distance(1000, 3));
+    }
+
+    /// A batch with one bad source explores and caches nothing, as
+    /// `Oracle::distances_multi` does.
+    #[test]
+    fn invalid_batch_source_explores_no_row() {
+        let c = gated();
+        assert_invalid_and_untouched(&c, c.distances_multi(&[5, 1000]));
     }
 }

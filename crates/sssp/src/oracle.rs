@@ -899,10 +899,12 @@ impl DistanceOracle for Oracle {
     }
 
     /// True point-to-point: the β-round loop stops as soon as `v`'s label
-    /// settles ([`bford::bellman_ford_to`]; settle criterion proven in
-    /// DESIGN.md §9). Bit-identical to `distances_from(u)[v]` — the early
-    /// exit skips only rounds that provably cannot change `v`'s label, so
-    /// the `(1+ε)` stretch bound carries over unchanged.
+    /// settles, and until then a vertex whose label is not below `v`'s
+    /// does not propagate ([`bford::bellman_ford_to`]; both rules proven
+    /// in DESIGN.md §9). Bit-identical to `distances_from(u)[v]` — the
+    /// early exit skips only rounds, and the bound only offers, that
+    /// provably cannot change `v`'s label, so the `(1+ε)` stretch bound
+    /// carries over unchanged.
     fn distance(&self, u: VId, v: VId) -> Result<Weight, SsspError> {
         let n = self.num_vertices();
         check_source(n, v)?;

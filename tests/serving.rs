@@ -61,6 +61,33 @@ fn early_exit_p2p_bit_identical_to_full_row() {
     }
 }
 
+/// (1b) The same over a built plain hopset, on a grid long enough that the
+/// distance-range certificate fails and the construction builds scales:
+/// p2p explorations over `G ∪ H` drop the writes at or above the target's
+/// label from their frontier and still read the row's bits.
+#[test]
+fn target_bounded_p2p_over_a_built_hopset_bit_identical_to_full_row() {
+    let g = gen::road_grid(4, 256, 3, 1.0, 10.0);
+    for &t in &THREADS {
+        let oracle = build(&g, Pipeline::Plain, t);
+        assert!(oracle.hopset_size() > 0, "threads={t}: no hopset built");
+        let n = oracle.num_vertices() as u32;
+        let sources = [0u32, n / 2, n - 1];
+        for &u in &sources {
+            let row = oracle.distances_from(u).expect("in range");
+            for v in (0..n).step_by(7).chain(sources) {
+                let p2p = oracle.distance(u, v).expect("in range");
+                assert_eq!(
+                    p2p.to_bits(),
+                    row[v as usize].to_bits(),
+                    "threads={t}: {u} -> {v}: {p2p} vs {}",
+                    row[v as usize]
+                );
+            }
+        }
+    }
+}
+
 /// (2) Batched `distances_multi` is bit-identical (rows **and** batch
 /// ledger) to querying the same sources one by one.
 #[test]
