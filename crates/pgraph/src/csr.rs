@@ -9,6 +9,8 @@
 
 use crate::{edge_index, edge_index_usize, EdgeIndex, VId, Weight};
 use std::fmt;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// An immutable undirected weighted graph in CSR form.
 ///
@@ -17,7 +19,7 @@ use std::fmt;
 /// * parallel edges collapsed to the minimum weight,
 /// * all weights strictly positive and finite,
 /// * adjacency lists sorted by neighbor id.
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Graph {
     n: usize,
     /// `offsets[v]..offsets[v+1]` indexes `neigh`/`wt` for vertex `v`.
@@ -27,6 +29,32 @@ pub struct Graph {
     wt: Vec<Weight>,
     /// Canonical edge list with `u < v`, sorted lexicographically.
     edges: Vec<(VId, VId, Weight)>,
+    /// The owner of every slot, parallel to `neigh`: derived from
+    /// `offsets` by the first slot stream that reads it
+    /// ([`crate::UnionView::for_each_slot`]), so a graph that runs no
+    /// dense round never pays its 4 B per slot. Not part of the graph's
+    /// value.
+    src: OnceLock<Vec<VId>>,
+}
+
+/// A graph's value is its CSR and edge list; the lazily built owner
+/// column is derived from the offsets, so it is left out.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        let Graph {
+            n,
+            offsets,
+            neigh,
+            wt,
+            edges,
+            src: _,
+        } = self;
+        *n == other.n
+            && *offsets == other.offsets
+            && *neigh == other.neigh
+            && *wt == other.wt
+            && *edges == other.edges
+    }
 }
 
 impl fmt::Debug for Graph {
@@ -175,6 +203,20 @@ impl Graph {
         &self.wt
     }
 
+    /// The slots of rows `vs` as parallel owner, neighbor and weight
+    /// columns, in CSR order. Builds the owner column on first use.
+    #[inline]
+    pub(crate) fn slots(&self, vs: Range<usize>) -> (&[VId], &[VId], &[Weight]) {
+        let r = edge_index_usize(self.offsets[vs.start])..edge_index_usize(self.offsets[vs.end]);
+        let src = self.src.get_or_init(|| {
+            slot_owners(
+                self.offsets.iter().map(|&o| edge_index_usize(o)),
+                self.neigh.len(),
+            )
+        });
+        (&src[r.clone()], &self.neigh[r.clone()], &self.wt[r])
+    }
+
     /// Assemble a graph directly from validated columns. Callers (the
     /// snapshot loader) must have checked every [`Graph`] invariant: the
     /// debug assertions here only spot-check shape.
@@ -194,8 +236,21 @@ impl Graph {
             neigh,
             wt,
             edges,
+            src: OnceLock::new(),
         }
     }
+}
+
+/// The owner column of a CSR with `offsets` (`n + 1` non-decreasing
+/// entries from 0 to `slots`): every slot of row `v` gets `v`, and an
+/// empty row gets no slot.
+fn slot_owners(offsets: impl IntoIterator<Item = usize>, slots: usize) -> Vec<VId> {
+    let mut src = Vec::with_capacity(slots);
+    for (v, end) in offsets.into_iter().skip(1).enumerate() {
+        src.resize(end, v as VId);
+    }
+    debug_assert_eq!(src.len(), slots);
+    src
 }
 
 /// Summary statistics of a [`Graph`].
@@ -387,6 +442,7 @@ impl GraphBuilder {
             neigh,
             wt,
             edges: self.edges,
+            src: OnceLock::new(),
         })
     }
 }
@@ -506,6 +562,25 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.degree(0), 0);
         assert_eq!(g.neighbors(2).count(), 0);
+    }
+
+    /// The owner column is derived data: once a slot stream has built it,
+    /// the graph still equals its snapshot reload, its clone and a fresh
+    /// build of the same edges, none of which has built the column.
+    #[test]
+    fn owner_column_is_not_part_of_the_value() {
+        let edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 4, 1.5)];
+        let g = Graph::from_edges(5, edges).unwrap();
+        let mut owners = Vec::new();
+        crate::UnionView::base_only(&g).for_each_slot(0..5, |v, _, _, _| owners.push(v));
+        assert_eq!(owners, [0, 1, 1, 2, 2, 4]);
+        let mut bytes = Vec::new();
+        crate::snapshot::write_graph_snapshot(&g, &mut bytes).unwrap();
+        let reloaded = crate::snapshot::read_graph_snapshot(&bytes[..]).unwrap();
+        assert_eq!(g, reloaded);
+        assert_eq!(reloaded, g);
+        assert_eq!(g, g.clone());
+        assert_eq!(g, Graph::from_edges(5, edges).unwrap());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use crate::{Graph, VId, Weight};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Identifies which layer an adjacency entry came from.
@@ -364,6 +365,34 @@ impl<'g> UnionView<'g> {
         }
     }
 
+    /// Visit every adjacency slot of the rows `vs` as `(owner, neighbor,
+    /// weight, tag)`: the base slots of rows `vs` in CSR order, then their
+    /// overlay slots in CSR order. Each row's slots come in
+    /// [`UnionView::for_each_neighbor`]'s order, and an empty row
+    /// contributes nothing. The base loop zips the graph's owner column
+    /// with its neighbor and weight columns, so it has no per-vertex
+    /// structure: this is the stream a dense exploration round folds, one
+    /// offer per slot, into the slot's owner. The overlay slots stream
+    /// row by row (DESIGN.md §8 says why the block keeps no owner column).
+    ///
+    /// The base graph's owner column is derived from its offsets and built
+    /// on the first call (4 B per slot; DESIGN.md §8). Panics if `vs`
+    /// reaches past the last vertex.
+    #[inline]
+    pub fn for_each_slot(&self, vs: Range<usize>, mut f: impl FnMut(VId, VId, Weight, EdgeTag)) {
+        let (src, neigh, wt) = self.base.slots(vs.clone());
+        for ((&v, &u), &w) in src.iter().zip(neigh).zip(wt) {
+            f(v, u, w, EdgeTag::Base);
+        }
+        if let Some(o) = self.overlay() {
+            for v in vs {
+                for &(u, w, idx) in o.run(v as VId) {
+                    f(v as VId, u, w, EdgeTag::Extra(idx));
+                }
+            }
+        }
+    }
+
     /// Iterate neighbors of `v` as an iterator (allocation-free).
     pub fn neighbors(&self, v: VId) -> impl Iterator<Item = (VId, Weight, EdgeTag)> + '_ {
         let base = self.base.neighbors(v).map(|(nb, w)| (nb, w, EdgeTag::Base));
@@ -527,6 +556,55 @@ mod tests {
             v.for_each_neighbor(u, |nb, w, t| a.push((nb, w, t)));
             let b: Vec<_> = v.neighbors(u).collect();
             assert_eq!(a, b);
+        }
+    }
+
+    /// The slot stream against the neighbor runs, over empty rows: the
+    /// base graph has isolated vertices at the first, a middle and the
+    /// last id, and most overlay runs are empty (row 5's base run is empty
+    /// but its overlay run is not). Every range, including those that
+    /// start or end on an empty row, streams the base slots of its rows
+    /// and then their overlay slots, with each slot's owner.
+    #[test]
+    fn slot_stream_matches_neighbor_runs_over_empty_rows() {
+        let n = 10;
+        let g = Graph::from_edges(
+            n,
+            [
+                (1, 2, 1.0),
+                (2, 3, 2.0),
+                (1, 4, 3.0),
+                (3, 4, 1.5),
+                (4, 6, 2.5),
+                (6, 7, 2.0),
+                (7, 8, 1.0),
+            ],
+        )
+        .unwrap();
+        assert!([0, 5, 9].iter().all(|&v| g.degree(v) == 0));
+        let extra = [(2, 7, 4.0), (3, 7, 5.0), (5, 8, 6.0)];
+        let views = [
+            UnionView::base_only(&g),
+            UnionView::with_extra(&g, &[]),
+            UnionView::with_extra(&g, &extra),
+        ];
+        for view in &views {
+            for a in 0..=n {
+                for b in a..=n {
+                    let mut base = Vec::new();
+                    let mut over = Vec::new();
+                    for v in a as VId..b as VId {
+                        view.for_each_neighbor(v, |u, w, tag| match tag {
+                            EdgeTag::Base => base.push((v, u, w, tag)),
+                            EdgeTag::Extra(_) => over.push((v, u, w, tag)),
+                        });
+                    }
+                    base.extend(over);
+                    let mut got = Vec::new();
+                    view.for_each_slot(a..b, |v, u, w, tag| got.push((v, u, w, tag)));
+                    assert_eq!(got, base, "rows {a}..{b}");
+                }
+            }
         }
     }
 

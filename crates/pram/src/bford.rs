@@ -15,13 +15,13 @@
 //!   frontiers (content and order), round counts and ledgers are the same
 //!   in both;
 //! * *one slot fold per candidate*: every write of a round into the
-//!   per-vertex update slots goes through the candidate's fold. A
+//!   per-vertex update slots goes through the candidate's fold-min. A
 //!   distance folds without a data-dependent branch: an offer that does
-//!   not beat the previous label becomes `INF`, the slot takes the
-//!   minimum, and the vertex is written to the round's write list every
-//!   time but counted only on the slot's first write. The list is sized
-//!   once per round to the most first writes the round can make. The
-//!   parent-carrying fold keeps its branches, which cost less than a
+//!   not beat the previous label becomes `INF`, and the slot takes the
+//!   minimum. A push also writes the target to the round's write list
+//!   every time but counts it only on the slot's first write; the list is
+//!   sized once per round to the most first writes the round can make.
+//!   The parent-carrying fold keeps its branches, which cost less than a
 //!   select of its 32-byte candidate;
 //! * *frontier-driven rounds*: only a vertex whose distance changed in the
 //!   previous round can offer a candidate that beats its neighbor's label
@@ -36,10 +36,13 @@
 //!     round appends the kept offers to one buffer per chunk, sized to the
 //!     chunk's slots, and the caller folds the buffers in chunk order. The
 //!     round costs the frontier's slots, not `|E∪H|`;
-//!   - *dense* (otherwise): every vertex pulls over all its neighbors, and
-//!     each chunk of the vertex range lists the vertices it wrote, in
-//!     vertex order. Each write is owned by one vertex — CREW-clean and
-//!     trivially parallel;
+//!   - *dense* (otherwise): the round streams the adjacency slots of the
+//!     vertex range in CSR order ([`UnionView::for_each_slot`]), and each
+//!     slot's offer, kept iff it beats the owner's previous label, folds
+//!     straight into the owner's update slot — one flat pass with no
+//!     per-vertex loop. Each chunk of the vertex range folds only into its
+//!     own update slots and then lists the vertices it wrote, in vertex
+//!     order: exclusive writes, CREW-clean and trivially parallel;
 //! * *target-bounded frontiers*: a point-to-point run ([`bellman_ford_to`])
 //!   needs only the target's label, so once that label is finite the next
 //!   frontier keeps only the round's writes below it. Every label below
@@ -105,11 +108,13 @@ trait Candidate: Copy + Send + Sync {
     fn dist(self) -> Weight;
     /// Strictly smaller than `other` in the candidate order.
     fn beats(self, other: Self) -> bool;
-    /// Folds the offer `c` into `v`'s update slot if `keep` (`c` beats
-    /// `v`'s previous label), and appends `v` to `next` at `*len` on the
-    /// slot's first write of the round. `next` has room for one entry per
-    /// offer. Both folds take the same minimum and list first writes in
-    /// offer order.
+    /// Folds the offer `c` into `slot` if `keep` (`c` beats the slot
+    /// owner's previous label): the slot takes the minimum.
+    fn fold_min(slot: &mut Self, c: Self, keep: bool);
+    /// [`Candidate::fold_min`] into `v`'s update slot, appending `v` to
+    /// `next` at `*len` on the slot's first write of the round. `next` has
+    /// room for one entry per offer. Both folds take the same minimum and
+    /// list first writes in offer order.
     fn fold(updates: &mut [Self], next: &mut [VId], len: &mut usize, v: VId, c: Self, keep: bool);
 }
 
@@ -134,9 +139,17 @@ impl Candidate for Weight {
         self < other
     }
 
-    /// Branch-free: an offer that is not kept becomes `INF`, the slot
-    /// takes the minimum, and `v` is written at the end of the list every
-    /// time but counted only on a first write.
+    /// Branch-free: an offer that is not kept becomes `INF`, and the slot
+    /// takes the minimum.
+    #[inline]
+    fn fold_min(slot: &mut Self, c: Self, keep: bool) {
+        let cand = if keep { c } else { INF };
+        let old = *slot;
+        *slot = if cand < old { cand } else { old };
+    }
+
+    /// Branch-free, like [`Candidate::fold_min`]; `v` is written at the
+    /// end of the list every time but counted only on a first write.
     #[inline]
     fn fold(updates: &mut [Self], next: &mut [VId], len: &mut usize, v: VId, c: Self, keep: bool) {
         let cand = if keep { c } else { INF };
@@ -178,6 +191,14 @@ impl Candidate for (Weight, ParentEdge) {
     /// Branching: a select of the 32-byte candidate costs more than the
     /// mispredictions it would save (DESIGN.md §9).
     #[inline]
+    fn fold_min(slot: &mut Self, c: Self, keep: bool) {
+        if keep && c.beats(*slot) {
+            *slot = c;
+        }
+    }
+
+    /// Branching, like [`Candidate::fold_min`].
+    #[inline]
     fn fold(updates: &mut [Self], next: &mut [VId], len: &mut usize, v: VId, c: Self, keep: bool) {
         if !keep {
             return;
@@ -215,7 +236,7 @@ fn append_into<T: Clone>(
 }
 
 /// One exploration's buffers for candidate type `C`: the distance row, the
-/// per-round update slots, the frontier lists and the chunked rounds'
+/// per-round update slots, the frontier lists and the chunked pushes'
 /// candidate buffers.
 #[derive(Clone, Debug)]
 struct Rounds<C> {
@@ -228,7 +249,7 @@ struct Rounds<C> {
     frontier: Vec<VId>,
     /// The vertices written in this round.
     next: Vec<VId>,
-    /// One `(target, candidate)` buffer per chunk of a chunked round.
+    /// One `(target, candidate)` buffer per chunk of a chunked push.
     pushed: Vec<Vec<(VId, C)>>,
 }
 
@@ -262,7 +283,7 @@ impl<C: Candidate> Rounds<C> {
 
 /// Reusable buffers for repeated distance-only explorations over graphs of
 /// the same size: the two `n`-sized arrays (distances and per-round
-/// updates), the frontier lists and the chunked rounds' candidate buffers
+/// updates), the frontier lists and the chunked pushes' candidate buffers
 /// live here, so a serving batch pays one allocation set for the whole
 /// batch instead of one per query ([`bellman_ford_into`]).
 #[derive(Clone, Debug, Default)]
@@ -359,7 +380,7 @@ fn explore<C: Candidate>(
         } = rounds;
         match sparse_slots(view, frontier, edge_slots) {
             Some(touched) => push_round(exec, view, dist, frontier, touched, updates, next, pushed),
-            None => pull_round(exec, view, dist, updates, next, pushed),
+            None => pull_round(exec, view, dist, updates, next),
         }
         let mut min_changed = INF;
         for &v in next.iter() {
@@ -452,44 +473,77 @@ fn push_round<C: Candidate>(
     });
 }
 
-/// Dense round: every vertex pulls its best candidate over all its
-/// neighbors, kept iff it beats the vertex's previous label. Below the
-/// parallel threshold the winners go straight into `updates`; above it
-/// each chunk of the vertex range lists its own ([`in_chunks`]). Either
-/// way `next` is in vertex order.
+/// Dense round: streams the adjacency slots of the whole vertex range in
+/// CSR order ([`UnionView::for_each_slot`]) and folds each slot's offer,
+/// kept iff it beats the owner's previous label, straight into the
+/// owner's update slot. Below the parallel threshold one stream covers
+/// every vertex; above it each chunk of the vertex range folds its own
+/// slots into its own range of `updates` and lists its own writes in a
+/// range of `next`, and the lists are concatenated in chunk order. Either
+/// way `next` is in vertex order, and a chunk writes only its own slots.
 fn pull_round<C: Candidate>(
     exec: &Executor,
     view: &UnionView<'_>,
     prev: &[Weight],
     updates: &mut [C],
     next: &mut Vec<VId>,
-    pushed: &mut Vec<Vec<(VId, C)>>,
 ) {
     let n = prev.len();
+    // Room for every vertex: each is written at most once.
+    next.resize(n, 0);
     if !exec.parallel_eligible(n) {
-        append_into(next, n, 0, |next, len| {
-            for v in 0..n as VId {
-                pull_to(view, prev, v, |v, c, keep| {
-                    C::fold(updates, next, len, v, c, keep)
-                });
-            }
-        });
+        let len = pull_chunk(view, prev, 0..n, updates, next);
+        next.truncate(len);
         return;
     }
     let bounds = exec.chunk_bounds(n);
-    in_chunks(exec, &bounds, pushed, updates, next, |r, buf| {
-        append_into(buf, r.len(), (0, C::at(INF)), |buf, len| {
-            for v in r {
-                pull_to(view, prev, v as VId, |v, c, keep| {
-                    append(buf, len, (v, c), keep)
-                });
-            }
-        });
+    let mut parts = Vec::with_capacity(bounds.len());
+    let (mut ups, mut list) = (&mut updates[..], &mut next[..]);
+    for r in &bounds {
+        let (u, rest) = std::mem::take(&mut ups).split_at_mut(r.len());
+        let (l, tail) = std::mem::take(&mut list).split_at_mut(r.len());
+        (ups, list) = (rest, tail);
+        parts.push((u, l, 0usize));
+    }
+    // One unit range per part: chunk `ci` owns part `ci`.
+    let owners: Vec<_> = (0..bounds.len()).map(|ci| ci..ci + 1).collect();
+    exec.for_each_chunk_mut(&mut parts, &owners, |ci, part| {
+        let (ups, list, len) = &mut part[0];
+        *len = pull_chunk(view, prev, bounds[ci].clone(), ups, list);
     });
+    let lens: Vec<usize> = parts.iter().map(|p| p.2).collect();
+    let mut kept = 0;
+    for (r, len) in bounds.iter().zip(lens) {
+        next.copy_within(r.start..r.start + len, kept);
+        kept += len;
+    }
+    next.truncate(kept);
 }
 
-/// Runs `fill` on every chunk of `bounds`, each into its own buffer of
-/// kept `(target, candidate)` offers, then folds the buffers in chunk
+/// Folds the slots of rows `vs` into `ups` (the update slots of `vs`),
+/// then lists the written rows in `list` in vertex order; returns how many
+/// it listed.
+fn pull_chunk<C: Candidate>(
+    view: &UnionView<'_>,
+    prev: &[Weight],
+    vs: Range<usize>,
+    ups: &mut [C],
+    list: &mut [VId],
+) -> usize {
+    let start = vs.start;
+    view.for_each_slot(vs, |v, u, w, tag| {
+        let c = C::new(prev[u as usize] + w, u, w, tag);
+        C::fold_min(&mut ups[v as usize - start], c, c.dist() < prev[v as usize]);
+    });
+    let mut len = 0;
+    for (v, c) in (start as VId..).zip(ups.iter()) {
+        append(list, &mut len, v, c.dist() != INF);
+    }
+    len
+}
+
+/// Runs `fill` on every chunk of a chunked push's `bounds`, each into its
+/// own buffer of kept `(target, candidate)` offers, then folds the buffers in chunk
 /// order into `updates` ([`Candidate::fold`]). A total-order minimum does
 /// not depend on the fold order, so the result is the same for every
 /// chunking, i.e. at every thread count; `next` gets the written targets
@@ -536,27 +590,6 @@ fn push_from<C: Candidate>(
         let nd = du + w;
         sink(v, C::new(nd, u, w, tag), nd < prev[v as usize]);
     });
-}
-
-/// Offers `sink` the best candidate over all of `v`'s neighbors, with
-/// whether it beats `v`'s previous label. The scan has no early exit, so
-/// with distances alone it is a branch-free running minimum.
-#[inline]
-fn pull_to<C: Candidate>(
-    view: &UnionView<'_>,
-    prev: &[Weight],
-    v: VId,
-    sink: impl FnOnce(VId, C, bool),
-) {
-    let dv = prev[v as usize];
-    let mut best = C::at(dv);
-    view.for_each_neighbor(v, |u, w, tag| {
-        let cand = C::new(prev[u as usize] + w, u, w, tag);
-        if cand.beats(best) {
-            best = cand;
-        }
-    });
-    sink(v, best, best.dist() < dv);
 }
 
 /// Run a hop-limited multi-source Bellman–Ford exploration that also

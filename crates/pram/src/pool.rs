@@ -39,12 +39,16 @@
 //! 3. works itself: caller and enrolled workers claim chunk indices from
 //!    one atomic counter until none remain (which chunk runs *where* is
 //!    schedule-dependent; results are not — see the contract below),
-//! 4. waits on the completion condvar until every enrolled worker has
-//!    checked in, then clears the job and releases the round lock.
+//! 4. once its own claims have run the counter dry, withdraws the
+//!    enrollment slots no worker has taken yet (a late worker finds no
+//!    open slot and parks again), waits on the completion condvar until
+//!    every worker that took a slot has checked in, then clears the job
+//!    and releases the round lock.
 //!
 //! Step 4 is the barrier that makes the lifetime erasure sound: the
 //! borrowed task and output slots outlive the round because `dispatch`
-//! cannot return (or unwind) before every worker is done with them. A
+//! cannot return (or unwind) before every worker that took the job is
+//! done with it, and no worker can take it once its slots are withdrawn. A
 //! panicking task is caught on the worker, the worker checks in normally
 //! (it stays parked for the next round — panics never poison or deadlock
 //! the pool), and the payload is re-thrown on the caller after the
@@ -319,12 +323,14 @@ struct PoolState {
     epoch: u64,
     /// The in-flight job, if any.
     job: Option<Job>,
-    /// Enrolled workers that have not yet checked in for the current round.
+    /// Enrolled workers that have not yet checked in for the current
+    /// round, counting the slots not yet taken until they are withdrawn.
     active: usize,
-    /// Enrollment slots left this round: `min(workers, nchunks − 1)`. A
-    /// worker that observes a new epoch with no slot left skips the round
-    /// entirely — small rounds barrier on a small check-in set instead of
-    /// the whole pool.
+    /// Enrollment slots left this round: `min(workers, nchunks − 1)` at
+    /// publication, zero once the caller has claimed every chunk and
+    /// withdrawn the rest. A worker that observes a new epoch with no slot
+    /// left skips the round entirely — small rounds barrier on a small
+    /// check-in set instead of the whole pool.
     enroll: usize,
     /// First worker panic of the round, re-thrown by the caller.
     panic: Option<Box<dyn Any + Send>>,
@@ -364,8 +370,9 @@ fn worker_loop(shared: Arc<Shared>) {
                             st.enroll -= 1;
                             break job;
                         }
-                        // Round already fully enrolled (or cleared): not a
-                        // participant — go straight back to parking.
+                        // Round already fully enrolled, its open slots
+                        // withdrawn, or cleared: not a participant — go
+                        // straight back to parking.
                         _ => continue,
                     }
                 }
@@ -572,12 +579,15 @@ impl Executor {
         let next = AtomicUsize::new(0);
         let job = Job {
             // SAFETY: lifetime erasure of `runner`, borrowed from this
-            // stack frame. The barrier below guarantees every worker has
-            // checked in (and thus dropped its use of the job) before
-            // this function returns or unwinds, so the 'static erasure
-            // never outlives the borrow. The round lock guarantees no
-            // other caller can overwrite the job while this round is in
-            // flight.
+            // stack frame. A worker reads the job only after taking an
+            // enrollment slot under the state lock, and every taken slot
+            // stays counted in `active`. The barrier below withdraws the
+            // slots still open (no worker can take the job after that)
+            // and waits until every worker that took one has checked in
+            // (and thus dropped its use of the job) before this function
+            // returns or unwinds, so the 'static erasure never outlives
+            // the borrow. The round lock guarantees no other caller can
+            // overwrite the job while this round is in flight.
             task: unsafe {
                 std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(
                     runner,
@@ -616,6 +626,15 @@ impl Executor {
         // the barrier (the workers may still be using the job).
         let caller = catch_unwind(AssertUnwindSafe(|| as_worker(|| run_job(&job))));
         let mut st = lock(&shared.state);
+        if caller.is_ok() {
+            // The caller ran the counter dry, so every chunk is claimed. A
+            // slot no worker has taken yet could only find nothing to do:
+            // withdraw it, and wait only for the workers that took one. A
+            // worker takes a slot only under this lock while `enroll > 0`,
+            // so none can take the job from here on.
+            st.active -= st.enroll;
+            st.enroll = 0;
+        }
         while st.active > 0 {
             st = shared
                 .done_cv
@@ -972,6 +991,37 @@ mod tests {
         assert_eq!(wide.len(), 16);
         let parts = exec.run_chunks(&wide, |r| r.len());
         assert_eq!(parts.iter().sum::<usize>(), 16 * MIN_CHUNK);
+    }
+
+    #[test]
+    fn workers_stay_live_after_withdrawn_slots() {
+        // Rounds of two one-element chunks: the caller often claims both
+        // before the worker wakes, and then withdraws the worker's slot.
+        let exec = Executor::new(2);
+        let tiny = [0..1, 1..2];
+        for round in 0..2_000usize {
+            let parts = exec.run_chunks(&tiny, |r| r.start + round);
+            assert_eq!(parts, [round, round + 1]);
+        }
+        // The worker still joins a round the caller cannot finish alone:
+        // chunk 0 waits until chunk 1 has started on another thread.
+        let started = Mutex::new(None);
+        let cv = Condvar::new();
+        let parts = exec.run_chunks(&tiny, |r| {
+            let me = std::thread::current().id();
+            if r.start == 1 {
+                *lock(&started) = Some(me);
+                cv.notify_all();
+                return true;
+            }
+            let (other, wait) = cv
+                .wait_timeout_while(lock(&started), std::time::Duration::from_secs(60), |s| {
+                    s.is_none()
+                })
+                .unwrap_or_else(PoisonError::into_inner);
+            !wait.timed_out() && *other != Some(me)
+        });
+        assert_eq!(parts, [true, true], "chunk 1 never started elsewhere");
     }
 
     #[test]

@@ -612,6 +612,58 @@ fn bellman_ford_kernel_chunks_large_sparse_frontiers() {
     }
 }
 
+/// The chunked dense round over empty adjacency runs. `gen::gnm(6000,
+/// 6000, ..)` leaves about one vertex in seven isolated, and a two-hub
+/// overlay joined to every 50th vertex leaves most overlay runs empty. A
+/// source at every third vertex makes round 1 dense, and its 6 000
+/// vertices split into two chunks at two or more threads, each streaming
+/// the slots of its own vertex range across the empty rows.
+#[test]
+fn bellman_ford_kernel_streams_dense_rounds_over_empty_runs() {
+    for seed in [1u64, 2] {
+        let g = gen::gnm(6000, 6000, seed, 1.0, 9.0);
+        let n = g.num_vertices();
+        let mut mix = Mix(seed);
+        let mut extra = Vec::new();
+        for hub in [mix.below(n) as VId, mix.below(n) as VId] {
+            for v in (mix.below(50)..n).step_by(50) {
+                if v as VId != hub {
+                    extra.push((hub, v as VId, 2.0 + mix.below(12) as f64));
+                }
+            }
+        }
+        let view = UnionView::with_extra(&g, &extra);
+        let isolated = (0..n as VId).filter(|&v| view.degree(v) == 0).count();
+        assert!(
+            isolated > n / 20,
+            "seed={seed}: {isolated} isolated vertices"
+        );
+        let sources: Vec<VId> = (0..n as VId).step_by(3).collect();
+        let full = pull_reference(&view, &sources, None, n + 1);
+        let rounds = full.converged_at.expect("converges");
+        assert!(n >= prim::PAR_THRESHOLD, "dense rounds split into chunks");
+        assert!(
+            !sparse_round(full.frontiers[0].1, &view),
+            "seed={seed}: round 1 is dense"
+        );
+        let farthest = (0..n as VId)
+            .filter(|&v| full.dist[v as usize] < INF)
+            .max_by(|&a, &b| full.dist[a as usize].total_cmp(&full.dist[b as usize]))
+            .expect("sources are reached");
+        let unreached = (0..n as VId).find(|&v| full.dist[v as usize] == INF);
+        let mut scratch = BfordScratch::new();
+        for threads in [1usize, 2, 4, 8] {
+            let exec = Executor::new(threads);
+            for hops in [1, 2, rounds + 1] {
+                check_full_run(&exec, &view, &sources, hops, &mut scratch).unwrap();
+            }
+            for target in std::iter::once(farthest).chain(unreached) {
+                check_target_run(&exec, &view, &sources, target, rounds + 1).unwrap();
+            }
+        }
+    }
+}
+
 /// The write lists at their bound: a sparse round lists at most one first
 /// write per touched slot. On a path with a source at every fifth vertex,
 /// round 1 is sparse and every slot it touches is a distinct first write,

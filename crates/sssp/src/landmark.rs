@@ -3,9 +3,10 @@
 //! row cache has never seen.
 //!
 //! PR 6's serving layer left one hole: a point-to-point *miss* pays a
-//! full early-exit exploration (p50 0.6–0.9 ms on the n = 16 384
-//! benchmark graphs, 2 threads on a 2-vCPU host, against about 0.3 µs for
-//! a landmark certification) even though the answer is a single number.
+//! full early-exit exploration (p50 0.3–1.0 ms on the n = 16 384
+//! benchmark graphs, from a calm to a busy host, 2 threads on a 2-vCPU
+//! host, against about 0.2–0.5 µs for a landmark certification) even
+//! though the answer is a single number.
 //! This module closes it with the classic landmark (ALT-style) trick,
 //! adapted to *approximate* rows: pick `L` landmarks by a deterministic
 //! farthest-point sweep, cache their full distance rows once (the "few

@@ -110,9 +110,15 @@ pub fn memory(cfg: &Config) {
     };
     let exec = Executor::new(cfg.threads);
     let threads = exec.threads();
-    // One round that enrolls every worker: their start-up allocations
-    // land here, before any phase opens, not in the first phase measured.
-    exec.run_chunks(&exec.task_bounds(threads), |_| ());
+    // One round in which every thread holds a chunk at once (each chunk
+    // waits for all the others), so every worker has started and run a
+    // task: their start-up allocations land here, before any phase opens,
+    // not in the first phase measured. A round whose chunks the caller
+    // can claim alone does not wait for its workers (DESIGN.md §5).
+    let all_in = std::sync::Barrier::new(threads);
+    exec.run_chunks(&exec.task_bounds(threads), |_| {
+        all_in.wait();
+    });
 
     let mut summary: Vec<SizeRow> = Vec::new();
     for (i, &n) in sizes.iter().enumerate() {
