@@ -3,9 +3,10 @@
 //! `repro --json <path>` makes every participating experiment append one
 //! JSON object per measurement to `<path>` (JSON lines: independent
 //! objects separated by newlines, so reruns append and partial files stay
-//! parseable). The format mirrors the `BENCH_scaling.json` convention:
-//! flat objects with an `"experiment"` discriminator plus numeric fields
-//! (`n`, `m`, `threads`, `ms`, `peak_bytes`, `edges_per_sec`, ...).
+//! parseable). Records are flat objects with an `"experiment"`
+//! discriminator plus numeric fields (`n`, `m`, `threads`, `ms`,
+//! `peak_bytes`, `rate_per_s`, `p99_us`, ...); `BENCH_serve.json` at the
+//! repository root is one such file.
 //!
 //! Hand-rolled on purpose: the workspace has no serde (no registry
 //! access), records are flat, and the writer is ~60 lines. Non-finite

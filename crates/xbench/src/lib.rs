@@ -6,6 +6,12 @@
 //! theory, so the tables are its formal claims measured — see DESIGN.md §6
 //! for the index and EXPERIMENTS.md for recorded results).
 //!
+//! Wall-clock has one harness per job: perfbench (`BENCHMARK.json`) times
+//! the library's paths on its fixed workloads, and the experiments here
+//! keep the counted tables plus what perfbench does not time — E10's wall
+//! columns, the `serve-open` rate sweep, the 1M `snapshot` leg and the
+//! `memory` audit.
+//!
 //! Run everything: `cargo run --release -p xbench --bin repro -- all`
 //! Run one: `cargo run --release -p xbench --bin repro -- e2-stretch`
 //! Quick mode (smaller sizes): append `--quick`.
@@ -16,7 +22,6 @@ pub mod exp_core;
 pub mod exp_end;
 pub mod exp_lint;
 pub mod exp_memory;
-pub mod exp_pool;
 pub mod exp_quality;
 pub mod exp_serve;
 pub mod exp_snapshot;
@@ -136,16 +141,6 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
             exp_ablation::a2_mode,
         ),
         (
-            "pool-overhead",
-            "runtime: per-round dispatch latency of the persistent pool",
-            exp_pool::pool_overhead,
-        ),
-        (
-            "serve",
-            "serving: landmark-certified p2p, batched aMSSD, LRU source cache under load",
-            exp_serve::serve,
-        ),
-        (
             "serve-open",
             "serving: open-loop arrival sweep, admission gate bounding p99 (DESIGN.md §9)",
             exp_serve::serve_open,
@@ -179,7 +174,62 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), reg.len());
-        assert_eq!(reg.len(), 23);
+        assert_eq!(reg.len(), 21);
+    }
+
+    /// The repository root (this crate sits at `crates/xbench`).
+    const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+
+    /// DESIGN.md §6 tabulates exactly `registry()`'s ids, in order: the
+    /// first backticked token of each table row is an id.
+    #[test]
+    fn registry_matches_design_table() {
+        let design = std::fs::read_to_string(format!("{ROOT}DESIGN.md")).expect("DESIGN.md");
+        let table: Vec<&str> = design
+            .lines()
+            .skip_while(|l| !l.starts_with("## §6 "))
+            .skip(1)
+            .take_while(|l| !l.starts_with("## "))
+            .filter(|l| l.starts_with('|'))
+            .filter_map(|l| l.split('`').nth(1))
+            .collect();
+        let ids: Vec<&str> = registry().iter().map(|r| r.0).collect();
+        assert_eq!(table, ids, "DESIGN.md §6 and registry() disagree");
+    }
+
+    /// Every record of every `BENCH_*.json` at the root names a registered
+    /// experiment: its `"experiment"` value is an id, or an id followed by
+    /// `-` and a record kind (the memory audit writes `memory-phase`).
+    #[test]
+    fn bench_artifacts_name_registered_experiments() {
+        let ids: Vec<&str> = registry().iter().map(|r| r.0).collect();
+        let mut records = 0;
+        for entry in std::fs::read_dir(ROOT).expect("repository root") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().and_then(|s| s.to_str()).unwrap_or("");
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let body = std::fs::read_to_string(&path).expect("artifact readable");
+            for line in body.lines().filter(|l| !l.trim().is_empty()) {
+                let experiment = line
+                    .split("\"experiment\":\"")
+                    .nth(1)
+                    .and_then(|rest| rest.split('"').next())
+                    .unwrap_or_else(|| panic!("{name}: record names no experiment: {line}"));
+                assert!(
+                    ids.iter().any(|id| experiment
+                        .strip_prefix(id)
+                        .is_some_and(|kind| kind.is_empty() || kind.starts_with('-'))),
+                    "{name}: {experiment:?} is not a registered experiment"
+                );
+                records += 1;
+            }
+        }
+        assert!(
+            records > 0,
+            "no BENCH_*.json records at the repository root"
+        );
     }
 
     #[test]
