@@ -4,7 +4,7 @@
 //! hopset is to pay it once); this module makes the result a shippable
 //! artifact. The container framing comes from [`pgraph::snapshot`]
 //! (DESIGN.md §11): the SoA columns of [`Hopset`] stream out verbatim and
-//! load back with `read_exact` — no per-edge decoding — followed by one
+//! load back through the shared chunked column reader, followed by one
 //! structural validation pass (scale order, offset-table consistency, kind
 //! tally, path-link bounds).
 //!

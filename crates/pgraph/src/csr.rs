@@ -27,8 +27,13 @@ pub struct Graph {
     offsets: Vec<EdgeIndex>,
     neigh: Vec<VId>,
     wt: Vec<Weight>,
-    /// Canonical edge list with `u < v`, sorted lexicographically.
-    edges: Vec<(VId, VId, Weight)>,
+    /// Canonical edge list with `u < v`, sorted lexicographically: the
+    /// CSR's upper triangle in scan order. [`GraphBuilder::build`] fills
+    /// it from the list it already sorted; any other graph derives it on
+    /// the first [`Graph::edges`] call, so a loaded graph that only
+    /// answers queries never pays its 16 B per edge. Not part of the
+    /// graph's value.
+    edges: OnceLock<Vec<(VId, VId, Weight)>>,
     /// The owner of every slot, parallel to `neigh`: derived from
     /// `offsets` by the first slot stream that reads it
     /// ([`crate::UnionView::for_each_slot`]), so a graph that runs no
@@ -37,8 +42,8 @@ pub struct Graph {
     src: OnceLock<Vec<VId>>,
 }
 
-/// A graph's value is its CSR and edge list; the lazily built owner
-/// column is derived from the offsets, so it is left out.
+/// A graph's value is its CSR; the edge list and the owner column are
+/// derived from it, so they are left out.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         let Graph {
@@ -46,14 +51,10 @@ impl PartialEq for Graph {
             offsets,
             neigh,
             wt,
-            edges,
+            edges: _,
             src: _,
         } = self;
-        *n == other.n
-            && *offsets == other.offsets
-            && *neigh == other.neigh
-            && *wt == other.wt
-            && *edges == other.edges
+        *n == other.n && *offsets == other.offsets && *neigh == other.neigh && *wt == other.wt
     }
 }
 
@@ -76,7 +77,7 @@ impl Graph {
     /// Number of undirected edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.neigh.len() / 2
     }
 
     /// Degree of `v`.
@@ -97,10 +98,22 @@ impl Graph {
             .zip(self.wt[r].iter().copied())
     }
 
-    /// The canonical undirected edge list (`u < v`, lexicographically sorted).
+    /// The canonical undirected edge list (`u < v`, lexicographically
+    /// sorted). A graph not made by [`GraphBuilder`] builds it from the
+    /// CSR on the first call.
     #[inline]
     pub fn edges(&self) -> &[(VId, VId, Weight)] {
-        &self.edges
+        self.edges.get_or_init(|| {
+            let mut edges = Vec::with_capacity(self.num_edges());
+            for u in 0..self.n as VId {
+                edges.extend(
+                    self.neighbors(u)
+                        .filter(|&(v, _)| u < v)
+                        .map(|(v, w)| (u, v, w)),
+                );
+            }
+            edges
+        })
     }
 
     /// Weight of edge `(u, v)` if present.
@@ -162,7 +175,7 @@ impl Graph {
         for w in &mut g.wt {
             *w *= inv;
         }
-        for e in &mut g.edges {
+        for e in g.edges.get_mut().into_iter().flatten() {
             e.2 *= inv;
         }
         g
@@ -219,23 +232,23 @@ impl Graph {
 
     /// Assemble a graph directly from validated columns. Callers (the
     /// snapshot loader) must have checked every [`Graph`] invariant: the
-    /// debug assertions here only spot-check shape.
+    /// debug assertions here only spot-check shape. The edge list is
+    /// left to [`Graph::edges`].
     pub(crate) fn from_raw_parts(
         n: usize,
         offsets: Vec<EdgeIndex>,
         neigh: Vec<VId>,
         wt: Vec<Weight>,
-        edges: Vec<(VId, VId, Weight)>,
     ) -> Graph {
         debug_assert_eq!(offsets.len(), n + 1);
-        debug_assert_eq!(neigh.len(), 2 * edges.len());
+        debug_assert_eq!(neigh.len() % 2, 0);
         debug_assert_eq!(wt.len(), neigh.len());
         Graph {
             n,
             offsets,
             neigh,
             wt,
-            edges,
+            edges: OnceLock::new(),
             src: OnceLock::new(),
         }
     }
@@ -441,7 +454,7 @@ impl GraphBuilder {
             offsets,
             neigh,
             wt,
-            edges: self.edges,
+            edges: OnceLock::from(self.edges),
             src: OnceLock::new(),
         })
     }
@@ -574,13 +587,55 @@ mod tests {
         let mut owners = Vec::new();
         crate::UnionView::base_only(&g).for_each_slot(0..5, |v, _, _, _| owners.push(v));
         assert_eq!(owners, [0, 1, 1, 2, 2, 4]);
-        let mut bytes = Vec::new();
-        crate::snapshot::write_graph_snapshot(&g, &mut bytes).unwrap();
-        let reloaded = crate::snapshot::read_graph_snapshot(&bytes[..]).unwrap();
+        let reloaded = reload(&g);
         assert_eq!(g, reloaded);
         assert_eq!(reloaded, g);
         assert_eq!(g, g.clone());
         assert_eq!(g, Graph::from_edges(5, edges).unwrap());
+    }
+
+    fn reload(g: &Graph) -> Graph {
+        let mut bytes = Vec::new();
+        crate::snapshot::write_graph_snapshot(g, &mut bytes).unwrap();
+        crate::snapshot::read_graph_snapshot(&bytes[..]).unwrap()
+    }
+
+    fn edge_bits(g: &Graph) -> Vec<(VId, VId, u64)> {
+        g.edges()
+            .iter()
+            .map(|&(u, v, w)| (u, v, w.to_bits()))
+            .collect()
+    }
+
+    /// The edge list is derived data: the builder fills it, a reload
+    /// builds it on the first `edges()` call, and the two graphs compare
+    /// equal before and after that call, with bit-identical lists.
+    #[test]
+    fn edge_list_is_derived_on_first_use() {
+        let g = crate::gen::gnm(60, 150, 4, 0.5, 9.0);
+        let h = reload(&g);
+        assert!(g.edges.get().is_some(), "the builder keeps its sorted list");
+        assert!(h.edges.get().is_none(), "a reload builds no list");
+        assert_eq!(h.num_edges(), g.num_edges());
+        assert_eq!(g, h);
+        assert_eq!(edge_bits(&h), edge_bits(&g));
+        assert!(h.edges.get().is_some());
+        assert_eq!(g, h);
+        assert_eq!(h, g);
+    }
+
+    /// Scaling a reload whose list was never built gives the scaled built
+    /// graph, and the list it derives later matches the builder's scaled
+    /// list bit for bit.
+    #[test]
+    fn scaling_a_reload_matches_scaling_the_built_graph() {
+        let g = crate::gen::gnm(60, 150, 5, 0.5, 9.0);
+        assert_ne!(g.min_weight(), Some(1.0));
+        let s = reload(&g).scaled_to_unit_min();
+        assert!(s.edges.get().is_none());
+        let t = g.scaled_to_unit_min();
+        assert_eq!(s, t);
+        assert_eq!(edge_bits(&s), edge_bits(&t));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`io`] — ingestion of external graph files: [`io::dimacs`] (the
 //!   standard DIMACS `.gr` challenge format) and [`io::edge_list`],
 //! * [`snapshot`] — versioned binary snapshots of the CSR columns
-//!   (zero-decode load; DESIGN.md §11).
+//!   (chunked column decode, one validation pass; DESIGN.md §11).
 //!
 //! Everything in this crate is deterministic; randomized generators take an
 //! explicit seed.

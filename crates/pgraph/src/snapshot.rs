@@ -3,8 +3,12 @@
 //! The flat SoA data plane (DESIGN.md §8) stores everything in plain
 //! `u32`/`u64`/`f64` columns, which makes an on-disk format a matter of
 //! *framing*, not encoding: a snapshot is the columns themselves, streamed
-//! out verbatim and read back with `read_exact` into preallocated buffers —
-//! no per-edge decoding on either side (DESIGN.md §11).
+//! out verbatim through a 64 KiB buffer. Loading reads each column back in
+//! 64 KiB chunks with `read_exact` and decodes every chunk from
+//! little-endian with one `extend` into the column vector (the crate
+//! forbids `unsafe`, so bytes are never cast to a typed slice). No per-edge
+//! list is built on either side: a loaded [`Graph`] derives its canonical
+//! edge list only if [`Graph::edges`] is called (DESIGN.md §11).
 //!
 //! ## Container layout (all integers little-endian)
 //!
@@ -26,7 +30,9 @@
 //! The header (params + section table) is checksummed; the column data is
 //! not — it is validated *structurally* on load instead (bounds, sort
 //! order, symmetry, finiteness), which catches the corruption classes that
-//! would break the determinism contract. Loading is sequential (`Read`,
+//! would break the determinism contract. For the graph that is one check
+//! of the offsets column and one pass over the adjacency columns
+//! ([`read_graph_snapshot`]). Loading is sequential (`Read`,
 //! no `Seek`), so containers can nest: a larger container embeds a whole
 //! graph or hopset snapshot as one raw section.
 //!
@@ -641,8 +647,9 @@ impl<R: Read> ContainerReader<R> {
                 elem_size,
                 count,
             };
-            offset = offset
-                .checked_add(decl.byte_len())
+            offset = u64::from(elem_size)
+                .checked_mul(count)
+                .and_then(|len| offset.checked_add(len))
                 .ok_or_else(|| corrupt("section sizes overflow"))?;
             sections.push(decl);
         }
@@ -697,53 +704,39 @@ impl<R: Read> ContainerReader<R> {
         Ok(decl)
     }
 
+    /// Read the next column, `K` bytes per element, through `dec`.
+    fn col<T, const K: usize>(
+        &mut self,
+        tag: [u8; 4],
+        dec: impl Fn([u8; K]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let decl = self.expect(tag, K as u32)?;
+        read_col(&mut self.inner, decl.count, &tag_str(tag), dec)
+    }
+
     /// Read a `u32` column.
     pub fn col_u32(&mut self, tag: [u8; 4]) -> Result<Vec<u32>, SnapshotError> {
-        let decl = self.expect(tag, 4)?;
-        read_col(
-            &mut self.inner,
-            decl.count,
-            &tag_str(tag),
-            u32::from_le_bytes,
-        )
+        self.col(tag, u32::from_le_bytes)
     }
 
     /// Read a `u8` column.
     pub fn col_u8(&mut self, tag: [u8; 4]) -> Result<Vec<u8>, SnapshotError> {
-        let decl = self.expect(tag, 1)?;
-        read_col(&mut self.inner, decl.count, &tag_str(tag), |b: [u8; 1]| {
-            b[0]
-        })
+        self.col(tag, |[b]: [u8; 1]| b)
     }
 
     /// Read an `f64` column (bit patterns).
     pub fn col_f64(&mut self, tag: [u8; 4]) -> Result<Vec<f64>, SnapshotError> {
-        let decl = self.expect(tag, 8)?;
-        read_col(&mut self.inner, decl.count, &tag_str(tag), |b: [u8; 8]| {
-            f64::from_bits(u64::from_le_bytes(b))
-        })
+        self.col(tag, |b| f64::from_bits(u64::from_le_bytes(b)))
     }
 
     /// Read a `u64` column.
     pub fn col_u64(&mut self, tag: [u8; 4]) -> Result<Vec<u64>, SnapshotError> {
-        let decl = self.expect(tag, 8)?;
-        read_col(
-            &mut self.inner,
-            decl.count,
-            &tag_str(tag),
-            u64::from_le_bytes,
-        )
+        self.col(tag, u64::from_le_bytes)
     }
 
     /// Read a `u64` column into `usize` elements (fails on 32-bit overflow).
     pub fn col_u64_as_usize(&mut self, tag: [u8; 4]) -> Result<Vec<usize>, SnapshotError> {
-        let decl = self.expect(tag, 8)?;
-        let raw: Vec<u64> = read_col(
-            &mut self.inner,
-            decl.count,
-            &tag_str(tag),
-            u64::from_le_bytes,
-        )?;
+        let raw = self.col_u64(tag)?;
         raw.into_iter()
             .map(|v| {
                 usize::try_from(v).map_err(|_| {
@@ -774,8 +767,10 @@ impl<R: Read> ContainerReader<R> {
     }
 }
 
-/// Read a typed column with chunked `read_exact` + `from_le_bytes` decoding.
-/// The vector grows as data actually arrives, so a corrupt count hits
+/// Read a typed column with chunked `read_exact`: each 64 KiB chunk is
+/// decoded by one `extend` over its `K`-byte elements. At most 32 MiB is
+/// reserved up front and the vector otherwise grows only as data
+/// actually arrives, so a corrupt count hits
 /// [`SnapshotError::Truncated`] instead of a huge allocation.
 fn read_col<R, T, const K: usize>(
     r: &mut R,
@@ -797,9 +792,11 @@ where
         let take = rem.min(CHUNK as u64) as usize;
         r.read_exact(&mut buf[..take])
             .map_err(|e| map_eof(e, region))?;
-        for c in buf[..take].chunks_exact(K) {
-            out.push(dec(c.try_into().unwrap()));
-        }
+        out.extend(
+            buf[..take]
+                .chunks_exact(K)
+                .map(|c| dec(c.try_into().unwrap())),
+        );
         rem -= take as u64;
     }
     Ok(out)
@@ -885,9 +882,14 @@ pub fn save_graph_snapshot(g: &Graph, path: impl AsRef<Path>) -> Result<(), Snap
     Ok(())
 }
 
-/// Load a graph snapshot: `read_exact` straight into the CSR columns, then
-/// one structural validation pass (no per-edge decoding, no re-sorting —
-/// the loaded graph is bit-identical to the saved one).
+/// Load a graph snapshot: each CSR column is read in 64 KiB chunks and
+/// decoded from little-endian one chunk at a time. Validation then checks
+/// the offsets column on its own (monotone, from 0 to 2m) and makes one
+/// pass over the adjacency columns for every other invariant, symmetry
+/// included. Nothing is re-sorted and no edge list is built (the graph
+/// derives it on the first [`Graph::edges`] call), so the loaded graph is
+/// bit-identical to the saved one. Every rejection is a typed
+/// [`SnapshotError`].
 pub fn read_graph_snapshot(r: impl Read) -> Result<Graph, SnapshotError> {
     let mut cr = ContainerReader::open(r, &GRAPH_MAGIC)?;
     let version = cr.version();
@@ -925,10 +927,10 @@ pub fn read_graph_snapshot(r: impl Read) -> Result<Graph, SnapshotError> {
         8
     };
     let offsets: Vec<EdgeIndex> = if offw == 4 {
-        cr.col_u32(*b"offs")?
-            .into_iter()
-            .map(|v| u64_to_edge_index(v as u64))
-            .collect::<Result<_, _>>()?
+        // Every u32 fits both EdgeIndex widths.
+        cr.col(*b"offs", |b| {
+            crate::edge_index(u32::from_le_bytes(b) as usize)
+        })?
     } else {
         cr.col_u64(*b"offs")?
             .into_iter()
@@ -937,8 +939,8 @@ pub fn read_graph_snapshot(r: impl Read) -> Result<Graph, SnapshotError> {
     };
     let neigh = cr.col_u32(*b"neig")?;
     let wt = cr.col_f64(*b"wgts")?;
-    validate_graph_columns(n, m, &offsets, &neigh, &wt)
-        .map(|edges| Graph::from_raw_parts(n, offsets, neigh, wt, edges))
+    validate_graph_columns(n, m, &offsets, &neigh, &wt)?;
+    Ok(Graph::from_raw_parts(n, offsets, neigh, wt))
 }
 
 /// Narrow a stored offset to this build's [`EdgeIndex`]. Only reachable
@@ -954,15 +956,27 @@ pub fn load_graph_snapshot(path: impl AsRef<Path>) -> Result<Graph, SnapshotErro
     read_graph_snapshot(io::BufReader::new(std::fs::File::open(path)?))
 }
 
-/// Validate raw CSR columns and reconstruct the canonical edge list
-/// (`u < v`, lexicographic — exactly the scan order of the CSR).
+/// Check every [`Graph`] invariant on raw CSR columns: shapes, offsets
+/// that run monotonically from 0 to `2m`, neighbour ids in range with no
+/// self loop, strictly sorted rows, finite positive weights, and
+/// symmetry with identical weight bits.
+///
+/// The offsets are checked first, on their own, because the adjacency
+/// pass reads rows out of order. That pass then checks symmetry with one
+/// cursor per row: scanning rows in order, the canonical edges `(u, v)`
+/// with `u < v` reach row `v` in increasing `u`, which is exactly the
+/// order of row `v`'s entries below `v`. So each canonical edge must
+/// match the entry at its mirror row's cursor (same id, same weight
+/// bits), and when a row is scanned every entry below its own vertex
+/// must already have been matched. That pairs the `m` canonical entries
+/// one to one with the `m` entries below the diagonal.
 fn validate_graph_columns(
     n: usize,
     m: usize,
     offsets: &[EdgeIndex],
     neigh: &[VId],
     wt: &[Weight],
-) -> Result<Vec<(VId, VId, Weight)>, SnapshotError> {
+) -> Result<(), SnapshotError> {
     let ix = crate::edge_index_usize;
     if offsets.len() != n + 1 {
         return Err(corrupt(format!(
@@ -980,12 +994,15 @@ fn validate_graph_columns(
     if ix(offsets[0]) != 0 || ix(offsets[n]) != 2 * m {
         return Err(corrupt("offsets must run from 0 to 2m"));
     }
-    let mut edges = Vec::with_capacity(m);
+    if let Some(u) = offsets.windows(2).position(|o| o[0] > o[1]) {
+        return Err(corrupt(format!("offsets not monotone at vertex {u}")));
+    }
+    // `matched[v]`: how many of row v's entries below v have been met by
+    // their canonical edge. Each earlier row meets row v at most once (its
+    // own row is strictly sorted), so the count stays below n.
+    let mut matched = vec![0u32; n];
     for u in 0..n {
         let (lo, hi) = (ix(offsets[u]), ix(offsets[u + 1]));
-        if lo > hi || hi > 2 * m {
-            return Err(corrupt(format!("offsets not monotone at vertex {u}")));
-        }
         let mut prev: Option<VId> = None;
         for i in lo..hi {
             let v = neigh[i];
@@ -1001,41 +1018,40 @@ fn validate_graph_columns(
                     "adjacency of vertex {u} not strictly sorted"
                 )));
             }
+            prev = Some(v);
             if !(w.is_finite() && w > 0.0) {
                 return Err(corrupt(format!("edge ({u}, {v}) has invalid weight {w}")));
             }
-            if (u as VId) < v {
-                edges.push((u as VId, v, w));
-            }
-            prev = Some(v);
-        }
-    }
-    if edges.len() != m {
-        return Err(corrupt(format!(
-            "canonical edge count {} does not match declared m = {m}",
-            edges.len()
-        )));
-    }
-    // Symmetry: every canonical edge must appear with the same weight bits
-    // in the mirror adjacency list.
-    for &(u, v, w) in &edges {
-        let (lo, hi) = (ix(offsets[v as usize]), ix(offsets[v as usize + 1]));
-        match neigh[lo..hi].binary_search(&u) {
-            Ok(i) if wt[lo + i].to_bits() == w.to_bits() => {}
-            _ => {
+            let u = u as VId;
+            let symmetric = if u < v {
+                // Canonical: its mirror must be the next unmatched entry
+                // of row v.
+                let v = v as usize;
+                let j = ix(offsets[v]) + matched[v] as usize;
+                let hit = j < ix(offsets[v + 1]) && neigh[j] == u && wt[j].to_bits() == w.to_bits();
+                matched[v] += u32::from(hit);
+                hit
+            } else {
+                // Below the diagonal: edge (v, u) must already have met it.
+                i < lo + matched[u as usize] as usize
+            };
+            if !symmetric {
                 return Err(corrupt(format!(
-                    "edge ({u}, {v}) is not symmetric in the adjacency columns"
-                )))
+                    "edge ({}, {}) is not symmetric in the adjacency columns",
+                    u.min(v),
+                    u.max(v)
+                )));
             }
         }
     }
-    Ok(edges)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
+    use proptest::prelude::*;
 
     fn roundtrip(g: &Graph) -> Graph {
         let mut buf = Vec::new();
@@ -1213,6 +1229,144 @@ mod tests {
             (p.u8().unwrap(), p.u8().unwrap(), p.u8().unwrap()),
             (4, 4, 8)
         );
+    }
+
+    /// The two-pass validator the graph loader used before its one-pass
+    /// cursor check, kept as a reference model: per-row checks and the
+    /// canonical edge list, then a binary search for each canonical
+    /// edge's mirror. `None` means "reject".
+    fn reference_validate(
+        n: usize,
+        m: usize,
+        offsets: &[u32],
+        neigh: &[VId],
+        wt: &[Weight],
+    ) -> Option<Vec<(VId, VId, Weight)>> {
+        let ix = |o: u32| o as usize;
+        if offsets.len() != n + 1 || neigh.len() != 2 * m || wt.len() != 2 * m {
+            return None;
+        }
+        if ix(offsets[0]) != 0 || ix(offsets[n]) != 2 * m {
+            return None;
+        }
+        let mut edges = Vec::with_capacity(m);
+        for u in 0..n {
+            let (lo, hi) = (ix(offsets[u]), ix(offsets[u + 1]));
+            if lo > hi || hi > 2 * m {
+                return None;
+            }
+            let mut prev: Option<VId> = None;
+            for i in lo..hi {
+                let (v, w) = (neigh[i], wt[i]);
+                if v as usize >= n
+                    || v as usize == u
+                    || prev.is_some_and(|p| p >= v)
+                    || !(w.is_finite() && w > 0.0)
+                {
+                    return None;
+                }
+                if (u as VId) < v {
+                    edges.push((u as VId, v, w));
+                }
+                prev = Some(v);
+            }
+        }
+        if edges.len() != m {
+            return None;
+        }
+        for &(u, v, w) in &edges {
+            let (lo, hi) = (ix(offsets[v as usize]), ix(offsets[v as usize + 1]));
+            match neigh[lo..hi].binary_search(&u) {
+                Ok(i) if wt[lo + i].to_bits() == w.to_bits() => {}
+                _ => return None,
+            }
+        }
+        Some(edges)
+    }
+
+    /// A graph container holding exactly these columns (u32 offsets).
+    fn encode_columns(n: usize, offsets: &[u32], neigh: &[VId], wt: &[Weight]) -> Vec<u8> {
+        let m = neigh.len() / 2;
+        let mut params = ParamsBuf::new();
+        params.u64(n as u64).u64(m as u64).u8(4).u8(4).u8(8);
+        let mut buf = Vec::new();
+        let mut cw = ContainerWriter::begin(
+            &mut buf,
+            &GRAPH_MAGIC,
+            params.as_slice(),
+            graph_sections(n, m),
+        )
+        .unwrap();
+        cw.col_u32(*b"offs", offsets).unwrap();
+        cw.col_u32(*b"neig", neigh).unwrap();
+        cw.col_f64(*b"wgts", wt).unwrap();
+        cw.finish().unwrap();
+        buf
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-pass loader rejects exactly the files the two-pass
+        /// reference rejects, always as `Corrupt`, and loads the same edge
+        /// list when both accept. Each case mutates one slot of a small
+        /// random graph: a neighbour id (possibly out of range), one
+        /// mirror's weight bits, two swapped neighbours, an offset moved
+        /// by one, or an offset moved past 2m.
+        #[test]
+        fn one_pass_validation_matches_the_two_pass_reference(
+            n in 2usize..24,
+            seed in any::<u64>(),
+            kind in 0usize..5,
+            a in any::<u64>(),
+            b in any::<u64>(),
+        ) {
+            let g = gen::gnm(n, 2 * n, seed, 1.0, 4.0);
+            #[allow(clippy::unnecessary_cast)] // identity cast under compact-ids
+            let mut offsets: Vec<u32> = g.offsets().iter().map(|&o| o as u32).collect();
+            let mut neigh = g.neighbor_column().to_vec();
+            let mut wt = g.weight_column().to_vec();
+            let slots = neigh.len();
+            let (i, j) = ((a % slots as u64) as usize, (b % slots as u64) as usize);
+            let v = (a % (n as u64 + 1)) as usize;
+            match kind {
+                0 => neigh[i] = (b % (n as u64 + 1)) as VId,
+                1 => wt[i] = f64::from_bits(wt[i].to_bits() ^ (1 << (b % 52))),
+                2 => neigh.swap(i, j),
+                3 if offsets[v] == 0 || b % 2 == 0 => offsets[v] += 1,
+                3 => offsets[v] -= 1,
+                _ => offsets[v] = slots as u32 + 1 + (b % 4) as u32,
+            }
+            let want = reference_validate(n, slots / 2, &offsets, &neigh, &wt);
+            let got = read_graph_snapshot(encode_columns(n, &offsets, &neigh, &wt).as_slice());
+            match (got, want) {
+                (Ok(h), Some(edges)) => {
+                    let bits = |e: &[(VId, VId, Weight)]| -> Vec<(VId, VId, u64)> {
+                        e.iter().map(|&(u, v, w)| (u, v, w.to_bits())).collect()
+                    };
+                    prop_assert_eq!(bits(h.edges()), bits(&edges));
+                }
+                (Err(SnapshotError::Corrupt { .. }), None) => {}
+                (got, want) => prop_assert!(
+                    false,
+                    "kind {kind}: loader gave {got:?}, reference accepts: {}",
+                    want.is_some()
+                ),
+            }
+        }
+    }
+
+    /// An interior offset past 2m must be rejected before the adjacency
+    /// pass: there, edge (0, 1) would look for its mirror at row 1's
+    /// cursor, slot 2 of a 2-slot column.
+    #[test]
+    fn offset_past_2m_is_corrupt_not_a_panic() {
+        let (offsets, neigh, wt) = ([0, 2, 3, 2], [1, 2], [1.0, 1.0]);
+        assert!(reference_validate(3, 1, &offsets, &neigh, &wt).is_none());
+        assert!(matches!(
+            read_graph_snapshot(encode_columns(3, &offsets, &neigh, &wt).as_slice()),
+            Err(SnapshotError::Corrupt { .. })
+        ));
     }
 
     #[test]

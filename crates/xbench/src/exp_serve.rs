@@ -6,6 +6,9 @@
 //! is visible instead of hidden by client back-off. The cache runs with
 //! the admission gate in reject mode; the sweep shows the gate bounding
 //! p99 at overload — rejections rise instead of latency collapsing.
+//! Each rate point also reports how late the workers issued requests
+//! (issue minus scheduled arrival), so a backlog of the load generator's
+//! own workers shows apart from time spent in the serving stack.
 //! One JSON record is emitted **per rate point**, not at the end: a
 //! failure at the highest rate must not lose the records already earned
 //! (the same rule `repro memory` follows per size).
@@ -85,7 +88,22 @@ struct RatePoint {
     rejected: u64,
     p50_us: f64,
     p99_us: f64,
+    late_p50_us: f64,
+    late_p99_us: f64,
     stats: sssp::CacheStats,
+}
+
+/// Per-request timings of one open-loop rate point, in microseconds.
+#[derive(Default)]
+struct Timings {
+    /// Done minus scheduled arrival, for each accepted request.
+    latency: Vec<f64>,
+    /// Issue minus scheduled arrival, for every request: how late the
+    /// workers ran, which the latency alone cannot tell apart from
+    /// service time.
+    late: Vec<f64>,
+    /// Requests the admission gate turned away.
+    rejected: u64,
 }
 
 /// Run one open-loop rate point: requests arrive at `t_i = i / rate`
@@ -98,17 +116,16 @@ fn open_loop_point(
     requests: &[Request],
     rate: f64,
     workers: usize,
-) -> (Vec<f64>, u64) {
+) -> Timings {
     let next = AtomicUsize::new(0);
     let start = Instant::now();
-    let (lat, rejected) = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let served = Arc::clone(served);
                 let next = &next;
                 scope.spawn(move || {
-                    let mut lat = Vec::new();
-                    let mut rejected = 0u64;
+                    let mut t = Timings::default();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= requests.len() {
@@ -119,31 +136,32 @@ fn open_loop_point(
                         if now_s < sched_s {
                             std::thread::sleep(Duration::from_secs_f64(sched_s - now_s));
                         }
+                        let issue_s = start.elapsed().as_secs_f64();
+                        t.late.push((issue_s - sched_s).max(0.0) * 1e6);
                         let res = match requests[i] {
                             Request::Row(s) => served.row(s).map(|_| ()),
                             Request::Pair(u, v) => served.distance(u, v).map(|_| ()),
                         };
                         let done_s = start.elapsed().as_secs_f64();
                         match res {
-                            Ok(()) => lat.push((done_s - sched_s) * 1e6),
-                            Err(SsspError::Overloaded { .. }) => rejected += 1,
+                            Ok(()) => t.latency.push((done_s - sched_s) * 1e6),
+                            Err(SsspError::Overloaded { .. }) => t.rejected += 1,
                             Err(e) => panic!("open-loop request failed: {e}"),
                         }
                     }
-                    (lat, rejected)
+                    t
                 })
             })
             .collect();
-        let mut lat = Vec::with_capacity(requests.len());
-        let mut rejected = 0u64;
+        let mut all = Timings::default();
         for h in handles {
-            let (l, r) = h.join().expect("open-loop worker");
-            lat.extend(l);
-            rejected += r;
+            let t = h.join().expect("open-loop worker");
+            all.latency.extend(t.latency);
+            all.late.extend(t.late);
+            all.rejected += t.rejected;
         }
-        (lat, rejected)
-    });
-    (lat, rejected)
+        all
+    })
 }
 
 /// Sweep the arrival rates; emit the JSON record for each rate point
@@ -179,15 +197,19 @@ fn open_loop_sweep(
         }
         let ops = ((rate * secs) as usize).clamp(20, 10_000);
         let requests = request_mix(n, &hot, ops, 0xA11C_E000 + rate as u64);
-        let (mut lat, rejected) = open_loop_point(&served, &requests, rate, workers);
-        lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        let mut t = open_loop_point(&served, &requests, rate, workers);
+        for v in [&mut t.latency, &mut t.late] {
+            v.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        }
         let point = RatePoint {
             rate,
             ops,
-            accepted: lat.len(),
-            rejected,
-            p50_us: percentile(&lat, 0.50),
-            p99_us: percentile(&lat, 0.99),
+            accepted: t.latency.len(),
+            rejected: t.rejected,
+            p50_us: percentile(&t.latency, 0.50),
+            p99_us: percentile(&t.latency, 0.99),
+            late_p50_us: percentile(&t.late, 0.50),
+            late_p99_us: percentile(&t.late, 0.99),
             stats: served.stats(),
         };
         // Per rate point, not once at the end: a failed or killed sweep
@@ -202,6 +224,8 @@ fn open_loop_sweep(
                 .u64("rejected", point.rejected)
                 .f64("p50_us", point.p50_us)
                 .f64("p99_us", point.p99_us)
+                .f64("late_p50_us", point.late_p50_us)
+                .f64("late_p99_us", point.late_p99_us)
                 .u64("hits", point.stats.hits)
                 .u64("landmark_answers", point.stats.landmark_answers)
                 .u64("fallbacks", point.stats.fallbacks)
@@ -210,8 +234,15 @@ fn open_loop_sweep(
         );
         println!(
             "[serve-open] rate {:>6.0}/s: {} ops, {} ok, {} rejected, \
-             p50 = {:.0} us, p99 = {:.0} us",
-            point.rate, point.ops, point.accepted, point.rejected, point.p50_us, point.p99_us
+             p50 = {:.0} us, p99 = {:.0} us, late p50 = {:.0} us, late p99 = {:.0} us",
+            point.rate,
+            point.ops,
+            point.accepted,
+            point.rejected,
+            point.p50_us,
+            point.p99_us,
+            point.late_p50_us,
+            point.late_p99_us
         );
         points.push(point);
     }
@@ -268,7 +299,17 @@ pub fn serve_open(cfg: &Config) {
     let points = open_loop_sweep(cfg, &oracle, &plane, rates, secs, max_inflight, workers);
 
     let mut t = Table::new(&[
-        "rate/s", "ops", "ok", "rejected", "hits", "lm", "fallback", "p50 us", "p99 us",
+        "rate/s",
+        "ops",
+        "ok",
+        "rejected",
+        "hits",
+        "lm",
+        "fallback",
+        "p50 us",
+        "p99 us",
+        "late p50 us",
+        "late p99 us",
     ]);
     for p in &points {
         t.row(vec![
@@ -281,12 +322,14 @@ pub fn serve_open(cfg: &Config) {
             fmt_n(p.stats.fallbacks as usize),
             f(p.p50_us),
             f(p.p99_us),
+            f(p.late_p50_us),
+            f(p.late_p99_us),
         ]);
     }
     t.print(&format!(
         "serve-open: open-loop arrival sweep (n = {}, {} workers, admission \
          gate = {} in-flight explorations, reject mode; latency measured \
-         from scheduled arrival)",
+         from scheduled arrival; late = issue minus scheduled arrival)",
         fmt_n(n),
         workers,
         max_inflight
@@ -332,10 +375,12 @@ mod tests {
         for (line, rate) in lines.iter().zip(rates) {
             assert!(line.contains("\"experiment\":\"serve-open\""));
             assert!(line.contains(&format!("\"rate_per_s\":{rate}")));
+            assert!(line.contains("\"late_p50_us\":") && line.contains("\"late_p99_us\":"));
         }
         // Every request was either answered or typed-rejected — none lost.
         for p in &points {
             assert_eq!(p.accepted + p.rejected as usize, p.ops);
+            assert!(0.0 <= p.late_p50_us && p.late_p50_us <= p.late_p99_us);
         }
         std::fs::remove_file(&path).unwrap();
         let _ = std::fs::remove_dir(&dir);

@@ -1,7 +1,7 @@
 //! The persistence contract (DESIGN.md §11): snapshots round-trip
 //! bit-identically, and every way a file can lie is a typed error.
 //!
-//! Three layers are pinned here:
+//! Four layers are pinned here:
 //!
 //! 1. **Graph container** — `pgraph::snapshot` round-trips the CSR columns
 //!    verbatim across generator families (proptest drives the family and
@@ -13,17 +13,24 @@
 //!    version, and out-of-bounds column bytes are rejected with the
 //!    matching [`SnapshotError`] variant, never a panic or a silently
 //!    wrong graph.
+//! 4. **Corruption sweep** — seeded byte flips, truncations and lies
+//!    about a section's element count, injected into every section of the
+//!    graph, hopset and oracle containers: each case is a typed error or
+//!    a load, never a panic, and a count of 2^40 over a few real bytes is
+//!    `Truncated`, not an allocation.
 //!
 //! Plus the ingestion pipeline end to end: DIMACS text in, oracle built,
 //! snapshot out, reload, bit-identical answers.
 
 use pgraph::snapshot::{
-    load_graph_snapshot, read_graph_snapshot, save_graph_snapshot, write_graph_snapshot,
+    fnv1a64, load_graph_snapshot, read_graph_snapshot, save_graph_snapshot, write_graph_snapshot,
     SnapshotError,
 };
 use pram::pool::threads_from_env;
 use pram_sssp::prelude::*;
 use proptest::prelude::*;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Round-trip an oracle through an in-memory snapshot buffer.
 fn reload(o: &Oracle) -> Oracle {
@@ -226,6 +233,185 @@ fn oracle_snapshot_rejects_the_same_lies() {
         OracleBuilder::from_snapshot_reader(&buf[..buf.len() - 9], exec),
         Err(SnapshotError::Truncated { .. })
     ));
+}
+
+// ---- Layer 4: a seeded corruption sweep over all three containers. --------
+
+/// SplitMix64: the sweep's source of positions and flip masks.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+}
+
+/// One section of a container, located in the container's bytes.
+struct Section {
+    tag: String,
+    elem_size: u64,
+    count: u64,
+    /// Byte offset of the section's descriptor in the header.
+    desc: usize,
+    /// The section's data bytes.
+    data: Range<usize>,
+}
+
+fn word<const K: usize>(bytes: &[u8], at: usize) -> [u8; K] {
+    bytes[at..at + K].try_into().unwrap()
+}
+
+/// Parse the section table of a container (layout in `pgraph::snapshot`).
+fn sections(bytes: &[u8]) -> Vec<Section> {
+    let hlen = u32::from_le_bytes(word(bytes, 12)) as usize;
+    let plen = u32::from_le_bytes(word(bytes, 24)) as usize;
+    let mut desc = 24 + 4 + plen;
+    let nsec = u32::from_le_bytes(word(bytes, desc));
+    desc += 4;
+    let data = 24 + hlen;
+    (0..nsec)
+        .map(|_| {
+            let elem_size = u64::from(u32::from_le_bytes(word(bytes, desc + 4)));
+            let count = u64::from_le_bytes(word(bytes, desc + 8));
+            let start = data + u64::from_le_bytes(word(bytes, desc + 16)) as usize;
+            let s = Section {
+                tag: String::from_utf8_lossy(&bytes[desc..desc + 4]).into_owned(),
+                elem_size,
+                count,
+                desc,
+                data: start..start + (elem_size * count) as usize,
+            };
+            desc += 24;
+            s
+        })
+        .collect()
+}
+
+/// `bytes` with section `k` declaring `count` elements. The offsets of
+/// the later sections move with it and the header checksum is
+/// recomputed, so the lie gets past the header to the section reader.
+fn with_count(bytes: &[u8], k: usize, count: u64) -> Vec<u8> {
+    let secs = sections(bytes);
+    let mut out = bytes.to_vec();
+    out[secs[k].desc + 8..secs[k].desc + 16].copy_from_slice(&count.to_le_bytes());
+    let mut offset = u64::from_le_bytes(word(bytes, secs[k].desc + 16))
+        .wrapping_add(secs[k].elem_size.wrapping_mul(count));
+    for s in &secs[k + 1..] {
+        out[s.desc + 16..s.desc + 24].copy_from_slice(&offset.to_le_bytes());
+        offset = offset.wrapping_add(s.elem_size * s.count);
+    }
+    let hlen = u32::from_le_bytes(word(bytes, 12)) as usize;
+    let sum = fnv1a64(&out[24..24 + hlen]);
+    out[16..24].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// Sweep every section of one container: seeded byte flips inside its
+/// data, truncations inside it, and lies about its element count. Every
+/// case must return a typed error or load; a panic fails the test with
+/// the case named. A cut file is always `Truncated`, and so is a typed
+/// column declaring 2^40 elements (`raw` names the sections that embed
+/// a container or a record stream rather than a column). Returns the
+/// number of cases run.
+fn sweep(
+    name: &str,
+    bytes: &[u8],
+    raw: &[&str],
+    load: impl Fn(&[u8]) -> Result<(), SnapshotError>,
+) -> usize {
+    let mut rng = SplitMix64(fnv1a64(name.as_bytes()));
+    let mut cases = 0;
+    let mut run = |case: &str, b: &[u8]| {
+        cases += 1;
+        catch_unwind(AssertUnwindSafe(|| load(b)))
+            .unwrap_or_else(|_| panic!("{name}: {case} panicked"))
+    };
+    assert!(run("the intact file", bytes).is_ok());
+    for (k, s) in sections(bytes).iter().enumerate() {
+        let tag = &s.tag;
+        for _ in 0..if s.data.is_empty() { 0 } else { 24 } {
+            let at = s.data.start + rng.below(s.data.len());
+            let mut b = bytes.to_vec();
+            b[at] ^= 1 + rng.below(255) as u8;
+            let _ = run(&format!("a flip at byte {at} of '{tag}'"), &b);
+        }
+        let inside = (0..4).map(|_| s.data.start + rng.below(s.data.len()));
+        for cut in [s.data.start, s.data.end.saturating_sub(1)]
+            .into_iter()
+            .chain(inside)
+            .filter(|&cut| cut < bytes.len())
+        {
+            let case = format!("a cut at byte {cut} of '{tag}'");
+            match run(&case, &bytes[..cut]) {
+                Err(SnapshotError::Truncated { .. }) => {}
+                other => panic!("{name}: {case} gave {:?}", other.err()),
+            }
+        }
+        let lies = [
+            s.count + 1,
+            s.count.saturating_sub(1),
+            0,
+            2 * s.count + 7,
+            1 << 40,
+            u64::MAX / 3,
+        ];
+        for count in lies.into_iter().filter(|&c| c != s.count) {
+            let case = format!("'{tag}' declaring {count} elements");
+            let r = run(&case, &with_count(bytes, k, count));
+            if count == 1 << 40 && !raw.contains(&tag.as_str()) {
+                assert!(
+                    matches!(r, Err(SnapshotError::Truncated { .. })),
+                    "{name}: {case} gave {:?}",
+                    r.err()
+                );
+            }
+        }
+    }
+    cases
+}
+
+#[test]
+fn corruption_sweep_over_every_section_is_typed() {
+    // A binding hop cap skips the distance-range certificate, so the
+    // oracle keeps a hopset, and `paths` gives it memory-path records:
+    // every section of all three containers holds data.
+    let oracle = Oracle::builder(gen::road_grid(8, 8, 3, 1.0, 4.0))
+        .eps(0.25)
+        .kappa(4)
+        .hop_cap(8)
+        .paths(true)
+        .threads(threads_from_env())
+        .build()
+        .unwrap();
+    assert!(oracle.hopset_size() > 0);
+    let mut bytes = Vec::new();
+    oracle.write_snapshot(&mut bytes).unwrap();
+    let outer = sections(&bytes);
+    let nested = |tag: &str| {
+        let s = outer
+            .iter()
+            .find(|s| s.tag == tag)
+            .expect("nested container");
+        bytes[s.data.clone()].to_vec()
+    };
+    let exec = oracle.executor().clone();
+    let cases = sweep("graph", &nested("grph"), &[], |b| {
+        read_graph_snapshot(b).map(|_| ())
+    }) + sweep("hopset", &nested("hops"), &["prec"], |b| {
+        hopset::snapshot::read_hopset_snapshot(b).map(|_| ())
+    }) + sweep("oracle", &bytes, &["grph", "hops"], |b| {
+        OracleBuilder::from_snapshot_reader(b, exec.clone()).map(|_| ())
+    });
+    // 3 + 9 + 2 sections, each with flips, cuts and count lies.
+    assert!(cases > 400, "{cases} cases");
 }
 
 // ---- File-backed save/load and the ingestion pipeline. ---------------------
