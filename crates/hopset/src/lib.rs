@@ -79,9 +79,7 @@ pub use partition::{Cluster, ClusterMemory, Partition};
 pub use path::{MemEdge, MemoryPath};
 pub use ruling::{ruling_set, RulingTrace};
 pub use single_scale::{PhaseStats, ScaleReport};
-pub use snapshot::{
-    load_hopset_snapshot, read_hopset_snapshot, save_hopset_snapshot, write_hopset_snapshot,
-};
+pub use snapshot::{read_hopset_snapshot, write_hopset_snapshot};
 pub use store::{EdgeKind, Hopset, HopsetEdge, ScaleSlice};
 pub use virtual_bfs::{ExploreScratch, Explorer};
 

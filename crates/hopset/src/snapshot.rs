@@ -35,7 +35,6 @@ use pgraph::snapshot::{
     SnapshotError,
 };
 use std::io::{Read, Write};
-use std::path::Path;
 
 /// Magic of the [`Hopset`] container.
 pub const HOPSET_MAGIC: [u8; 8] = *b"PSSHOPST";
@@ -166,14 +165,6 @@ pub fn write_hopset_snapshot(h: &Hopset, mut w: impl Write) -> Result<(), Snapsh
         Ok(())
     })?;
     cw.finish()
-}
-
-/// Save `h` to a snapshot file.
-pub fn save_hopset_snapshot(h: &Hopset, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_hopset_snapshot(h, &mut out)?;
-    out.flush()?;
-    Ok(())
 }
 
 fn read_u32(r: &mut dyn Read, region: &str) -> Result<u32, SnapshotError> {
@@ -311,10 +302,30 @@ pub fn read_hopset_snapshot(r: impl Read) -> Result<Hopset, SnapshotError> {
         ));
     }
 
+    // A record of L links takes 8 + 16·L bytes, so neither count may
+    // exceed what the declared `prec` bytes hold: checked before anything
+    // is reserved for it.
+    let mut left = cr
+        .sections()
+        .iter()
+        .find(|s| s.tag == *b"prec")
+        .map_or(0, SectionDecl::byte_len);
+    if np as u64 > left / 8 {
+        return Err(corrupt(format!(
+            "path count {np} exceeds what {left} record bytes hold"
+        )));
+    }
     let paths = cr.raw(*b"prec", |r| {
         let mut paths = Vec::with_capacity(np.min(1 << 22));
         for pi in 0..np {
             let links_len = read_u32(r, "prec")? as usize;
+            left = left.saturating_sub(4);
+            if links_len as u64 > left / 16 {
+                return Err(corrupt(format!(
+                    "path {pi} declares {links_len} links but {left} record bytes remain"
+                )));
+            }
+            left = left.saturating_sub(4 + 16 * links_len as u64);
             let mut verts = Vec::with_capacity((links_len + 1).min(1 << 22));
             for _ in 0..=links_len {
                 verts.push(read_u32(r, "prec")?);
@@ -353,11 +364,6 @@ pub fn read_hopset_snapshot(r: impl Read) -> Result<Hopset, SnapshotError> {
         recount,
         paths,
     ))
-}
-
-/// Load a hopset snapshot from a file path.
-pub fn load_hopset_snapshot(path: impl AsRef<Path>) -> Result<Hopset, SnapshotError> {
-    read_hopset_snapshot(std::io::BufReader::new(std::fs::File::open(path)?))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! neighbor id, which makes `edge_weight` a binary search and makes all
 //! iteration deterministic.
 
-use crate::{edge_index, edge_index_usize, EdgeIndex, VId, Weight};
+use crate::{VId, Weight};
 use std::fmt;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -23,8 +23,7 @@ use std::sync::OnceLock;
 pub struct Graph {
     n: usize,
     /// `offsets[v]..offsets[v+1]` indexes `neigh`/`wt` for vertex `v`.
-    /// [`EdgeIndex`]-typed: `u32` under `compact-ids`, `usize` otherwise.
-    offsets: Vec<EdgeIndex>,
+    offsets: Vec<usize>,
     neigh: Vec<VId>,
     wt: Vec<Weight>,
     /// Canonical edge list with `u < v`, sorted lexicographically: the
@@ -84,14 +83,14 @@ impl Graph {
     #[inline]
     pub fn degree(&self, v: VId) -> usize {
         let v = v as usize;
-        edge_index_usize(self.offsets[v + 1]) - edge_index_usize(self.offsets[v])
+        self.offsets[v + 1] - self.offsets[v]
     }
 
     /// Iterate over `(neighbor, weight)` pairs of `v`, sorted by neighbor id.
     #[inline]
     pub fn neighbors(&self, v: VId) -> impl Iterator<Item = (VId, Weight)> + '_ {
         let v = v as usize;
-        let r = edge_index_usize(self.offsets[v])..edge_index_usize(self.offsets[v + 1]);
+        let r = self.offsets[v]..self.offsets[v + 1];
         self.neigh[r.clone()]
             .iter()
             .copied()
@@ -119,8 +118,7 @@ impl Graph {
     /// Weight of edge `(u, v)` if present.
     pub fn edge_weight(&self, u: VId, v: VId) -> Option<Weight> {
         let ui = u as usize;
-        let lo = edge_index_usize(self.offsets[ui]);
-        let hi = edge_index_usize(self.offsets[ui + 1]);
+        let (lo, hi) = (self.offsets[ui], self.offsets[ui + 1]);
         let slice = &self.neigh[lo..hi];
         slice.binary_search(&v).ok().map(|i| self.wt[lo + i])
     }
@@ -181,26 +179,11 @@ impl Graph {
         g
     }
 
-    /// Summary statistics used by the experiment harness.
-    pub fn stats(&self) -> GraphStats {
-        GraphStats {
-            n: self.n,
-            m: self.num_edges(),
-            min_weight: self.min_weight().unwrap_or(0.0),
-            max_weight: self.max_weight().unwrap_or(0.0),
-            max_degree: (0..self.n as VId)
-                .map(|v| self.degree(v))
-                .max()
-                .unwrap_or(0),
-        }
-    }
-
     /// The raw CSR offsets column (`n + 1` entries; `offsets[v]..offsets[v+1]`
     /// indexes the adjacency columns of vertex `v`). Exposed for the snapshot
-    /// layer, which streams columns verbatim. Element type is [`EdgeIndex`]
-    /// (`u32` under the `compact-ids` feature).
+    /// layer, which streams columns verbatim.
     #[inline]
-    pub fn offsets(&self) -> &[EdgeIndex] {
+    pub fn offsets(&self) -> &[usize] {
         &self.offsets
     }
 
@@ -220,13 +203,10 @@ impl Graph {
     /// columns, in CSR order. Builds the owner column on first use.
     #[inline]
     pub(crate) fn slots(&self, vs: Range<usize>) -> (&[VId], &[VId], &[Weight]) {
-        let r = edge_index_usize(self.offsets[vs.start])..edge_index_usize(self.offsets[vs.end]);
-        let src = self.src.get_or_init(|| {
-            slot_owners(
-                self.offsets.iter().map(|&o| edge_index_usize(o)),
-                self.neigh.len(),
-            )
-        });
+        let r = self.offsets[vs.start]..self.offsets[vs.end];
+        let src = self
+            .src
+            .get_or_init(|| slot_owners(&self.offsets, self.neigh.len()));
         (&src[r.clone()], &self.neigh[r.clone()], &self.wt[r])
     }
 
@@ -236,7 +216,7 @@ impl Graph {
     /// left to [`Graph::edges`].
     pub(crate) fn from_raw_parts(
         n: usize,
-        offsets: Vec<EdgeIndex>,
+        offsets: Vec<usize>,
         neigh: Vec<VId>,
         wt: Vec<Weight>,
     ) -> Graph {
@@ -257,28 +237,13 @@ impl Graph {
 /// The owner column of a CSR with `offsets` (`n + 1` non-decreasing
 /// entries from 0 to `slots`): every slot of row `v` gets `v`, and an
 /// empty row gets no slot.
-fn slot_owners(offsets: impl IntoIterator<Item = usize>, slots: usize) -> Vec<VId> {
+fn slot_owners(offsets: &[usize], slots: usize) -> Vec<VId> {
     let mut src = Vec::with_capacity(slots);
-    for (v, end) in offsets.into_iter().skip(1).enumerate() {
+    for (v, &end) in offsets[1..].iter().enumerate() {
         src.resize(end, v as VId);
     }
     debug_assert_eq!(src.len(), slots);
     src
-}
-
-/// Summary statistics of a [`Graph`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GraphStats {
-    /// Number of vertices.
-    pub n: usize,
-    /// Number of undirected edges.
-    pub m: usize,
-    /// Minimum edge weight (0 for edgeless graphs).
-    pub min_weight: Weight,
-    /// Maximum edge weight (0 for edgeless graphs).
-    pub max_weight: Weight,
-    /// Maximum vertex degree.
-    pub max_degree: usize,
 }
 
 /// Errors raised when assembling a [`Graph`].
@@ -405,11 +370,6 @@ impl GraphBuilder {
             .dedup_by(|next, prev| next.0 == prev.0 && next.1 == prev.1);
 
         let m = self.edges.len();
-        assert!(
-            (2 * m) as u64 <= EdgeIndex::MAX as u64,
-            "graph has {m} edges; 2m overflows this build's EdgeIndex width \
-             (build without the `compact-ids` feature)"
-        );
         let mut deg = vec![0usize; n + 1];
         for &(u, v, _) in &self.edges {
             deg[u as usize + 1] += 1;
@@ -446,9 +406,6 @@ impl GraphBuilder {
                 wt[offsets[v] + i] = w;
             }
         }
-        // Prefix sums and cursors run in `usize`; narrow once, at the end
-        // (the assert above guarantees every offset fits).
-        let offsets: Vec<EdgeIndex> = offsets.iter().map(|&o| edge_index(o)).collect();
         Ok(Graph {
             n,
             offsets,
@@ -557,16 +514,6 @@ mod tests {
         // Already-normalized graphs are returned unchanged.
         let t = s.scaled_to_unit_min();
         assert_eq!(t, s);
-    }
-
-    #[test]
-    fn stats_are_consistent() {
-        let g = diamond();
-        let s = g.stats();
-        assert_eq!(s.n, 4);
-        assert_eq!(s.m, 4);
-        assert_eq!(s.max_degree, 2);
-        assert_eq!(s.min_weight, 1.0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod io;
 pub mod snapshot;
 pub mod view;
 
-pub use csr::{Graph, GraphBuilder, GraphStats};
+pub use csr::{Graph, GraphBuilder};
 pub use snapshot::SnapshotError;
 pub use view::{EdgeTag, OverlayCsr, OverlayCsrBuilder, UnionGraph, UnionView};
 
@@ -41,42 +41,6 @@ pub type VId = u32;
 /// Edge weight. The hopset construction requires strictly positive, finite
 /// weights with minimum weight `>= 1` (the paper's normalization, §1.5).
 pub type Weight = f64;
-
-/// Index into the CSR edge columns (the element type of [`Graph`]'s
-/// `offsets` array). Under the `compact-ids` feature this is `u32`,
-/// halving the offsets column for graphs with `2m ≤ u32::MAX` directed
-/// slots; otherwise it is `usize`. The choice is a *build-time* memory
-/// trade only: every computed value is identical across the two widths
-/// (pinned by the width-parity test in the hopset crate), and snapshots
-/// always store the width the data needs, so files are byte-identical
-/// across builds (DESIGN.md §12).
-#[cfg(feature = "compact-ids")]
-pub type EdgeIndex = u32;
-
-/// Index into the CSR edge columns (the element type of [`Graph`]'s
-/// `offsets` array). See the `compact-ids` variant for the contract.
-#[cfg(not(feature = "compact-ids"))]
-pub type EdgeIndex = usize;
-
-/// Narrow a `usize` edge index to [`EdgeIndex`]. Overflow is impossible
-/// for graphs admitted by [`GraphBuilder`] (which asserts the edge count
-/// fits the build's width); debug builds still check.
-#[inline]
-#[allow(clippy::unnecessary_cast)] // identity cast under the default (usize) width
-pub fn edge_index(i: usize) -> EdgeIndex {
-    debug_assert!(
-        i as u64 <= EdgeIndex::MAX as u64,
-        "edge index {i} overflows EdgeIndex"
-    );
-    i as EdgeIndex
-}
-
-/// Widen an [`EdgeIndex`] back to `usize` for slicing.
-#[inline]
-#[allow(clippy::unnecessary_cast)] // identity cast under the default (usize) width
-pub fn edge_index_usize(i: EdgeIndex) -> usize {
-    i as usize
-}
 
 /// The "infinite" distance sentinel.
 pub const INF: Weight = f64::INFINITY;

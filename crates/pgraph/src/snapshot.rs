@@ -41,7 +41,7 @@
 //! `hopset::snapshot` and `sssp::snapshot` build on it.
 
 use crate::csr::Graph;
-use crate::{EdgeIndex, VId, Weight};
+use crate::{VId, Weight};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -57,13 +57,13 @@ use std::path::Path;
 ///
 /// Version history:
 /// * 1 — original layout (PR 8). Graph offsets stored as `u64`.
-/// * 2 — compact data plane (DESIGN.md §12). Graph params grow trailing
+/// * 2 — width fields (DESIGN.md §12). Graph params grow trailing
 ///   `id_width`/`offset_width`/`weight_width` bytes and the offsets column
 ///   is stored at `offset_width` (u32 when `2m ≤ u32::MAX`); the hopset
 ///   container grows `weight_width` and a quantization scale, written as
 ///   8 and 0 (`hopset::snapshot` rejects 4-byte quantized weights). Widths
-///   are properties of the *data*, not of the writing build, so files are
-///   byte-identical across feature flags.
+///   are properties of the *data*: offsets are `usize` in memory whatever
+///   width the file stores them at.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Oldest container version this build still decodes.
@@ -448,31 +448,15 @@ impl<'w, W: Write> ContainerWriter<'w, W> {
         write_col(out, col, |v| (v as u64).to_le_bytes())
     }
 
-    /// Write an [`EdgeIndex`] column as `u32` elements. The caller must
+    /// Write a `usize` index column as `u32` elements. The caller must
     /// have verified every value fits (the graph writer picks this width
-    /// from `2m`, never from the build's `EdgeIndex` type).
-    #[allow(clippy::unnecessary_cast)] // identity casts under compact-ids
-    pub fn col_index_as_u32(
-        &mut self,
-        tag: [u8; 4],
-        col: &[EdgeIndex],
-    ) -> Result<(), SnapshotError> {
+    /// from `2m`).
+    pub fn col_index_as_u32(&mut self, tag: [u8; 4], col: &[usize]) -> Result<(), SnapshotError> {
         let out = self.expect(tag, 4, col.len() as u64);
         write_col(out, col, |v| {
             debug_assert!(v as u64 <= u32::MAX as u64);
-            (v as u64 as u32).to_le_bytes()
+            (v as u32).to_le_bytes()
         })
-    }
-
-    /// Write an [`EdgeIndex`] column as `u64` elements.
-    #[allow(clippy::unnecessary_cast)] // identity casts under the usize width
-    pub fn col_index_as_u64(
-        &mut self,
-        tag: [u8; 4],
-        col: &[EdgeIndex],
-    ) -> Result<(), SnapshotError> {
-        let out = self.expect(tag, 8, col.len() as u64);
-        write_col(out, col, |v| (v as u64).to_le_bytes())
     }
 
     /// Write a raw section through a closure. The closure must produce
@@ -811,8 +795,7 @@ where
 const GRAPH_PARAMS_BYTES: usize = 19;
 
 /// Stored width of the offsets column: a property of the *data* (`2m`),
-/// never of the writing build — so default and `compact-ids` builds emit
-/// byte-identical snapshots.
+/// not of the in-memory `usize` column.
 fn graph_offset_width(m: usize) -> u32 {
     if (2 * m) as u64 <= u32::MAX as u64 {
         4
@@ -867,7 +850,7 @@ pub fn write_graph_snapshot(g: &Graph, mut w: impl Write) -> Result<(), Snapshot
     if offw == 4 {
         cw.col_index_as_u32(*b"offs", g.offsets())?;
     } else {
-        cw.col_index_as_u64(*b"offs", g.offsets())?;
+        cw.col_usize_as_u64(*b"offs", g.offsets())?;
     }
     cw.col_u32(*b"neig", g.neighbor_column())?;
     cw.col_f64(*b"wgts", g.weight_column())?;
@@ -900,7 +883,10 @@ pub fn read_graph_snapshot(r: impl Read) -> Result<Graph, SnapshotError> {
         return Err(corrupt(format!("vertex count {n64} exceeds u32 ids")));
     }
     let n = n64 as usize;
-    let m = usize::try_from(m64).map_err(|_| corrupt("edge count overflows usize"))?;
+    let m = usize::try_from(m64)
+        .ok()
+        .filter(|&m| m <= usize::MAX / 2)
+        .ok_or_else(|| corrupt(format!("edge count {m64}: 2m overflows usize")))?;
 
     // v1 stored offsets as u64 with no width fields; v2 records the widths.
     let offw = if version >= 2 {
@@ -926,29 +912,15 @@ pub fn read_graph_snapshot(r: impl Read) -> Result<Graph, SnapshotError> {
     } else {
         8
     };
-    let offsets: Vec<EdgeIndex> = if offw == 4 {
-        // Every u32 fits both EdgeIndex widths.
-        cr.col(*b"offs", |b| {
-            crate::edge_index(u32::from_le_bytes(b) as usize)
-        })?
+    let offsets = if offw == 4 {
+        cr.col(*b"offs", |b| u32::from_le_bytes(b) as usize)?
     } else {
-        cr.col_u64(*b"offs")?
-            .into_iter()
-            .map(u64_to_edge_index)
-            .collect::<Result<_, _>>()?
+        cr.col_u64_as_usize(*b"offs")?
     };
     let neigh = cr.col_u32(*b"neig")?;
     let wt = cr.col_f64(*b"wgts")?;
     validate_graph_columns(n, m, &offsets, &neigh, &wt)?;
     Ok(Graph::from_raw_parts(n, offsets, neigh, wt))
-}
-
-/// Narrow a stored offset to this build's [`EdgeIndex`]. Only reachable
-/// under `compact-ids` loading a wide (v1 or `offset_width == 8`) file
-/// whose offsets genuinely exceed u32 — a graph that build cannot hold.
-fn u64_to_edge_index(v: u64) -> Result<EdgeIndex, SnapshotError> {
-    EdgeIndex::try_from(v)
-        .map_err(|_| corrupt(format!("offset {v} overflows this build's EdgeIndex width")))
 }
 
 /// Load a graph snapshot from a file path.
@@ -973,11 +945,10 @@ pub fn load_graph_snapshot(path: impl AsRef<Path>) -> Result<Graph, SnapshotErro
 fn validate_graph_columns(
     n: usize,
     m: usize,
-    offsets: &[EdgeIndex],
+    offsets: &[usize],
     neigh: &[VId],
     wt: &[Weight],
 ) -> Result<(), SnapshotError> {
-    let ix = crate::edge_index_usize;
     if offsets.len() != n + 1 {
         return Err(corrupt(format!(
             "offsets column has {} entries for n = {n}",
@@ -991,7 +962,7 @@ fn validate_graph_columns(
             wt.len()
         )));
     }
-    if ix(offsets[0]) != 0 || ix(offsets[n]) != 2 * m {
+    if offsets[0] != 0 || offsets[n] != 2 * m {
         return Err(corrupt("offsets must run from 0 to 2m"));
     }
     if let Some(u) = offsets.windows(2).position(|o| o[0] > o[1]) {
@@ -1002,7 +973,7 @@ fn validate_graph_columns(
     // own row is strictly sorted), so the count stays below n.
     let mut matched = vec![0u32; n];
     for u in 0..n {
-        let (lo, hi) = (ix(offsets[u]), ix(offsets[u + 1]));
+        let (lo, hi) = (offsets[u], offsets[u + 1]);
         let mut prev: Option<VId> = None;
         for i in lo..hi {
             let v = neigh[i];
@@ -1027,8 +998,8 @@ fn validate_graph_columns(
                 // Canonical: its mirror must be the next unmatched entry
                 // of row v.
                 let v = v as usize;
-                let j = ix(offsets[v]) + matched[v] as usize;
-                let hit = j < ix(offsets[v + 1]) && neigh[j] == u && wt[j].to_bits() == w.to_bits();
+                let j = offsets[v] + matched[v] as usize;
+                let hit = j < offsets[v + 1] && neigh[j] == u && wt[j].to_bits() == w.to_bits();
                 matched[v] += u32::from(hit);
                 hit
             } else {
@@ -1186,7 +1157,7 @@ mod tests {
         let mut cw =
             ContainerWriter::begin_with_version(w, &GRAPH_MAGIC, 1, params.as_slice(), sections)
                 .unwrap();
-        cw.col_index_as_u64(*b"offs", g.offsets()).unwrap();
+        cw.col_usize_as_u64(*b"offs", g.offsets()).unwrap();
         cw.col_u32(*b"neig", g.neighbor_column()).unwrap();
         cw.col_f64(*b"wgts", g.weight_column()).unwrap();
         cw.finish().unwrap();
@@ -1208,8 +1179,8 @@ mod tests {
 
     #[test]
     fn v2_stores_narrow_offsets_when_they_fit() {
-        // The width written is a function of 2m, not of the build's
-        // EdgeIndex — both feature legs must produce this exact file.
+        // The width written is a function of 2m, not of the in-memory
+        // usize offsets column.
         let g = gen::gnm(30, 70, 11, 1.0, 5.0);
         let mut buf = Vec::new();
         write_graph_snapshot(&g, &mut buf).unwrap();
@@ -1322,7 +1293,6 @@ mod tests {
             b in any::<u64>(),
         ) {
             let g = gen::gnm(n, 2 * n, seed, 1.0, 4.0);
-            #[allow(clippy::unnecessary_cast)] // identity cast under compact-ids
             let mut offsets: Vec<u32> = g.offsets().iter().map(|&o| o as u32).collect();
             let mut neigh = g.neighbor_column().to_vec();
             let mut wt = g.weight_column().to_vec();

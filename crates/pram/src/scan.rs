@@ -47,32 +47,6 @@ pub fn exclusive_prefix_sum(exec: &Executor, xs: &[u64], ledger: &mut Ledger) ->
     (out, acc)
 }
 
-/// Stable parallel compaction: keep the elements where `keep` is true,
-/// preserving order. Built on the scan (PRAM-style array packing).
-pub fn compact<T: Clone + Send + Sync>(
-    exec: &Executor,
-    items: &[T],
-    keep: &[bool],
-    ledger: &mut Ledger,
-) -> Vec<T> {
-    assert_eq!(items.len(), keep.len());
-    let flags: Vec<u64> = keep.iter().map(|&k| k as u64).collect();
-    let (offsets, total) = exclusive_prefix_sum(exec, &flags, ledger);
-    ledger.step(items.len() as u64);
-    let mut out: Vec<Option<T>> = vec![None; total as usize];
-    // Sequential placement is already O(m); parallel placement would need
-    // unsafe writes. Keep it simple: the ledger, not the wall clock, carries
-    // the PRAM claim here.
-    for i in 0..items.len() {
-        if keep[i] {
-            out[offsets[i] as usize] = Some(items[i].clone());
-        }
-    }
-    out.into_iter()
-        .map(|x| x.expect("compact slot filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,15 +92,5 @@ mod tests {
             assert_eq!(got, baseline, "threads={threads}");
             assert_eq!(l, l1, "ledger threads={threads}");
         }
-    }
-
-    #[test]
-    fn compact_keeps_order() {
-        let items: Vec<u32> = (0..1000).collect();
-        let keep: Vec<bool> = items.iter().map(|&x| x % 3 == 0).collect();
-        let mut l = Ledger::new();
-        let out = compact(&Executor::new(4), &items, &keep, &mut l);
-        let expect: Vec<u32> = items.iter().copied().filter(|&x| x % 3 == 0).collect();
-        assert_eq!(out, expect);
     }
 }

@@ -43,23 +43,6 @@ pub fn sort_by<T: Send>(
     v.sort_by(|a, b| cmp(a, b));
 }
 
-/// Sort by a key function (stable), charging the PRAM cost to `ledger`.
-pub fn sort_by_key<T: Send, K: Ord>(
-    exec: &Executor,
-    v: &mut [T],
-    ledger: &mut Ledger,
-    key: impl Fn(&T) -> K + Sync,
-) {
-    ledger.sort(v.len() as u64);
-    if v.len() < PAR_SORT_THRESHOLD || exec.effective_threads() <= 1 {
-        v.sort_by_key(|t| key(t));
-        return;
-    }
-    let bounds = exec.chunk_bounds(v.len());
-    exec.for_each_chunk_mut(v, &bounds, |_, chunk| chunk.sort_by_key(|t| key(t)));
-    v.sort_by_key(|t| key(t));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,7 +63,7 @@ mod tests {
         let mut expect = v.clone();
         expect.sort();
         let mut l = Ledger::new();
-        sort_by_key(&Executor::new(4), &mut v, &mut l, |&x| x);
+        sort_by(&Executor::new(4), &mut v, &mut l, |a, b| a.cmp(b));
         assert_eq!(v, expect);
     }
 
@@ -89,7 +72,7 @@ mod tests {
         // Pairs sharing a key must keep input order.
         let mut v: Vec<(u32, u32)> = (0..20_000).map(|i| (i % 5, i)).collect();
         let mut l = Ledger::new();
-        sort_by_key(&Executor::new(8), &mut v, &mut l, |&(k, _)| k);
+        sort_by(&Executor::new(8), &mut v, &mut l, |a, b| a.0.cmp(&b.0));
         for w in v.windows(2) {
             assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
         }

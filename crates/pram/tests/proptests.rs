@@ -97,16 +97,6 @@ proptest! {
         prop_assert_eq!(total, acc);
     }
 
-    /// Instrumented sort sorts, stably.
-    #[test]
-    fn sort_matches(mut xs in proptest::collection::vec((0u8..8, 0u32..1000), 0..300)) {
-        let mut expect = xs.clone();
-        expect.sort_by_key(|&(k, _)| k); // stable by construction
-        let mut l = Ledger::new();
-        sort::sort_by_key(&Executor::sequential(), &mut xs, &mut l, |&(k, _)| k);
-        prop_assert_eq!(xs, expect);
-    }
-
     /// Pointer jumping computes exact root distances on random forests.
     #[test]
     fn jump_matches_walk(n in 2usize..200, seed in any::<u64>()) {
@@ -158,21 +148,6 @@ proptest! {
         prop_assert_eq!(par.dist, seq);
     }
 
-    /// prim::par_argmin_by_key matches the sequential argmin with
-    /// smallest-index tie-breaking, at any size.
-    #[test]
-    fn argmin_matches(xs in proptest::collection::vec(0u32..50, 1..5000)) {
-        let expect = xs
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, &x)| (x, *i))
-            .map(|(i, _)| i);
-        prop_assert_eq!(
-            prim::par_argmin_by_key(&Executor::sequential(), &xs, |&x| x),
-            expect
-        );
-    }
-
     /// Ledger arithmetic: sequential absorb adds both axes; parallel absorb
     /// adds work, maxes depth.
     #[test]
@@ -195,16 +170,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `par_map` (slice) equals the sequential map, in order.
-    #[test]
-    fn pool_map_matches(sel in 0usize..4, off in 0usize..5, threads in 1usize..9, mul in any::<u64>()) {
-        let len = boundary_len(sel, off, threads);
-        let items: Vec<u64> = (0..len as u64).map(|i| i.wrapping_mul(mul)).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x.rotate_left(7) ^ 0xA5A5).collect();
-        let got = prim::par_map(&Executor::new(threads), &items, |x| x.rotate_left(7) ^ 0xA5A5);
-        prop_assert_eq!(got, expect);
-    }
-
     /// `par_map_range` equals the sequential range map, in order.
     #[test]
     fn pool_map_range_matches(sel in 0usize..4, off in 0usize..5, threads in 1usize..9, mul in any::<u64>()) {
@@ -224,45 +189,6 @@ proptest! {
         let mut got = vec![0u64; len];
         prim::par_fill(&Executor::new(threads), &mut got, f);
         prop_assert_eq!(got, expect);
-    }
-
-    /// `par_argmin_by_key` matches the sequential argmin with
-    /// smallest-index ties, at boundary lengths and heavy tie density.
-    #[test]
-    fn pool_argmin_matches(sel in 0usize..4, off in 0usize..5, threads in 1usize..9, mul in any::<u64>(), modulus in 1u64..20) {
-        let len = boundary_len(sel, off, threads);
-        let items: Vec<u64> = (0..len as u64).map(|i| i.wrapping_mul(mul) % modulus).collect();
-        let expect = items
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, &x)| (x, *i))
-            .map(|(i, _)| i);
-        let got = prim::par_argmin_by_key(&Executor::new(threads), &items, |&x| x);
-        prop_assert_eq!(got, expect);
-    }
-
-    /// `par_sum_range` equals the sequential sum.
-    #[test]
-    fn pool_sum_matches(sel in 0usize..4, off in 0usize..5, threads in 1usize..9, mul in any::<u64>()) {
-        let len = boundary_len(sel, off, threads);
-        let f = |i: usize| (i as u64).wrapping_mul(mul) % 1_000_003;
-        let expect: u64 = (0..len).map(f).sum();
-        prop_assert_eq!(prim::par_sum_range(&Executor::new(threads), len, f), expect);
-    }
-
-    /// `par_any_range` equals the sequential any — for targets inside every
-    /// chunk, at chunk edges, and absent.
-    #[test]
-    fn pool_any_matches(sel in 0usize..4, off in 0usize..5, threads in 1usize..9, target in any::<u64>()) {
-        let len = boundary_len(sel, off, threads);
-        // Probe both a maybe-present target and a definitely-absent one.
-        let t = if len == 0 { 0 } else { (target as usize) % (2 * len) };
-        let expect = (0..len).any(|i| i == t);
-        prop_assert_eq!(
-            prim::par_any_range(&Executor::new(threads), len, |i| i == t),
-            expect
-        );
-        prop_assert!(!prim::par_any_range(&Executor::new(threads), len, |i| i == len));
     }
 
     /// The pool-backed scan equals the sequential prefix sum at lengths

@@ -12,10 +12,9 @@
 //! Three serving policies layer on top (configured via [`CacheConfig`]):
 //!
 //! * **fill policy** ([`FillPolicy`]) — what a point-to-point *miss*
-//!   does: nothing (the PR 6 default), consult the landmark plane
-//!   ([`crate::LandmarkPlane`]) for an `O(L)` bounded-stretch answer, or
-//!   additionally promote a source's full row after `k` fallback
-//!   explorations;
+//!   does: nothing (the default), or consult a prebuilt landmark
+//!   plane ([`crate::LandmarkPlane`]) for an `O(L)` bounded-stretch
+//!   answer first;
 //! * **admission control** ([`CacheConfig::admission`]) — a bounded
 //!   in-flight-exploration gate: a miss storm cannot pile unbounded
 //!   explorations onto the executor; excess requests queue or are
@@ -33,7 +32,7 @@
 //!   queries because nothing is recomputed; landmark answers are pure
 //!   functions of (graph, backend config, landmark config);
 //! * **eviction / counters** — strict LRU over a bounded table. The
-//!   hit/miss/evict trace — and the landmark/fallback/promotion/rejection
+//!   hit/miss/evict trace — and the landmark/fallback/rejection
 //!   counters — are pure functions of the (serialized) request sequence
 //!   and the configuration; concurrency changes only the interleaving of
 //!   requests, never the answer any request receives.
@@ -51,7 +50,7 @@
 //! assert_eq!(served.stats().hits, 1);
 //! ```
 
-use crate::landmark::{LandmarkConfig, LandmarkPlane};
+use crate::landmark::LandmarkPlane;
 use crate::oracle::{check_source, DistanceOracle, MultiSourceResult, SsspError};
 use pgraph::{VId, Weight};
 use pram::Ledger;
@@ -94,13 +93,8 @@ pub enum FillPolicy {
     /// Consult the landmark plane first ([`LandmarkPlane::certify`]);
     /// certified pairs answer in `O(L)` with documented `(1+δ)` stretch,
     /// the rest fall through to the backend. Never fills the row cache.
-    /// Requires a landmark plane in the [`CacheConfig`].
+    /// Requires a plane attached with [`CacheConfig::landmark_plane`].
     LandmarkOnly,
-    /// [`FillPolicy::LandmarkOnly`] when a plane is configured, plus row
-    /// promotion: after `k ≥ 1` fallback explorations for the same
-    /// source, the next fallback computes and caches the source's full
-    /// row instead (subsequent p2p queries on it become cache hits).
-    PromoteAfterMisses(u32),
 }
 
 /// The admission gate's sizing and overflow behavior
@@ -119,11 +113,15 @@ pub struct AdmissionConfig {
 /// Fluent configuration for [`CachedOracle::with_config`].
 ///
 /// ```
-/// use sssp::{CacheConfig, FillPolicy, LandmarkConfig};
+/// use pgraph::gen;
+/// use sssp::{CacheConfig, FillPolicy, LandmarkConfig, LandmarkPlane, Oracle};
+/// use std::sync::Arc;
 ///
+/// let oracle = Oracle::builder(gen::road_grid(8, 8, 3, 1.0, 6.0)).build().unwrap();
+/// let plane = LandmarkPlane::build(&oracle, &LandmarkConfig::new(4, 1.0)).unwrap();
 /// let cfg = CacheConfig::new(8)
 ///     .policy(FillPolicy::LandmarkOnly)
-///     .landmarks(LandmarkConfig::new(16, 1.0))
+///     .landmark_plane(Arc::new(plane))
 ///     .admission(4, false); // reject beyond 4 in-flight explorations
 /// assert_eq!(cfg.capacity(), 8);
 /// ```
@@ -131,16 +129,8 @@ pub struct AdmissionConfig {
 pub struct CacheConfig {
     capacity: usize,
     policy: FillPolicy,
-    landmarks: Option<LandmarkSpec>,
+    plane: Option<Arc<LandmarkPlane>>,
     admission: Option<AdmissionConfig>,
-}
-
-/// Either build a plane at attach time or reuse one already built (the
-/// open-loop harness shares one plane across many cache instances).
-#[derive(Clone, Debug)]
-enum LandmarkSpec {
-    Build(LandmarkConfig),
-    Prebuilt(Arc<LandmarkPlane>),
 }
 
 impl CacheConfig {
@@ -151,7 +141,7 @@ impl CacheConfig {
         CacheConfig {
             capacity,
             policy: FillPolicy::default(),
-            landmarks: None,
+            plane: None,
             admission: None,
         }
     }
@@ -162,17 +152,11 @@ impl CacheConfig {
         self
     }
 
-    /// Build a landmark plane at attach time (one row exploration per
-    /// landmark, plus the seed row).
-    pub fn landmarks(mut self, cfg: LandmarkConfig) -> Self {
-        self.landmarks = Some(LandmarkSpec::Build(cfg));
-        self
-    }
-
-    /// Reuse an already-built landmark plane (must match the backend's
-    /// vertex count; validated at attach).
+    /// Attach a landmark plane built with [`LandmarkPlane::build`] (it
+    /// must cover the backend's vertex count; validated at attach). One
+    /// plane can be shared by many caches.
     pub fn landmark_plane(mut self, plane: Arc<LandmarkPlane>) -> Self {
-        self.landmarks = Some(LandmarkSpec::Prebuilt(plane));
+        self.plane = Some(plane);
         self
     }
 
@@ -207,14 +191,10 @@ pub struct CacheStats {
     /// p2p misses answered by the landmark plane (`O(L)`, `(1+δ)`
     /// stretch, no exploration).
     pub landmark_answers: u64,
-    /// p2p misses that fell through to a backend exploration (including
-    /// the ones that promoted a row).
+    /// p2p misses that fell through to a backend exploration.
     pub fallbacks: u64,
     /// Requests rejected by the admission gate ([`SsspError::Overloaded`]).
     pub rejections: u64,
-    /// Full rows computed and cached by
-    /// [`FillPolicy::PromoteAfterMisses`].
-    pub promotions: u64,
     /// Rows currently resident.
     pub len: usize,
     /// The configured bound.
@@ -223,7 +203,7 @@ pub struct CacheStats {
 
 /// Everything the mutex guards: the LRU table (most recently used at the
 /// back; the table is deliberately tiny, so linear scans beat any pointer
-/// structure) plus the counters and the promotion tracker.
+/// structure) plus the counters.
 #[derive(Debug)]
 struct CacheState {
     entries: Vec<(VId, Arc<CachedRow>)>,
@@ -233,12 +213,6 @@ struct CacheState {
     landmark_answers: u64,
     fallbacks: u64,
     rejections: u64,
-    promotions: u64,
-    /// Per-source fallback counts for [`FillPolicy::PromoteAfterMisses`],
-    /// FIFO-bounded at [`CachedOracle::tracker_cap`] (forgetting a source
-    /// under pressure only delays its promotion — still a pure function
-    /// of the request sequence).
-    miss_counts: Vec<(VId, u32)>,
 }
 
 /// The admission gate: a counting semaphore over backend explorations.
@@ -307,8 +281,8 @@ impl<O: DistanceOracle> CachedOracle<O> {
         Self::with_config(inner, CacheConfig::new(capacity))
     }
 
-    /// Wrap `inner` per `cfg`: validate the combination, build (or adopt)
-    /// the landmark plane, and install the admission gate.
+    /// Wrap `inner` per `cfg`: validate the combination, adopt the
+    /// landmark plane, and install the admission gate.
     pub fn with_config(inner: O, cfg: CacheConfig) -> Result<Self, SsspError> {
         if cfg.capacity == 0 {
             return Err(SsspError::Config(
@@ -322,39 +296,28 @@ impl<O: DistanceOracle> CachedOracle<O> {
                 ));
             }
         }
-        let plane = match cfg.landmarks {
-            None => {
-                if matches!(cfg.policy, FillPolicy::LandmarkOnly) {
-                    return Err(SsspError::Config(
-                        "FillPolicy::LandmarkOnly requires a landmark plane \
-                         (CacheConfig::landmarks or ::landmark_plane)"
-                            .into(),
-                    ));
-                }
-                None
+        match &cfg.plane {
+            None if cfg.policy == FillPolicy::LandmarkOnly => {
+                return Err(SsspError::Config(
+                    "FillPolicy::LandmarkOnly requires a landmark plane \
+                     (CacheConfig::landmark_plane)"
+                        .into(),
+                ));
             }
-            Some(LandmarkSpec::Build(lcfg)) => Some(Arc::new(LandmarkPlane::build(&inner, &lcfg)?)),
-            Some(LandmarkSpec::Prebuilt(p)) => {
-                if p.num_vertices() != inner.num_vertices() {
-                    return Err(SsspError::Config(format!(
-                        "landmark plane covers {} vertices but the backend has {}",
-                        p.num_vertices(),
-                        inner.num_vertices()
-                    )));
-                }
-                Some(p)
+            Some(p) if p.num_vertices() != inner.num_vertices() => {
+                return Err(SsspError::Config(format!(
+                    "landmark plane covers {} vertices but the backend has {}",
+                    p.num_vertices(),
+                    inner.num_vertices()
+                )));
             }
-        };
-        if let FillPolicy::PromoteAfterMisses(0) = cfg.policy {
-            return Err(SsspError::Config(
-                "PromoteAfterMisses threshold must be at least 1".into(),
-            ));
+            _ => {}
         }
         Ok(CachedOracle {
             inner,
             capacity: cfg.capacity,
             policy: cfg.policy,
-            plane,
+            plane: cfg.plane,
             gate: cfg.admission.map(|a| Gate {
                 cfg: a,
                 inflight: Mutex::new(0),
@@ -368,8 +331,6 @@ impl<O: DistanceOracle> CachedOracle<O> {
                 landmark_answers: 0,
                 fallbacks: 0,
                 rejections: 0,
-                promotions: 0,
-                miss_counts: Vec::new(),
             }),
         })
     }
@@ -399,13 +360,6 @@ impl<O: DistanceOracle> CachedOracle<O> {
         self.gate.as_ref().map(|g| g.cfg)
     }
 
-    /// Promotion-tracker bound: forgetting the coldest tracked source
-    /// under pressure keeps the tracker `O(capacity)` without breaking
-    /// determinism (FIFO, request-sequence-driven).
-    fn tracker_cap(&self) -> usize {
-        (8 * self.capacity).max(64)
-    }
-
     /// Snapshot the counters and occupancy.
     pub fn stats(&self) -> CacheStats {
         let s = self.state.lock().unwrap();
@@ -416,7 +370,6 @@ impl<O: DistanceOracle> CachedOracle<O> {
             landmark_answers: s.landmark_answers,
             fallbacks: s.fallbacks,
             rejections: s.rejections,
-            promotions: s.promotions,
             len: s.entries.len(),
             capacity: self.capacity,
         }
@@ -499,29 +452,6 @@ impl<O: DistanceOracle> CachedOracle<O> {
         s.entries.push((source, Arc::clone(&row)));
         row
     }
-
-    /// Bump `source`'s fallback count under [`FillPolicy::PromoteAfterMisses`]
-    /// and report whether this fallback should promote the full row.
-    fn note_fallback_for_promotion(&self, source: VId, threshold: u32) -> bool {
-        let mut s = self.state.lock().unwrap();
-        if let Some(i) = s.miss_counts.iter().position(|(v, _)| *v == source) {
-            s.miss_counts[i].1 += 1;
-            if s.miss_counts[i].1 >= threshold {
-                s.miss_counts.remove(i);
-                return true;
-            }
-            return false;
-        }
-        if threshold == 1 {
-            return true; // first fallback already qualifies; nothing to track
-        }
-        let cap = self.tracker_cap();
-        if s.miss_counts.len() == cap {
-            s.miss_counts.remove(0); // FIFO: forget the oldest tracked source
-        }
-        s.miss_counts.push((source, 1));
-        false
-    }
 }
 
 impl<O: DistanceOracle> DistanceOracle for CachedOracle<O> {
@@ -597,8 +527,7 @@ impl<O: DistanceOracle> DistanceOracle for CachedOracle<O> {
     ///    with documented `(1+δ)` stretch — no exploration, no gate;
     /// 3. otherwise the request passes the admission gate and falls back
     ///    to the backend's early-exit exploration (bit-identical to the
-    ///    full row); under [`FillPolicy::PromoteAfterMisses`], the `k`-th
-    ///    fallback for a source computes and caches its full row instead.
+    ///    full row).
     fn distance(&self, u: VId, v: VId) -> Result<Weight, SsspError> {
         let n = self.num_vertices();
         check_source(n, v)?;
@@ -616,14 +545,6 @@ impl<O: DistanceOracle> DistanceOracle for CachedOracle<O> {
         }
         let _permit = self.admit()?;
         self.state.lock().unwrap().fallbacks += 1;
-        if let FillPolicy::PromoteAfterMisses(k) = self.policy {
-            if self.note_fallback_for_promotion(u, k) {
-                let (dist, ledger) = self.inner.distances_from_with_ledger(u)?;
-                let row = self.insert(u, CachedRow { dist, ledger });
-                self.state.lock().unwrap().promotions += 1;
-                return Ok(row.dist[v as usize]);
-            }
-        }
         self.inner.distance(u, v)
     }
 }
@@ -676,14 +597,6 @@ mod tests {
         // Admission capacity 0.
         assert!(matches!(
             CachedOracle::with_config(mk(), CacheConfig::new(2).admission(0, false)),
-            Err(SsspError::Config(_))
-        ));
-        // Promotion threshold 0.
-        assert!(matches!(
-            CachedOracle::with_config(
-                mk(),
-                CacheConfig::new(2).policy(FillPolicy::PromoteAfterMisses(0))
-            ),
             Err(SsspError::Config(_))
         ));
         // Prebuilt plane over the wrong graph.
@@ -750,61 +663,6 @@ mod tests {
         let d2 = c.distance(3, 40).unwrap();
         assert_eq!(d2.to_bits(), reference[40].to_bits());
         assert_eq!(c.stats().hits, hits_before + 1);
-    }
-
-    #[test]
-    fn promote_after_k_misses_fills_on_the_kth_fallback() {
-        let g = gen::gnm_connected(100, 300, 7, 1.0, 8.0);
-        let oracle = Oracle::builder(g)
-            .eps(0.25)
-            .kappa(4)
-            .threads(threads_from_env())
-            .build()
-            .unwrap();
-        let reference = oracle.distances_from(9).unwrap();
-        let c = CachedOracle::with_config(
-            oracle,
-            CacheConfig::new(2).policy(FillPolicy::PromoteAfterMisses(3)),
-        )
-        .unwrap();
-        for (i, v) in [10u32, 20, 30].iter().enumerate() {
-            let d = c.distance(9, *v).unwrap();
-            assert_eq!(d.to_bits(), reference[*v as usize].to_bits());
-            let st = c.stats();
-            assert_eq!(st.fallbacks as usize, i + 1);
-            // The 3rd fallback promotes; before that nothing is resident.
-            assert_eq!(st.len, usize::from(i == 2), "after fallback {}", i + 1);
-        }
-        let st = c.stats();
-        assert_eq!(st.promotions, 1);
-        // Subsequent p2p queries on the promoted source are hits.
-        let before = st.hits;
-        let d = c.distance(9, 55).unwrap();
-        assert_eq!(d.to_bits(), reference[55].to_bits());
-        assert_eq!(c.stats().hits, before + 1);
-    }
-
-    #[test]
-    fn promotion_tracker_is_bounded() {
-        let g = gen::gnm_connected(100, 300, 7, 1.0, 8.0);
-        let oracle = Oracle::builder(g)
-            .eps(0.25)
-            .kappa(4)
-            .threads(threads_from_env())
-            .build()
-            .unwrap();
-        let c = CachedOracle::with_config(
-            oracle,
-            CacheConfig::new(1).policy(FillPolicy::PromoteAfterMisses(100)),
-        )
-        .unwrap();
-        // More distinct cold sources than the tracker holds.
-        for s in 0..100u32 {
-            let _ = c.distance(s, 0).unwrap();
-        }
-        let tracked = c.state.lock().unwrap().miss_counts.len();
-        assert!(tracked <= c.tracker_cap());
-        assert_eq!(c.stats().promotions, 0);
     }
 
     #[test]

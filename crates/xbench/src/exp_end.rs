@@ -4,9 +4,7 @@ use crate::table::{f, n as fmt_n, Table};
 use crate::Config;
 use hopset::ruling::{ruling_set, RulingTrace};
 use hopset::virtual_bfs::{ExploreScratch, Explorer};
-use hopset::{
-    build_hopset_on, BuildOptions, ClusterMemory, HopsetParams, ParamMode, Partition, ScaleParams,
-};
+use hopset::{build_hopset_on, BuildOptions, ClusterMemory, HopsetParams, ParamMode, Partition};
 use pgraph::{exact, gen, Graph, UnionView, INF};
 use pram::{Executor, Ledger};
 use sssp::eval::{spread_sources, stretch_vs_hops};
@@ -293,6 +291,4 @@ pub fn f11_peeling(cfg: &Config) {
         val.non_graph_edges == 0,
         val.max_stretch
     ));
-    // Unused import guard for ScaleParams (kept for future ablations).
-    let _ = std::marker::PhantomData::<ScaleParams>;
 }

@@ -106,9 +106,30 @@ struct Timings {
     rejected: u64,
 }
 
+/// How long before an arrival a worker stops sleeping and starts to
+/// yield: `std::thread::sleep` wakes tens of microseconds late, which
+/// would otherwise be most of a cache hit's latency.
+const SPIN: Duration = Duration::from_micros(500);
+
+/// Wait until `at`: sleep until [`SPIN`] before it, then yield until it.
+fn wait_until(at: Instant) {
+    loop {
+        let now = Instant::now();
+        if now >= at {
+            return;
+        }
+        let left = at - now;
+        if left > SPIN {
+            std::thread::sleep(left - SPIN);
+        } else {
+            std::thread::yield_now();
+        }
+    }
+}
+
 /// Run one open-loop rate point: requests arrive at `t_i = i / rate`
 /// regardless of completions; `workers` threads pull the next request
-/// index, sleep until its scheduled arrival, and issue it. Latency is
+/// index, wait until its scheduled arrival, and issue it. Latency is
 /// measured from the *scheduled* arrival (queueing delay included — the
 /// whole point of open loop). Rejections come from the admission gate.
 fn open_loop_point(
@@ -132,10 +153,7 @@ fn open_loop_point(
                             break;
                         }
                         let sched_s = i as f64 / rate;
-                        let now_s = start.elapsed().as_secs_f64();
-                        if now_s < sched_s {
-                            std::thread::sleep(Duration::from_secs_f64(sched_s - now_s));
-                        }
+                        wait_until(start + Duration::from_secs_f64(sched_s));
                         let issue_s = start.elapsed().as_secs_f64();
                         t.late.push((issue_s - sched_s).max(0.0) * 1e6);
                         let res = match requests[i] {

@@ -15,9 +15,9 @@
 //!    traffic is never rejected (decisions are a pure function of the
 //!    in-flight count).
 //!
-//! The fill policies (never-fill default, landmark-only, promote-after-k)
-//! are pinned at this level too, because they are the serving behaviors a
-//! deployment actually selects between.
+//! The two fill policies (never-fill default, landmark-only) are pinned
+//! at this level too, because they are the serving behaviors a deployment
+//! actually selects between.
 
 use pram::pool::threads_from_env;
 use pram_sssp::pgraph::{VId, Weight};
@@ -200,42 +200,6 @@ fn landmark_only_without_a_plane_is_a_config_error() {
     }
 }
 
-/// `PromoteAfterMisses(k)`: the k-th fallback exploration for a source
-/// computes and caches its full row; later p2p queries on it are hits.
-#[test]
-fn promote_after_k_misses_turns_a_hot_cold_source_into_hits() {
-    let g = gen::gnm_connected(80, 240, 5, 1.0, 9.0);
-    let oracle = Oracle::builder(g)
-        .eps(0.25)
-        .kappa(4)
-        .threads(threads_from_env())
-        .build()
-        .expect("params");
-    let reference = oracle.distances_from(7).expect("in range");
-    let served = CachedOracle::with_config(
-        oracle,
-        CacheConfig::new(4).policy(FillPolicy::PromoteAfterMisses(2)),
-    )
-    .expect("config");
-    assert_eq!(
-        served.distance(7, 11).expect("in range").to_bits(),
-        reference[11].to_bits()
-    );
-    assert_eq!(served.stats().len, 0, "first fallback does not promote");
-    assert_eq!(
-        served.distance(7, 12).expect("in range").to_bits(),
-        reference[12].to_bits()
-    );
-    let st = served.stats();
-    assert_eq!((st.promotions, st.len), (1, 1), "second fallback promotes");
-    let hits_before = st.hits;
-    assert_eq!(
-        served.distance(7, 13).expect("in range").to_bits(),
-        reference[13].to_bits()
-    );
-    assert_eq!(served.stats().hits, hits_before + 1);
-}
-
 /// Through the serving stack: a landmark-backed cache answers a real
 /// fraction of cold p2p traffic without exploration, every answer within
 /// the composed stretch, and the counters account for every request.
@@ -249,11 +213,12 @@ fn landmark_backed_cache_serves_cold_p2p_within_stretch() {
         .threads(threads_from_env())
         .build()
         .expect("params");
+    let plane = LandmarkPlane::build(&oracle, &LandmarkConfig::new(8, 1.0)).expect("plane");
     let served = CachedOracle::with_config(
         oracle,
         CacheConfig::new(4)
             .policy(FillPolicy::LandmarkOnly)
-            .landmarks(LandmarkConfig::new(8, 1.0)),
+            .landmark_plane(Arc::new(plane)),
     )
     .expect("config");
     let delta = served.landmark_plane().expect("plane").delta();
@@ -382,13 +347,8 @@ fn sequential_requests_are_never_rejected_and_stats_are_reproducible() {
             .threads(threads_from_env())
             .build()
             .expect("params");
-        let served = CachedOracle::with_config(
-            oracle,
-            CacheConfig::new(2)
-                .policy(FillPolicy::PromoteAfterMisses(2))
-                .admission(1, false),
-        )
-        .expect("config");
+        let served = CachedOracle::with_config(oracle, CacheConfig::new(2).admission(1, false))
+            .expect("config");
         for &s in &sequence {
             let _ = served.row(s).expect("sequential: never overloaded");
             let _ = served.distance(s, 3).expect("sequential: never overloaded");

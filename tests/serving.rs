@@ -276,24 +276,23 @@ fn cache_eviction_trace_is_deterministic() {
         assert_eq!(st.landmark_answers, 0);
         assert_eq!(st.fallbacks, 0);
         assert_eq!(st.rejections, 0);
-        assert_eq!(st.promotions, 0);
         traces.push(trace);
     }
     assert_eq!(traces[0], expected);
     assert_eq!(traces[0], traces[1], "same sequence, same trace");
 }
 
-/// (4b) The extended counter set (landmark answers, fallbacks,
-/// promotions) is part of the same contract: a fixed mixed row/p2p
-/// request sequence over a landmark-backed, promotion-enabled cache
-/// produces the identical `CacheStats` on every fresh run.
+/// (4b) The extended counter set (landmark answers, fallbacks) is part
+/// of the same contract: a fixed mixed row/p2p request sequence over a
+/// landmark-backed cache produces the identical `CacheStats` on every
+/// fresh run.
 #[test]
 fn extended_counter_trace_is_deterministic() {
     let g = gen::road_grid(9, 9, 4, 1.0, 6.0);
     let n = 81u32;
-    // Mixed sequence: hot rows, repeated cold p2p on one source (crosses
-    // the promotion threshold), and scattered cold p2p (landmark or
-    // fallback — decided purely by the plane's bounds).
+    // Mixed sequence: hot rows, repeated cold p2p on one source, and
+    // scattered cold p2p (landmark or fallback — decided purely by the
+    // plane's bounds).
     let rows = [0u32, 40, 0];
     let pairs = [
         (7u32, 60u32),
@@ -306,11 +305,13 @@ fn extended_counter_trace_is_deterministic() {
     ];
     let mut runs = Vec::new();
     for _ in 0..2 {
+        let oracle = build(&g, Pipeline::Plain, threads_from_env());
+        let plane = LandmarkPlane::build(&oracle, &LandmarkConfig::new(6, 1.0)).expect("plane");
         let served = CachedOracle::with_config(
-            build(&g, Pipeline::Plain, threads_from_env()),
+            oracle,
             CacheConfig::new(2)
-                .policy(FillPolicy::PromoteAfterMisses(2))
-                .landmarks(LandmarkConfig::new(6, 1.0)),
+                .policy(FillPolicy::LandmarkOnly)
+                .landmark_plane(Arc::new(plane)),
         )
         .expect("config");
         for &s in &rows {

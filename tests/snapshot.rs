@@ -15,9 +15,11 @@
 //!    wrong graph.
 //! 4. **Corruption sweep** — seeded byte flips, truncations and lies
 //!    about a section's element count, injected into every section of the
-//!    graph, hopset and oracle containers: each case is a typed error or
-//!    a load, never a panic, and a count of 2^40 over a few real bytes is
-//!    `Truncated`, not an allocation.
+//!    graph, hopset and oracle containers, plus lies in the graph and
+//!    hopset params blocks: each case is a typed error or a load, never a
+//!    panic, a count of 2^40 over a few real bytes is `Truncated`, not an
+//!    allocation, and a path count or record length the hopset's record
+//!    bytes cannot hold is `Corrupt` before anything is reserved for it.
 //!
 //! Plus the ingestion pipeline end to end: DIMACS text in, oracle built,
 //! snapshot out, reload, bit-identical answers.
@@ -308,9 +310,29 @@ fn with_count(bytes: &[u8], k: usize, count: u64) -> Vec<u8> {
         out[s.desc + 16..s.desc + 24].copy_from_slice(&offset.to_le_bytes());
         offset = offset.wrapping_add(s.elem_size * s.count);
     }
+    reseal(&mut out);
+    out
+}
+
+/// Recompute the header checksum of a container whose header was edited.
+fn reseal(bytes: &mut [u8]) {
     let hlen = u32::from_le_bytes(word(bytes, 12)) as usize;
-    let sum = fnv1a64(&out[24..24 + hlen]);
-    out[16..24].copy_from_slice(&sum.to_le_bytes());
+    let sum = fnv1a64(&bytes[24..24 + hlen]);
+    bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// The u64 at byte `at` of a container's params block, which starts
+/// after the 24-byte prelude and the params length.
+fn param(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(word(bytes, 28 + at))
+}
+
+/// `bytes` with the params u64 at `at` set to `value` and the checksum
+/// recomputed, so the lie gets past the header to the loader.
+fn with_param(bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[28 + at..36 + at].copy_from_slice(&value.to_le_bytes());
+    reseal(&mut out);
     out
 }
 
@@ -378,11 +400,11 @@ fn sweep(
     cases
 }
 
-#[test]
-fn corruption_sweep_over_every_section_is_typed() {
-    // A binding hop cap skips the distance-range certificate, so the
-    // oracle keeps a hopset, and `paths` gives it memory-path records:
-    // every section of all three containers holds data.
+/// The swept oracle. A binding hop cap skips the distance-range
+/// certificate, so the oracle keeps a hopset, and `paths` gives it
+/// memory-path records: every section of all three containers holds
+/// data.
+fn swept_oracle() -> Oracle {
     let oracle = Oracle::builder(gen::road_grid(8, 8, 3, 1.0, 4.0))
         .eps(0.25)
         .kappa(4)
@@ -392,26 +414,111 @@ fn corruption_sweep_over_every_section_is_typed() {
         .build()
         .unwrap();
     assert!(oracle.hopset_size() > 0);
+    oracle
+}
+
+/// The data of the container that section `tag` of `bytes` embeds.
+fn nested(bytes: &[u8], tag: &str) -> Vec<u8> {
+    let s = sections(bytes)
+        .into_iter()
+        .find(|s| s.tag == tag)
+        .expect("nested container");
+    bytes[s.data].to_vec()
+}
+
+fn load_hopset(b: &[u8]) -> Result<(), SnapshotError> {
+    hopset::snapshot::read_hopset_snapshot(b).map(|_| ())
+}
+
+#[test]
+fn corruption_sweep_over_every_section_is_typed() {
+    let oracle = swept_oracle();
     let mut bytes = Vec::new();
     oracle.write_snapshot(&mut bytes).unwrap();
-    let outer = sections(&bytes);
-    let nested = |tag: &str| {
-        let s = outer
-            .iter()
-            .find(|s| s.tag == tag)
-            .expect("nested container");
-        bytes[s.data.clone()].to_vec()
-    };
     let exec = oracle.executor().clone();
-    let cases = sweep("graph", &nested("grph"), &[], |b| {
+    let cases = sweep("graph", &nested(&bytes, "grph"), &[], |b| {
         read_graph_snapshot(b).map(|_| ())
-    }) + sweep("hopset", &nested("hops"), &["prec"], |b| {
-        hopset::snapshot::read_hopset_snapshot(b).map(|_| ())
-    }) + sweep("oracle", &bytes, &["grph", "hops"], |b| {
-        OracleBuilder::from_snapshot_reader(b, exec.clone()).map(|_| ())
-    });
+    }) + sweep("hopset", &nested(&bytes, "hops"), &["prec"], load_hopset)
+        + sweep("oracle", &bytes, &["grph", "hops"], |b| {
+            OracleBuilder::from_snapshot_reader(b, exec.clone()).map(|_| ())
+        });
     // 3 + 9 + 2 sections, each with flips, cuts and count lies.
     assert!(cases > 400, "{cases} cases");
+}
+
+/// Lies in the params blocks: the graph's `n` and `m`, the hopset's edge
+/// count `ne`, path count `np` and kind tally, and the link count `L`
+/// that opens the first memory-path record. Each case is a typed error
+/// or a load, never a panic. A path count or an `L` that the `prec`
+/// bytes cannot hold is `Corrupt`, found before the loader reserves
+/// anything for it.
+#[test]
+fn params_block_lies_are_typed() {
+    let oracle = swept_oracle();
+    let mut bytes = Vec::new();
+    oracle.write_snapshot(&mut bytes).unwrap();
+    let (graph, hops) = (nested(&bytes, "grph"), nested(&bytes, "hops"));
+    let run = |case: &str, load: &dyn Fn() -> Result<(), SnapshotError>| {
+        catch_unwind(AssertUnwindSafe(load)).unwrap_or_else(|_| panic!("{case} panicked"))
+    };
+    let lies = |x: u64| {
+        [
+            x + 1,
+            x.saturating_sub(1),
+            0,
+            2 * x + 7,
+            1 << 40,
+            u64::MAX / 3,
+            u64::MAX,
+        ]
+    };
+    for (field, at) in [("n", 0), ("m", 8)] {
+        for v in lies(param(&graph, at)) {
+            let b = with_param(&graph, at, v);
+            let _ = run(&format!("graph {field} = {v}"), &|| {
+                read_graph_snapshot(b.as_slice()).map(|_| ())
+            });
+        }
+    }
+    let fields = [
+        ("ne", 0),
+        ("np", 8),
+        ("tally[0]", 16),
+        ("tally[1]", 24),
+        ("tally[2]", 32),
+    ];
+    for (field, at) in fields {
+        for v in lies(param(&hops, at)) {
+            let case = format!("hopset {field} = {v}");
+            let b = with_param(&hops, at, v);
+            let r = run(&case, &|| load_hopset(&b));
+            if field == "np" && v >= 1 << 40 {
+                assert!(
+                    matches!(r, Err(SnapshotError::Corrupt { .. })),
+                    "{case} gave {r:?}"
+                );
+            }
+        }
+    }
+    let prec = sections(&hops)
+        .into_iter()
+        .find(|s| s.tag == "prec")
+        .expect("record section")
+        .data;
+    let l = u32::from_le_bytes(word(&hops, prec.start));
+    assert!(l > 0, "a memory path has a link");
+    for v in [l + 1, l - 1, 0, 2 * l + 7, 1 << 24, u32::MAX] {
+        let case = format!("the first record declaring {v} links");
+        let mut b = hops.clone();
+        b[prec.start..prec.start + 4].copy_from_slice(&v.to_le_bytes());
+        let r = run(&case, &|| load_hopset(&b));
+        if v >= 1 << 24 {
+            assert!(
+                matches!(r, Err(SnapshotError::Corrupt { .. })),
+                "{case} gave {r:?}"
+            );
+        }
+    }
 }
 
 // ---- File-backed save/load and the ingestion pipeline. ---------------------

@@ -1,15 +1,11 @@
-//! Id-width parity suite — the `compact-ids` contract (DESIGN.md §12).
-//!
-//! The `compact-ids` feature narrows `pgraph::EdgeIndex` (CSR edge
-//! offsets) from `usize` to `u32`. The contract is that the width is a
-//! *storage* choice with zero observable effect: every constructed
-//! adjacency structure, every snapshot byte, and every oracle output is
-//! identical under both builds. CI runs this file twice — default and
-//! `--features compact-ids` — and the golden fingerprints below must
-//! match from both legs. A fingerprint drift on exactly one leg is a
-//! width bug; a drift on both legs means construction itself changed
-//! (re-record the goldens only in that case, with the tier-1 determinism
-//! suite green).
+//! Output goldens (DESIGN.md §12): FNV-1a fingerprints of a 64k CSR's
+//! columns, its snapshot bytes (the offsets column stored at the width
+//! the data needs), an oracle's outputs, and the memory paths of two
+//! capped builds. The test names say "width" because these goldens once
+//! held a `u32`-offset build to the same outputs as the `usize` one; they
+//! pin the one build now. A fingerprint drift means construction itself
+//! changed: re-record the goldens only in that case, with the tier-1
+//! determinism suite green.
 
 use pram::pool::threads_from_env;
 use pram_sssp::prelude::*;
@@ -35,13 +31,13 @@ impl Fnv {
     }
 }
 
-/// The 64k construction both legs must agree on: n = 65 536, m = 2n.
+/// The 64k construction the CSR and snapshot goldens pin: n = 65 536,
+/// m = 2n.
 fn graph_64k() -> Graph {
     gen::gnm_connected(65_536, 131_072, 41, 1.0, 8.0)
 }
 
-/// CSR columns of the 64k graph — offsets widened to u64 so the
-/// fingerprint stream is identical whatever `EdgeIndex` is.
+/// CSR columns of the 64k graph, offsets pushed as u64.
 #[test]
 fn csr_fingerprint_is_width_independent() {
     let g = graph_64k();
@@ -49,7 +45,7 @@ fn csr_fingerprint_is_width_independent() {
     f.push(g.num_vertices() as u64);
     f.push(g.num_edges() as u64);
     for &o in g.offsets() {
-        f.push(pgraph::edge_index_usize(o) as u64);
+        f.push(o as u64);
     }
     for v in 0..g.num_vertices() as u32 {
         for (u, w) in g.neighbors(v) {
@@ -64,9 +60,9 @@ fn csr_fingerprint_is_width_independent() {
     );
 }
 
-/// Snapshot bytes are a property of the data, not the build: the v2
-/// header stores the offset width that *fits* (4 here, since 2m < 2³²),
-/// so the file is byte-identical across feature legs.
+/// Snapshot bytes are a property of the data: the v2 header stores the
+/// offset width that *fits* (4 here, since 2m < 2³²), not the width of
+/// the in-memory `usize` column.
 #[test]
 fn snapshot_bytes_are_width_independent() {
     let g = graph_64k();
@@ -80,7 +76,7 @@ fn snapshot_bytes_are_width_independent() {
         "64k snapshot byte fingerprint drifted (got {:#x})",
         f.0
     );
-    // And it loads back to the same adjacency on this leg.
+    // And it loads back to the same adjacency.
     let h = pgraph::snapshot::read_graph_snapshot(buf.as_slice()).expect("read");
     assert_eq!(h.num_edges(), g.num_edges());
     assert_eq!(h.edges(), g.edges());
