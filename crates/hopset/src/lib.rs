@@ -23,14 +23,16 @@
 //! * [`ruling`] — Algorithm 4 (deterministic `(3, 2·log n)`-ruling sets;
 //!   the derandomization engine replacing \[EN19\]'s sampling),
 //! * [`single_scale`] — the superclustering-and-interconnection phase loop,
+//!   whose choice of centers is a crate-private center rule,
 //! * [`multi_scale`] — `H = ⋃_k H_k` for polynomial aspect ratio
 //!   (Theorem 3.7),
 //! * [`reduction`] — the Klein–Sairam weight reduction removing the
 //!   aspect-ratio dependence (Appendix C, Theorem C.2),
 //! * [`path_report`] — path-reporting hopsets and `(1+ε)`-SPT extraction
 //!   (§4, Appendix D, Theorems 4.6/D.2),
-//! * [`baseline`] — a seeded randomized (sampling) construction in the
-//!   style the paper derandomizes, for the E9 comparison,
+//! * [`baseline`] — the seeded sampling center rule the paper derandomizes,
+//!   run through the same phase loop for the E9 comparison (the only
+//!   module that consumes randomness),
 //! * [`validate`] — invariant checkers used by tests and experiments.
 //!
 //! ## Determinism

@@ -8,7 +8,7 @@
 //! `1 + ε_k = (1 + ε_{k-1})(1 + ε′)`.
 
 use crate::params::{HopsetParams, ScaleParams};
-use crate::single_scale::{build_single_scale, ScaleContext, ScaleReport};
+use crate::single_scale::{build_scale_with, ruling_rule, CenterRule, ScaleContext, ScaleReport};
 use crate::store::Hopset;
 use pgraph::{Graph, OverlayCsrBuilder, UnionView};
 use pram::{scan, Executor, Ledger};
@@ -73,6 +73,18 @@ pub fn build_hopset_on(
     params: &HopsetParams,
     opts: BuildOptions,
 ) -> BuiltHopset {
+    build_scales(exec, g, params, opts, &ruling_rule(params))
+}
+
+/// The scale driver of [`build_hopset_on`], with the centers of every
+/// phase picked by `rule`.
+pub(crate) fn build_scales(
+    exec: &Executor,
+    g: &Graph,
+    params: &HopsetParams,
+    opts: BuildOptions,
+    rule: &CenterRule<'_>,
+) -> BuiltHopset {
     assert_eq!(params.n, g.num_vertices(), "params built for another n");
     if let Some(mn) = g.min_weight() {
         assert!(
@@ -122,7 +134,7 @@ pub fn build_hopset_on(
             sp: &sp,
             record_paths: opts.record_paths,
         };
-        let report = build_single_scale(&ctx, &mut hopset, &mut ledger);
+        let report = build_scale_with(&ctx, &mut hopset, &mut ledger, rule);
         scales.push(report);
         // Lemma 3.6: stretch compounds by (1+ε′) per scale.
         eps_prev = (1.0 + eps_prev) * (1.0 + params.eps_scale) - 1.0;

@@ -20,6 +20,14 @@
 //! Phase `ℓ` skips superclustering; all of `P_ℓ` interconnects (eq. (5)
 //! bounds `|P_ℓ| ≤ n^ρ` under valid parameters).
 //!
+//! Steps 1–3's choice of centers is the loop's one pluggable step, a
+//! crate-private `CenterRule`: it returns `m(C)`, the BFS detections and
+//! the popular and center sets, and the loop runs interconnection,
+//! supercluster formation, cluster memory and the partition rebuild around
+//! it. `ruling_rule` is the paper's rule; `baseline` plugs in the
+//! sampling rule of \[EN19\], and a deterministic network decomposition
+//! would plug in the same way.
+//!
 //! Edge weights: `Theory` mode uses the paper's formulas (superclustering:
 //! `2((1+ε_{k-1})δ_i + 2R_i)·log2 n`; interconnection: `d + 2R_i`), which
 //! Lemmas 2.3/2.9 prove never undercut real distances. `Practical` mode uses
@@ -46,9 +54,11 @@ pub struct PhaseStats {
     pub clusters: usize,
     /// `deg_i`.
     pub degree: usize,
-    /// `|W_i|` (popular clusters).
+    /// `|W_i|` (popular clusters); 0 under the sampling rule, which
+    /// detects no popularity.
     pub popular: usize,
-    /// `|Q_i|` (ruling set size).
+    /// `|Q_i|` (ruling set size); the sampled-center count under the
+    /// sampling rule.
     pub ruling: usize,
     /// Number of clusters superclustered (including `Q_i` members).
     pub superclustered: usize,
@@ -91,11 +101,80 @@ pub struct ScaleContext<'a> {
     pub record_paths: bool,
 }
 
+/// The centers a [`CenterRule`] picks for phase `i < ℓ`.
+pub(crate) struct Centers {
+    /// The arrays `m(C)`; interconnection reads them for `U_i`.
+    pub(crate) m: LabelArena,
+    /// The BFS detections from the centers; an undetected cluster is in
+    /// `U_i`.
+    pub(crate) det: Vec<Option<Detection>>,
+    /// The popular clusters `W_i`.
+    pub(crate) popular: Vec<u32>,
+    /// The centers `Q_i`, the BFS sources.
+    pub(crate) centers: Vec<u32>,
+    /// Knock-out trace of the ruling-set computation, if one ran.
+    pub(crate) trace: RulingTrace,
+}
+
+/// How phase `i < ℓ` of scale `k` picks its centers, given the phase's
+/// explorer, scratch and ledger.
+pub(crate) type CenterRule<'a> =
+    dyn Fn(&Explorer<'_>, u32, usize, &mut ExploreScratch, &mut Ledger) -> Centers + 'a;
+
+/// The paper's rule: detection with `x = deg_i + 1` (step 1), a ruling set
+/// of the popular clusters (step 2) and the BFS to depth `2·log2 n` from
+/// it (step 3).
+pub(crate) fn ruling_rule(
+    p: &HopsetParams,
+) -> impl Fn(&Explorer<'_>, u32, usize, &mut ExploreScratch, &mut Ledger) -> Centers + '_ {
+    move |ex, _k, i, scratch, ledger| {
+        let x = p.degrees[i] + 1;
+        let m = {
+            let _ph = pram::phase::PhaseScope::enter("detect");
+            ex.detect_neighbors(x, scratch, ledger)
+        };
+        let popular: Vec<u32> = (0..ex.part.len() as u32)
+            .filter(|&c| m.len_of(c as usize) >= x)
+            .collect();
+        // One "supercluster" phase for the audit.
+        let mut trace = RulingTrace::default();
+        let (q_set, det) = {
+            let _ph = pram::phase::PhaseScope::enter("supercluster");
+            let q_set = ruling_set(ex, &popular, scratch, ledger, Some(&mut trace));
+            let det = ex.bfs(&q_set, p.supercluster_depth(), scratch, ledger);
+            (q_set, det)
+        };
+        // Lemma 2.4: every popular cluster must be detected.
+        debug_assert!(
+            popular.iter().all(|&c| det[c as usize].is_some()),
+            "popular cluster escaped superclustering (Lemma 2.4)"
+        );
+        Centers {
+            m,
+            det,
+            popular,
+            centers: q_set,
+            trace,
+        }
+    }
+}
+
 /// Build `H_k`, appending its edges into `hopset` (global ids stay stable).
 pub fn build_single_scale(
     ctx: &ScaleContext<'_>,
     hopset: &mut Hopset,
     ledger: &mut Ledger,
+) -> ScaleReport {
+    build_scale_with(ctx, hopset, ledger, &ruling_rule(ctx.params))
+}
+
+/// [`build_single_scale`] with the centers of each phase `i < ℓ` picked by
+/// `rule`.
+pub(crate) fn build_scale_with(
+    ctx: &ScaleContext<'_>,
+    hopset: &mut Hopset,
+    ledger: &mut Ledger,
+    rule: &CenterRule<'_>,
 ) -> ScaleReport {
     let n = ctx.view.num_vertices();
     let p = ctx.params;
@@ -158,60 +237,36 @@ pub fn build_single_scale(
             break;
         }
 
-        // ---- 1. Detection of popular clusters (x = deg_i + 1, d = 1).
-        let x = deg_i + 1;
-        let m = {
-            let _ph = pram::phase::PhaseScope::enter("detect");
-            ex.detect_neighbors(x, &mut scratch, ledger)
-        };
-        let popular: Vec<u32> = (0..n_clusters as u32)
-            .filter(|&c| m.len_of(c as usize) >= x)
-            .collect();
-
-        // ---- 2 + 3. Ruling set, then superclustering BFS to depth
-        // 2·log2 n from Q_i (one "supercluster" phase for the audit).
-        let mut trace = RulingTrace::default();
-        let (q_set, det) = {
-            let _ph = pram::phase::PhaseScope::enter("supercluster");
-            let q_set = ruling_set(&ex, &popular, &mut scratch, ledger, Some(&mut trace));
-            let det = ex.bfs(&q_set, p.supercluster_depth(), &mut scratch, ledger);
-            (q_set, det)
-        };
-
-        // Lemma 2.4: every popular cluster must be detected.
-        debug_assert!(
-            popular.iter().all(|&c| det[c as usize].is_some()),
-            "popular cluster escaped superclustering (Lemma 2.4)"
-        );
+        // ---- 1–3. The rule picks the centers and runs their BFS.
+        let c = rule(&ex, ctx.sp.k, i, &mut scratch, ledger);
 
         // ---- 4. Interconnection of U_i (undetected clusters). Runs against
         // the *current* partition P_i, before superclusters replace it.
         let u_set: Vec<u32> = (0..n_clusters as u32)
-            .filter(|&c| det[c as usize].is_none())
+            .filter(|&ci| c.det[ci as usize].is_none())
             .collect();
         let inter = {
             let _ph = pram::phase::PhaseScope::enter("interconnect");
-            interconnect(ctx, hopset, &part, &m, &u_set, i, &mut violations)
+            interconnect(ctx, hopset, &part, &c.m, &u_set, i, &mut violations)
         };
 
         // ---- 3b. Form the superclusters: rebuilds `part` into P_{i+1}.
         let super_edges = {
             let _ph = pram::phase::PhaseScope::enter("supercluster");
-            form_superclusters(ctx, hopset, &mut part, &mut cm, &det, i, &mut violations)
+            form_superclusters(ctx, hopset, &mut part, &mut cm, &c.det, i, &mut violations)
         };
 
-        let superclustered = n_clusters - u_set.len();
         phases.push(PhaseStats {
             phase: i,
             clusters: n_clusters,
             degree: deg_i,
-            popular: popular.len(),
-            ruling: q_set.len(),
-            superclustered,
+            popular: c.popular.len(),
+            ruling: c.centers.len(),
+            superclustered: n_clusters - u_set.len(),
             unclustered: u_set.len(),
             super_edges,
             inter_edges: inter,
-            ruling_trace: trace,
+            ruling_trace: c.trace,
         });
     }
 

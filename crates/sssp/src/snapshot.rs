@@ -124,6 +124,12 @@ fn decode_hopset_params(p: &mut ParamsReader<'_>) -> Result<HopsetParams, Snapsh
     let i0 = p.i64()? as isize;
     let ell = as_usize(p.u64()?, "params.ell")?;
     let deg_count = p.u32()? as usize;
+    // `HopsetParams::new` builds `degrees` over `0..=ell`.
+    if ell.checked_add(1) != Some(deg_count) {
+        return Err(corrupt(format!(
+            "params.ell = {ell} disagrees with {deg_count} phase degrees"
+        )));
+    }
     let mut degrees = Vec::with_capacity(deg_count.min(1 << 16));
     for _ in 0..deg_count {
         degrees.push(as_usize(p.u64()?, "params.degrees[i]")?);
@@ -274,6 +280,15 @@ impl OracleBuilder {
         let graph = cr.raw(*b"grph", |r| read_graph_snapshot(r))?;
         let hopset = cr.raw(*b"hops", |r| read_hopset_snapshot(r))?;
         let n = graph.num_vertices();
+        // The params were derived for this graph's vertex count.
+        if let (Some((_, _, params)), _, _) = &backend_head {
+            if params.n != n {
+                return Err(corrupt(format!(
+                    "params built for n = {} but the graph has {n} vertices",
+                    params.n
+                )));
+            }
+        }
 
         // Cross-container validation the standalone hopset loader cannot do
         // (it does not know n): endpoint and path-vertex ranges.

@@ -2,26 +2,13 @@
 //! work/depth, multi-source scaling, and phase decay (DESIGN.md §6).
 
 use crate::table::{f, n as fmt_n, Table};
-use crate::Config;
+use crate::{practical, Config};
 use hopset::validate::measure_stretch;
 use hopset::{build_hopset_on, BuildOptions, HopsetParams, ParamMode};
 use pgraph::{exact, gen, Graph, UnionView};
 use pram::Executor;
 use sssp::eval::spread_sources;
 use sssp::DistanceOracle;
-
-fn practical(g: &Graph, eps: f64, kappa: usize, rho: f64) -> HopsetParams {
-    HopsetParams::new(
-        g.num_vertices(),
-        eps,
-        kappa,
-        rho,
-        ParamMode::Practical,
-        g.aspect_ratio_bound(),
-        None,
-    )
-    .expect("valid params")
-}
 
 /// E1 — Theorem 3.7 / eq. (10): `|H| ≤ ⌈log Λ⌉ · n^{1+1/κ}`.
 pub fn e1_size(cfg: &Config) {

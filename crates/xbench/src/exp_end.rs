@@ -1,29 +1,16 @@
 //! Experiments E10 and the figure series F1/F2/F9/F11 (DESIGN.md §6).
 
 use crate::table::{f, n as fmt_n, Table};
-use crate::Config;
+use crate::{practical, Config};
 use hopset::ruling::{ruling_set, RulingTrace};
 use hopset::virtual_bfs::{ExploreScratch, Explorer};
-use hopset::{build_hopset_on, BuildOptions, ClusterMemory, HopsetParams, ParamMode, Partition};
+use hopset::{build_hopset_on, BuildOptions, ClusterMemory, Partition};
 use pgraph::{exact, gen, Graph, UnionView, INF};
 use pram::{Executor, Ledger};
 use sssp::eval::{spread_sources, stretch_vs_hops};
 use sssp::{DeltaSteppingOracle, DijkstraOracle, DistanceOracle, Oracle};
 use std::sync::Arc;
 use std::time::Instant;
-
-fn practical(g: &Graph, eps: f64, kappa: usize, rho: f64) -> HopsetParams {
-    HopsetParams::new(
-        g.num_vertices(),
-        eps,
-        kappa,
-        rho,
-        ParamMode::Practical,
-        g.aspect_ratio_bound(),
-        None,
-    )
-    .expect("valid params")
-}
 
 /// E10 — Theorem 3.8 end-to-end: all three backends behind the one
 /// [`DistanceOracle`] trait — hopset (β-round), Δ-stepping

@@ -2,30 +2,17 @@
 //! reduction, and the derandomization-cost comparison (DESIGN.md §6).
 
 use crate::table::{f, n as fmt_n, Table};
-use crate::Config;
+use crate::{practical, Config};
 use hopset::baseline::build_random_hopset;
 use hopset::path_report::validate_spt;
 use hopset::reduction::build_reduced_hopset_on;
 use hopset::ruling::{ruling_set, verify_ruling};
 use hopset::validate::measure_stretch;
 use hopset::virtual_bfs::{ExploreScratch, Explorer};
-use hopset::{build_hopset_on, BuildOptions, ClusterMemory, HopsetParams, ParamMode, Partition};
+use hopset::{build_hopset_on, BuildOptions, ClusterMemory, ParamMode, Partition};
 use pgraph::{gen, Graph, UnionView};
 use pram::{Executor, Ledger};
 use sssp::eval::spread_sources;
-
-fn practical(g: &Graph, eps: f64, kappa: usize, rho: f64) -> HopsetParams {
-    HopsetParams::new(
-        g.num_vertices(),
-        eps,
-        kappa,
-        rho,
-        ParamMode::Practical,
-        g.aspect_ratio_bound(),
-        None,
-    )
-    .expect("valid params")
-}
 
 /// E6 — Corollary B.4: `(3, 2·log n)`-ruling sets: measured separation ≥ 3
 /// and covering radius ≤ 2·log2 n across graphs and thresholds.

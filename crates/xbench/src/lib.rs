@@ -53,6 +53,26 @@ impl Config {
     }
 }
 
+/// Practical-mode parameters for `g` with no hop cap: the construction
+/// the experiments run unless they study a cap or Theory mode.
+pub(crate) fn practical(
+    g: &pgraph::Graph,
+    eps: f64,
+    kappa: usize,
+    rho: f64,
+) -> hopset::HopsetParams {
+    hopset::HopsetParams::new(
+        g.num_vertices(),
+        eps,
+        kappa,
+        rho,
+        hopset::ParamMode::Practical,
+        g.aspect_ratio_bound(),
+        None,
+    )
+    .expect("valid params")
+}
+
 /// The registry of experiments: (id, description, runner).
 pub type Runner = fn(&Config);
 

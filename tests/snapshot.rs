@@ -330,8 +330,13 @@ fn param(bytes: &[u8], at: usize) -> u64 {
 /// `bytes` with the params u64 at `at` set to `value` and the checksum
 /// recomputed, so the lie gets past the header to the loader.
 fn with_param(bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
+    with_param_bytes(bytes, at, &value.to_le_bytes())
+}
+
+/// [`with_param`] for a field of any width, given as little-endian bytes.
+fn with_param_bytes(bytes: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
     let mut out = bytes.to_vec();
-    out[28 + at..36 + at].copy_from_slice(&value.to_le_bytes());
+    out[28 + at..28 + at + value.len()].copy_from_slice(value);
     reseal(&mut out);
     out
 }
@@ -447,11 +452,14 @@ fn corruption_sweep_over_every_section_is_typed() {
 }
 
 /// Lies in the params blocks: the graph's `n` and `m`, the hopset's edge
-/// count `ne`, path count `np` and kind tally, and the link count `L`
-/// that opens the first memory-path record. Each case is a typed error
-/// or a load, never a panic. A path count or an `L` that the `prec`
-/// bytes cannot hold is `Corrupt`, found before the loader reserves
-/// anything for it.
+/// count `ne`, path count `np` and kind tally, the link count `L` that
+/// opens the first memory-path record, and the oracle's `eps`, `kappa`,
+/// `query_hops`, scale range and stored `HopsetParams` fields `n`, `ell`
+/// and `beta`. Each case is a typed error or a load, never a panic. A
+/// path count or an `L` that the `prec` bytes cannot hold is `Corrupt`,
+/// found before the loader reserves anything for it, and so is a
+/// `params.n` other than the graph's or a `params.ell` that disagrees with
+/// the stored degrees.
 #[test]
 fn params_block_lies_are_typed() {
     let oracle = swept_oracle();
@@ -517,6 +525,50 @@ fn params_block_lies_are_typed() {
                 matches!(r, Err(SnapshotError::Corrupt { .. })),
                 "{case} gave {r:?}"
             );
+        }
+    }
+    // The plain oracle's params block (`sssp::snapshot::encode_params`):
+    // eps f64 @0, kappa u64 @8, two flag bytes, query_hops u64 @18, the
+    // ledger's three u64s, k0 u32 @50, lambda u32 @54, then HopsetParams
+    // from @58: n u64, eps, kappa, rho, two code bytes, log2n u32, i0,
+    // ell u64 @104, the degree count u32 @112, the degrees, eps_int,
+    // eps_scale and beta.
+    let n = oracle.graph().num_vertices() as u64;
+    assert_eq!(
+        (param(&bytes, 18), param(&bytes, 58)),
+        (oracle.query_hops() as u64, n)
+    );
+    let degrees = u64::from(u32::from_le_bytes(word(&bytes, 28 + 112)));
+    assert_eq!(param(&bytes, 104) + 1, degrees, "ell + 1 degrees");
+    let beta_at = 116 + 8 * degrees as usize + 16;
+    let exec = oracle.executor().clone();
+    let load_oracle = |b: &[u8]| OracleBuilder::from_snapshot_reader(b, exec.clone()).map(|_| ());
+    let oracle_fields = [
+        ("eps", 0),
+        ("kappa", 8),
+        ("query_hops", 18),
+        ("params.n", 58),
+        ("params.ell", 104),
+        ("params.beta", beta_at),
+    ];
+    for (field, at) in oracle_fields {
+        for v in lies(param(&bytes, at)) {
+            let case = format!("oracle {field} = {v}");
+            let b = with_param(&bytes, at, v);
+            let r = run(&case, &|| load_oracle(&b));
+            if field == "params.n" || field == "params.ell" {
+                assert!(
+                    matches!(r, Err(SnapshotError::Corrupt { .. })),
+                    "{case} gave {r:?}"
+                );
+            }
+        }
+    }
+    for (field, at) in [("k0", 50), ("lambda", 54)] {
+        let x = u32::from_le_bytes(word(&bytes, 28 + at));
+        for v in [x + 1, x.saturating_sub(1), 0, 2 * x + 7, 1 << 24, u32::MAX] {
+            let b = with_param_bytes(&bytes, at, &v.to_le_bytes());
+            let _ = run(&format!("oracle {field} = {v}"), &|| load_oracle(&b));
         }
     }
 }
