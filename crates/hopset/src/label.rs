@@ -76,16 +76,15 @@ impl Label {
 /// **pinned reference** for the packed-key fast path (proptests assert the
 /// two agree record-for-record on `(src, dist, pw)`). Deduplicate by
 /// source keeping the best record, rank by `(dist, src)`, truncate to `x`.
-/// Both sorts are unstable (keys are total orders; after source-dedup the
-/// rank key `(dist, src)` is unique, and the dedup key `(src, dist, pw)`
-/// fully determines every paper-visible field — candidates that tie on all
-/// three can differ only in their recorded path, and whichever survives
-/// realizes the same `pw`).
+/// The dedup sort is stable: candidates that tie on all of
+/// `(src, dist, pw)` differ only in their recorded path, and the earliest
+/// one survives, as in every production reduction. After source-dedup the
+/// rank key `(dist, src)` is unique, so the rank sort need not be.
 pub fn reduce_labels_two_sort(cands: &mut Vec<Label>, x: usize) {
     if cands.is_empty() {
         return;
     }
-    cands.sort_unstable_by_key(Label::dedup_key);
+    cands.sort_by_key(Label::dedup_key);
     cands.dedup_by(|b, a| b.src == a.src); // keeps first = best per source
     cands.sort_unstable_by_key(Label::rank_key);
     cands.truncate(x);

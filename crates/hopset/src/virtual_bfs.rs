@@ -778,6 +778,7 @@ impl<'a> Explorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label::reduce_labels_two_sort;
     use crate::params::{HopsetParams, ParamMode};
     use pgraph::{gen, Graph};
 
@@ -1453,6 +1454,63 @@ mod tests {
             }
         }
 
+        /// Pin the `m(C)` aggregation of `detect_neighbors(x)` to the
+        /// reference: every `m(C)` must be [`reduce_labels_two_sort`] over
+        /// its members' final lists (left in the scratch), each record
+        /// lifted by its member's detour, in member order. At threads
+        /// 1/2/4/8, with and without paths, for every `x` in `xs`. Asserts
+        /// that the inputs hold what the aggregation must rank: a cluster
+        /// with more sources than `x`, two members offering one source at
+        /// one distance with different weights, and two offering the same
+        /// `(src, dist, pw)`, so that the earlier member's path must win.
+        fn assert_aggregation_matches_reference(&self, hop_limit: usize, xs: &[usize]) {
+            let (mut truncated, mut lighter, mut tied) = (false, false, false);
+            for &x in xs {
+                for record_paths in [false, true] {
+                    for threads in [1usize, 2, 4, 8] {
+                        self.explore(threads, record_paths, hop_limit, |ex| {
+                            let mut scratch = ExploreScratch::new();
+                            let m = ex.detect_neighbors(x, &mut scratch, &mut Ledger::new());
+                            for (ci, cl) in self.part.clusters.iter().enumerate() {
+                                let mut cands: Vec<Label> = Vec::new();
+                                for &v in &cl.members {
+                                    for l in scratch.labels.labels(v as usize) {
+                                        cands.push(ex.lift_to_cluster(v, l));
+                                    }
+                                }
+                                let keys: Vec<_> = (cands.iter())
+                                    .map(|l| (l.src, l.dist.to_bits(), l.pw.to_bits()))
+                                    .collect();
+                                let mut srcs: Vec<VId> = keys.iter().map(|k| k.0).collect();
+                                srcs.sort_unstable();
+                                srcs.dedup();
+                                truncated |= srcs.len() > x;
+                                for (i, a) in keys.iter().enumerate() {
+                                    for b in &keys[i + 1..] {
+                                        lighter |= (a.0, a.1) == (b.0, b.1) && a.2 != b.2;
+                                        tied |= a == b;
+                                    }
+                                }
+                                reduce_labels_two_sort(&mut cands, x);
+                                assert_eq!(
+                                    list_print(m.labels(ci)),
+                                    list_print(&cands),
+                                    "{}: cluster {ci} x={x} threads={threads} \
+                                     record_paths={record_paths}",
+                                    self.name
+                                );
+                            }
+                        });
+                    }
+                }
+            }
+            assert!(
+                truncated && lighter && tied,
+                "{}: inputs too easy",
+                self.name
+            );
+        }
+
         /// Unit weights: distance ties everywhere, so the adjacency-order
         /// tie-break decides every recorded path.
         fn unit_torus() -> Case {
@@ -1554,15 +1612,16 @@ mod tests {
         }
     }
 
+    /// A label list as comparable data.
+    fn list_print(list: &[Label]) -> Vec<LabelPrint> {
+        list.iter()
+            .map(|l| (l.src, l.dist.to_bits(), l.pw.to_bits(), path_print(&l.path)))
+            .collect()
+    }
+
     /// Every list of `m` as comparable data.
     fn lists_print(m: &LabelArena) -> Vec<Vec<LabelPrint>> {
-        m.iter_lists()
-            .map(|list| {
-                list.iter()
-                    .map(|l| (l.src, l.dist.to_bits(), l.pw.to_bits(), path_print(&l.path)))
-                    .collect()
-            })
-            .collect()
+        m.iter_lists().map(list_print).collect()
     }
 
     #[test]
@@ -1622,6 +1681,11 @@ mod tests {
     #[test]
     fn merge_kernel_matches_pull_on_clustered_partitions() {
         Case::clustered().assert_merge_matches_pull(8, &[2, 3, 5, 16]);
+    }
+
+    #[test]
+    fn aggregation_matches_reference_on_clustered_partitions() {
+        Case::clustered().assert_aggregation_matches_reference(8, &[2, 3, 5, 16]);
     }
 
     #[test]
