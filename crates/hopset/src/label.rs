@@ -12,28 +12,14 @@
 //!   construction instead of by radius arithmetic);
 //! * `path` — the path itself, only in path-reporting mode.
 //!
-//! [`reduce_labels_in_place_scratch`] implements Algorithm 3 ("Sort Array"): sort by
+//! [`reduce_labels_two_sort`] implements Algorithm 3 ("Sort Array"): sort by
 //! source (ties by distance), drop duplicate sources, re-sort by distance
-//! (ties by id), keep the best `x` — **in place** on the caller's buffer, so
-//! a caller looping over candidate sets never allocates per set. It serves
-//! the `m(C)` aggregation of detection and the full-pull reference the
-//! exploration tests pin both kernels to; the propagation steps themselves
-//! no longer sort (`virtual_bfs`: the `x = 1` push kernel keeps a
-//! per-target minimum, the `x ≥ 2` pull merges into a bounded list under
-//! the same order).
-//!
-//! PR 9 reshaped the reduction for the hardware: instead of two
-//! comparator sorts over 32-byte `Label` records (pointer-heavy, branchy
-//! comparators), the hot path precomputes one **packed integer key** per
-//! candidate — `src·2⁹⁶ | dist_bits·2³² | index` — and runs a single
-//! `sort_unstable` over plain `u128`s (branchless three-instruction
-//! comparisons, labels never move during the sort). Source-dedup becomes a
-//! linear scan over sorted keys, and the final rank order is a second
-//! integer sort over the (much smaller) survivor set. The retired
-//! implementation survives as [`reduce_labels_two_sort`], and proptests pin
-//! the packed path to it record-for-record. `dist`/`pw` are non-negative
-//! finite, so `f64::to_bits` is order-monotone — the same argument the
-//! two-sort comparators already relied on.
+//! (ties by id), keep the best `x`. It is the reference the exploration
+//! tests pin production to. Production never sorts a candidate set:
+//! `virtual_bfs` folds candidates one at a time into a rank-sorted list of
+//! at most `x` records under the same order (its `merge`, shared by the
+//! `x ≥ 2` pull step and the `m(C)` aggregation), and its `x = 1` push
+//! kernel keeps a per-target minimum.
 //!
 //! [`LabelArena`] is the flat backing store for per-vertex (and
 //! per-cluster) label lists: one `n·x` slot buffer plus a per-vertex length
@@ -72,14 +58,14 @@ impl Label {
     }
 }
 
-/// The retired two-keyed-sort implementation of Algorithm 3 — kept as the
-/// **pinned reference** for the packed-key fast path (proptests assert the
-/// two agree record-for-record on `(src, dist, pw)`). Deduplicate by
-/// source keeping the best record, rank by `(dist, src)`, truncate to `x`.
-/// The dedup sort is stable: candidates that tie on all of
-/// `(src, dist, pw)` differ only in their recorded path, and the earliest
-/// one survives, as in every production reduction. After source-dedup the
-/// rank key `(dist, src)` is unique, so the rank sort need not be.
+/// Algorithm 3 by two sorts — the **reference** the exploration's
+/// reductions are pinned to (unit tests in `virtual_bfs` assert they agree
+/// record for record). Deduplicate by source keeping the best record, rank
+/// by `(dist, src)`, truncate to `x`. The dedup sort is stable: candidates
+/// that tie on all of `(src, dist, pw)` differ only in their recorded path,
+/// and the earliest one survives, as in every production reduction. After
+/// source-dedup the rank key `(dist, src)` is unique, so the rank sort need
+/// not be.
 pub fn reduce_labels_two_sort(cands: &mut Vec<Label>, x: usize) {
     if cands.is_empty() {
         return;
@@ -88,129 +74,6 @@ pub fn reduce_labels_two_sort(cands: &mut Vec<Label>, x: usize) {
     cands.dedup_by(|b, a| b.src == a.src); // keeps first = best per source
     cands.sort_unstable_by_key(Label::rank_key);
     cands.truncate(x);
-}
-
-/// Low 32 bits of a packed key: the candidate's index in the input buffer.
-const IDX_MASK: u128 = u32::MAX as u128;
-
-/// Dedup-stage key: `src·2⁹⁶ | dist_bits·2³² | index`. Sorting these
-/// groups candidates by source, orders each group by distance, and keeps
-/// the original index recoverable for the gather. `pw` does not fit —
-/// the min-`pw` tiebreak among equal `(src, dist)` is resolved by a
-/// linear scan of the (almost always length-1) tie run instead.
-#[inline]
-fn dedup_pack(src: VId, dist: Weight, idx: usize) -> u128 {
-    ((src as u128) << 96) | ((dist.to_bits() as u128) << 32) | idx as u128
-}
-
-/// Reusable buffers for the packed-key reduction. One instance per
-/// parallel chunk (the `m(C)` aggregation keeps it beside the candidate
-/// buffer), so the reduction allocates nothing per candidate set.
-#[derive(Default)]
-pub struct ReduceScratch {
-    /// Packed keys, reused for the dedup sort and then the rank sort.
-    keys: Vec<u128>,
-    /// Survivor gather buffer.
-    tmp: Vec<Label>,
-}
-
-impl ReduceScratch {
-    /// Empty scratch; buffers grow on first use and are retained.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Core of the packed-key reduction: given dedup keys for `n`
-/// candidates and a `pw`-by-index accessor, leave in `keys[..r]` the `≤ x`
-/// survivors' **rank** keys (`dist_bits·2⁶⁴ | src·2³² | index`) in final
-/// rank order, returning `r`.
-#[inline]
-fn reduce_keys(
-    keys: &mut Vec<u128>,
-    n: usize,
-    x: usize,
-    pw_bits_of: impl Fn(usize) -> u64,
-) -> usize {
-    keys.sort_unstable();
-    // Source-dedup scan: one survivor per run of equal top-32 bits. The
-    // run's head has the minimal distance; ties on (src, dist) — equal
-    // top-96 bits — resolve to the minimal (pw, index), matching the
-    // reference's (src, dist, pw) dedup key. Survivor rank keys are
-    // written back into the prefix (`w` never passes the read cursor).
-    let mut w = 0usize;
-    let mut i = 0usize;
-    while i < n {
-        let src_bits = keys[i] >> 96;
-        let top96 = keys[i] >> 32;
-        let mut best_idx = (keys[i] & IDX_MASK) as usize;
-        let mut best_pw = pw_bits_of(best_idx);
-        let mut j = i + 1;
-        while j < n && keys[j] >> 32 == top96 {
-            let idx = (keys[j] & IDX_MASK) as usize;
-            let pwb = pw_bits_of(idx);
-            if (pwb, idx) < (best_pw, best_idx) {
-                best_pw = pwb;
-                best_idx = idx;
-            }
-            j += 1;
-        }
-        // Skip the rest of this source's run (worse distances).
-        while j < n && keys[j] >> 96 == src_bits {
-            j += 1;
-        }
-        let dist_bits = (keys[i] >> 32) as u64;
-        keys[w] = ((dist_bits as u128) << 64) | (src_bits << 32) | best_idx as u128;
-        w += 1;
-        i = j;
-    }
-    keys.truncate(w);
-    // Rank sort: (dist, src) is unique after dedup, so the index bits
-    // never decide the order — they just ride along for the gather.
-    keys.sort_unstable();
-    let r = x.min(w);
-    keys.truncate(r);
-    r
-}
-
-/// Algorithm 3 via one packed-integer-key sort (see the module docs), in
-/// place on the caller's buffer with explicit scratch — the hot-path
-/// entry. Bit-identical to [`reduce_labels_two_sort`] on every
-/// paper-visible field; fully deterministic (a pure function of the
-/// candidate sequence, which callers produce deterministically:
-/// self-labels first, then neighbors in adjacency order).
-pub fn reduce_labels_in_place_scratch(
-    cands: &mut Vec<Label>,
-    x: usize,
-    scratch: &mut ReduceScratch,
-) {
-    let n = cands.len();
-    if n == 0 {
-        return;
-    }
-    assert!(
-        n <= u32::MAX as usize,
-        "candidate index must fit the packed key"
-    );
-    let keys = &mut scratch.keys;
-    keys.clear();
-    keys.extend(
-        cands
-            .iter()
-            .enumerate()
-            .map(|(i, l)| dedup_pack(l.src, l.dist, i)),
-    );
-    let r = reduce_keys(keys, n, x, |idx| cands[idx].pw.to_bits());
-    let tmp = &mut scratch.tmp;
-    tmp.clear();
-    tmp.extend(
-        keys[..r]
-            .iter()
-            .map(|&k| cands[(k & IDX_MASK) as usize].clone()),
-    );
-    // `r ≤ n ≤ cands.capacity()`: clear + append never reallocates.
-    cands.clear();
-    cands.append(tmp);
 }
 
 /// True if two label lists agree on the paper-visible fields (src, dist) and
@@ -366,9 +229,9 @@ mod tests {
         }
     }
 
-    /// Algorithm 3 on an owned candidate list, with a fresh scratch.
+    /// Algorithm 3 on an owned candidate list.
     fn reduce_labels(mut cands: Vec<Label>, x: usize) -> Vec<Label> {
-        reduce_labels_in_place_scratch(&mut cands, x, &mut ReduceScratch::new());
+        reduce_labels_two_sort(&mut cands, x);
         cands
     }
 
@@ -407,82 +270,16 @@ mod tests {
 
     #[test]
     fn in_place_reuses_the_buffer() {
-        let mut scratch = ReduceScratch::new();
         let mut buf = vec![l(2, 5.0), l(1, 3.0), l(2, 1.0)];
         let cap = buf.capacity();
-        reduce_labels_in_place_scratch(&mut buf, 10, &mut scratch);
+        reduce_labels_two_sort(&mut buf, 10);
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.capacity(), cap, "no reallocation");
-        // Reuse for the next candidate set, as the pulse loop does.
         buf.clear();
         buf.extend([l(5, 1.0), l(5, 0.5), l(6, 2.0)]);
-        reduce_labels_in_place_scratch(&mut buf, 1, &mut scratch);
+        reduce_labels_two_sort(&mut buf, 1);
         assert_eq!(buf.len(), 1);
         assert_eq!((buf[0].src, buf[0].dist), (5, 0.5));
-    }
-
-    /// Deterministic mixed-shape candidate generator: duplicate sources,
-    /// tied distances, tied (dist, pw) pairs — the shapes the dedup scan
-    /// has to get right.
-    fn mixed_cands(len: usize, seed: u64) -> Vec<Label> {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let src = (state % 7) as VId;
-            let dist = ((state >> 8) % 5) as Weight * 0.5;
-            let pw = dist + ((state >> 16) % 3) as Weight;
-            out.push(Label {
-                src,
-                dist,
-                pw,
-                path: None,
-            });
-        }
-        out
-    }
-
-    #[test]
-    fn packed_reduce_is_pinned_to_the_two_sort_reference() {
-        let mut scratch = ReduceScratch::new();
-        for len in 0..64usize {
-            for x in [1usize, 2, 3, 7, 64] {
-                let cands = mixed_cands(len, (len * 31 + x) as u64);
-                let mut reference = cands.clone();
-                reduce_labels_two_sort(&mut reference, x);
-                let mut fast = cands;
-                reduce_labels_in_place_scratch(&mut fast, x, &mut scratch);
-                assert!(
-                    labels_equal(&fast, &reference),
-                    "len={len} x={x}: packed {:?} vs reference {:?}",
-                    fast.iter()
-                        .map(|l| (l.src, l.dist, l.pw))
-                        .collect::<Vec<_>>(),
-                    reference
-                        .iter()
-                        .map(|l| (l.src, l.dist, l.pw))
-                        .collect::<Vec<_>>(),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_reduce_reuses_buffers_without_touching_cands_capacity() {
-        let mut scratch = ReduceScratch::new();
-        let mut buf = mixed_cands(40, 9);
-        let cap = buf.capacity();
-        reduce_labels_in_place_scratch(&mut buf, 5, &mut scratch);
-        assert!(buf.len() <= 5);
-        assert_eq!(buf.capacity(), cap, "no reallocation of the caller buffer");
-        // Second use on the warmed scratch: key/tmp buffers are retained.
-        let keys_cap = scratch.keys.capacity();
-        buf.clear();
-        buf.extend(mixed_cands(30, 11));
-        reduce_labels_in_place_scratch(&mut buf, 3, &mut scratch);
-        assert_eq!(scratch.keys.capacity(), keys_cap, "scratch buffers reused");
     }
 
     #[test]

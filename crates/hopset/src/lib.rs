@@ -72,9 +72,7 @@ pub mod store;
 pub mod validate;
 pub mod virtual_bfs;
 
-pub use label::{
-    reduce_labels_in_place_scratch, reduce_labels_two_sort, Label, LabelArena, ReduceScratch,
-};
+pub use label::{reduce_labels_two_sort, Label, LabelArena};
 pub use multi_scale::{build_hopset_on, BuildOptions, BuiltHopset};
 pub use params::{DeltaSchedule, HopsetParams, ParamError, ParamMode, ScaleParams};
 pub use partition::{Cluster, ClusterMemory, Partition};

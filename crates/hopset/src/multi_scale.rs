@@ -33,13 +33,6 @@ pub struct BuiltHopset {
 }
 
 impl BuiltHopset {
-    /// Overlay edge list for querying `G ∪ H` (allocates; prefer the
-    /// hopset's zero-copy columns — [`Hopset::all_slice`] — for anything
-    /// hot).
-    pub fn overlay(&self) -> Vec<(pgraph::VId, pgraph::VId, pgraph::Weight)> {
-        self.hopset.all_slice().to_overlay_vec()
-    }
-
     /// Number of scales in `k₀..=λ`; 0 in the no-scale state. Computed in
     /// `u64` and saturating at 0, so no stored pair of bounds can overflow
     /// or underflow it.
@@ -173,8 +166,8 @@ mod tests {
 
     /// Measured stretch of β-hop-limited distances in G ∪ H from `src`.
     fn max_stretch(g: &Graph, built: &BuiltHopset, src: u32) -> f64 {
-        let overlay = built.overlay();
-        let view = UnionView::with_extra(g, &overlay);
+        let sl = built.hopset.all_slice();
+        let view = UnionView::with_overlay_columns(g, sl.us(), sl.vs(), sl.ws());
         let approx = bellman_ford_hops(&view, &[src], built.params.query_hops);
         let exact = dijkstra(g, src).dist;
         let mut worst: f64 = 1.0;
@@ -233,8 +226,8 @@ mod tests {
         let g = gen::path(200);
         let p = practical_params(&g, 0.25).with_hop_cap(48);
         let built = build_hopset_on(&test_exec(), &g, &p, BuildOptions::default());
-        let overlay = built.overlay();
-        let view = UnionView::with_extra(&g, &overlay);
+        let sl = built.hopset.all_slice();
+        let view = UnionView::with_overlay_columns(&g, sl.us(), sl.vs(), sl.ws());
         let without = bellman_ford_hops(&UnionView::base_only(&g), &[0], p.query_hops);
         let with = bellman_ford_hops(&view, &[0], p.query_hops);
         assert_eq!(without[199], INF, "48 hops cannot cross 199 edges");

@@ -132,14 +132,6 @@ impl<'a> ScaleSlice<'a> {
         let (us, vs, ws) = (self.us, self.vs, self.ws);
         (0..us.len()).map(move |i| (us[i], vs[i], ws[i]))
     }
-
-    /// Materialize the slice as an overlay edge list — the compatibility
-    /// helper for call sites that genuinely need an owned list (e.g.
-    /// [`pgraph::UnionView::with_extra`] in tests). Hot paths use the
-    /// columns directly instead.
-    pub fn to_overlay_vec(&self) -> Vec<(VId, VId, Weight)> {
-        self.iter().collect()
-    }
 }
 
 /// The accumulated hopset `H = ⋃_k H_k` in scale-indexed SoA layout (see
@@ -437,7 +429,7 @@ mod tests {
         assert_eq!(all.len(), 4);
         assert_eq!(all.start(), 0);
         assert_eq!(
-            all.to_overlay_vec(),
+            all.iter().collect::<Vec<_>>(),
             vec![(0, 1, 2.0), (1, 2, 4.0), (2, 3, 5.0), (3, 4, 6.0)]
         );
         let s4 = h.scale_slice(4);

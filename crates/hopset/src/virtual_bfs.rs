@@ -49,16 +49,20 @@
 //! [`Ledger`] charges Lemma A.3's `O((|E|+|H_{k-1}|)·x)` work per step
 //! under either kernel.
 //!
+//! Aggregation back into clusters uses the same reductions: `m(C)` folds
+//! the members' lists in member order with the pull's `merge`, and a BFS
+//! pulse detects a cluster by the minimum over its members' single
+//! records. The tests pin both to [`crate::label::reduce_labels_two_sort`].
+//!
 //! Edge provenance: overlay adjacency entries carry **global** hopset edge
 //! ids directly (the scale-block CSRs of `pgraph::OverlayCsrBuilder` tag
 //! them so), which is what [`crate::path::MemEdge::Hop`] records — no
 //! overlay-to-global side table.
 //!
 //! Determinism: every per-vertex/per-cluster reduction uses the total order
-//! of Algorithm 3 (see [`crate::label::reduce_labels_in_place_scratch`]);
-//! the pull kernel's merge folds each vertex's candidates in a fixed order,
-//! and the push kernel's per-target minimum does not depend on how the
-//! frontier is chunked. Propagation reads only the
+//! of Algorithm 3; `merge` folds each vertex's or cluster's candidates in a
+//! fixed order, and the push kernel's per-target minimum does not depend
+//! on how the frontier is chunked. Propagation reads only the
 //! previous step's labels (the CREW discipline of §1.5.1), so results are
 //! identical for any thread count.
 //!
@@ -70,9 +74,7 @@
 //! stretch analysis only needs recorded distances to be realizable, which
 //! fixpoint distances are. (The hop budget still caps every exploration.)
 
-use crate::label::{
-    labels_equal, reduce_labels_in_place_scratch, Label, LabelArena, ReduceScratch,
-};
+use crate::label::{labels_equal, Label, LabelArena};
 use crate::partition::{ClusterMemory, Partition};
 use crate::path::{path_extend, path_splice, path_start, MemEdge, PathHandle};
 use pgraph::{EdgeTag, UnionView, VId, Weight};
@@ -142,17 +144,17 @@ fn improves(src: VId, dist: Weight, pw: Weight, cur: &[Label]) -> bool {
     }
 }
 
-/// One record `(src, dist, pw)` of the pull kernel's bounded list, and
-/// where it came from: slot `pos` of the recomputed vertex's own list
-/// (`via = None`), or of neighbor `u`'s list relaxed over an edge of
-/// weight `w` and layer `tag` (`via = Some((u, w, tag))`).
+/// One record `(src, dist, pw)` of a bounded list, and where it came from:
+/// slot `pos` of vertex `from`'s list, relaxed over an edge of weight `w`
+/// and layer `tag` when `edge = Some((w, tag))`.
 #[derive(Clone, Copy)]
 struct Kept {
     src: VId,
     dist: Weight,
     pw: Weight,
+    from: VId,
     pos: usize,
-    via: Option<(VId, Weight, EdgeTag)>,
+    edge: Option<(Weight, EdgeTag)>,
 }
 
 impl Kept {
@@ -169,6 +171,8 @@ impl Kept {
 /// best-ranked sources stay. A source cut off by a full list can only come
 /// back strictly nearer, so folding one candidate at a time is exact. The
 /// caller skips a `k` that ranks after the last record of a full list.
+/// This is Algorithm 3 for both of its uses: the pull kernel's step and
+/// the `m(C)` aggregation of [`Explorer::detect_neighbors`].
 fn merge(list: &mut Vec<Kept>, x: usize, k: Kept) {
     let rank = k.rank();
     let at = list.partition_point(|e| e.rank() < rank);
@@ -187,6 +191,33 @@ fn merge(list: &mut Vec<Kept>, x: usize, k: Kept) {
             list.truncate(x - 1);
             list.insert(at, k);
         }
+    }
+}
+
+/// [`merge`] one list's records into `list` in list order, each mapped by
+/// `kept`, which must keep them dist-ascending (relaxing over one edge and
+/// lifting by one detour both do). Stops at the first record past `limit`
+/// or past a full list's last distance, so most records cost one
+/// comparison. Relaxing can make distances equal and reorder them by
+/// source, so a record ranking after a full list's last is skipped, not
+/// stopped at.
+fn merge_list(
+    list: &mut Vec<Kept>,
+    x: usize,
+    limit: Weight,
+    recs: &[Label],
+    kept: impl Fn(usize, &Label) -> Kept,
+) {
+    for (pos, l) in recs.iter().enumerate() {
+        let k = kept(pos, l);
+        let last = list.get(x - 1);
+        if k.dist > last.map_or(limit, |e| e.dist) {
+            break;
+        }
+        if last.is_some_and(|e| k.rank() > e.rank()) {
+            continue;
+        }
+        merge(list, x, k);
     }
 }
 
@@ -338,14 +369,9 @@ impl<'a> Explorer<'a> {
 
     /// One chunk of a pull step. A vertex is recomputed iff a neighbor
     /// changed in the previous step: it starts from its own list and
-    /// [`merge`]s in its changed neighbors' records in adjacency order. A
-    /// neighbor's records are dist-ascending, and relaxing keeps them so:
-    /// a neighbor stops at its first record past the threshold or past a
-    /// full list's last distance, so most records cost one comparison.
-    /// Relaxing can make distances equal and reorder them by source, so a
-    /// record ranking after a full list's last is skipped, not stopped at.
-    /// Survivors materialize last, in path mode with one `path_extend`
-    /// each if pulled from a neighbor.
+    /// [`merge_list`]s in its changed neighbors' records, relaxed, in
+    /// adjacency order. Survivors materialize last, in path mode with one
+    /// `path_extend` each if pulled from a neighbor.
     fn relax_chunk(
         &self,
         r: std::ops::Range<usize>,
@@ -365,48 +391,40 @@ impl<'a> Explorer<'a> {
                 lens.push(SKIP);
                 continue;
             }
-            let own = cur.labels(v);
             list.clear();
-            list.extend(own.iter().enumerate().map(|(pos, l)| Kept {
+            list.extend(cur.labels(v).iter().enumerate().map(|(pos, l)| Kept {
                 src: l.src,
                 dist: l.dist,
                 pw: l.pw,
+                from: vid,
                 pos,
-                via: None,
+                edge: None,
             }));
             self.view.for_each_neighbor(vid, |u, w, tag| {
-                if !prev_changed[u as usize] {
-                    return;
-                }
-                for (pos, l) in cur.labels(u as usize).iter().enumerate() {
-                    let dist = l.dist + w;
-                    let last = list.get(x - 1);
-                    if dist > last.map_or(self.threshold, |k| k.dist) {
-                        break;
-                    }
-                    if last.is_some_and(|k| (dist.to_bits(), l.src) > k.rank()) {
-                        continue;
-                    }
-                    let k = Kept {
+                if prev_changed[u as usize] {
+                    let recs = cur.labels(u as usize);
+                    merge_list(&mut list, x, self.threshold, recs, |pos, l| Kept {
                         src: l.src,
-                        dist,
+                        dist: l.dist + w,
                         pw: l.pw + w,
+                        from: u,
                         pos,
-                        via: Some((u, w, tag)),
-                    };
-                    merge(&mut list, x, k);
+                        edge: Some((w, tag)),
+                    });
                 }
             });
             lens.push(list.len() as u32);
             out.extend(list.iter().map(|k| {
+                let path = &cur.labels(k.from as usize)[k.pos].path;
                 Label {
                     src: k.src,
                     dist: k.dist,
                     pw: k.pw,
-                    path: match k.via {
-                        None => own[k.pos].path.clone(),
-                        Some((u, w, tag)) => (cur.labels(u as usize)[k.pos].path.as_ref())
-                            .map(|p| path_extend(p, vid, self.mem_edge(tag), w)),
+                    path: match k.edge {
+                        None => path.clone(),
+                        Some((w, tag)) => {
+                            (path.as_ref()).map(|p| path_extend(p, vid, self.mem_edge(tag), w))
+                        }
                     },
                 }
             }));
@@ -647,30 +665,48 @@ impl<'a> Explorer<'a> {
             }
         }
         self.propagate(scratch, x, ledger);
-        // Aggregation: fold member labels into m(C), chunked like the
-        // propagate rounds (one buffer pair per chunk, no per-cluster Vec).
+        // Aggregation: `m(C)` starts from the first member's list (already
+        // reduced) and merges in the other members' lists in member order,
+        // each record lifted by its member's detour; only survivors
+        // materialize. Chunked like the propagate rounds (one buffer pair
+        // per chunk, no per-cluster Vec).
         ledger.sort(n as u64 * x as u64);
         let nc = self.part.len();
         let mut m = LabelArena::new();
         m.reset(nc, x);
         let labels = &scratch.labels;
+        let lifted = |v: VId| {
+            let detour = self.cm.weight[v as usize];
+            move |pos: usize, l: &Label| Kept {
+                src: l.src,
+                dist: l.dist,
+                pw: l.pw + detour,
+                from: v,
+                pos,
+                edge: None,
+            }
+        };
         let bounds = self.exec.round_bounds(nc);
         let chunks: Vec<(Vec<u32>, Vec<Label>)> = self.exec.run_chunks(&bounds, |r| {
             let mut lens: Vec<u32> = Vec::with_capacity(r.len());
             let mut out: Vec<Label> = Vec::new();
-            let mut cands: Vec<Label> = Vec::new();
-            let mut scratch = ReduceScratch::new();
+            let mut list: Vec<Kept> = Vec::with_capacity(x);
             for ci in r {
-                let cl = &self.part.clusters[ci];
-                cands.clear();
-                for &v in &cl.members {
-                    for l in labels.labels(v as usize) {
-                        cands.push(self.lift_to_cluster(v, l));
-                    }
+                // Members ascend and include the center (`Partition::validate`).
+                let members = &self.part.clusters[ci].members;
+                let lift = lifted(members[0]);
+                list.clear();
+                let own = labels.labels(members[0] as usize).iter().enumerate();
+                list.extend(own.map(|(pos, l)| lift(pos, l)));
+                for &v in &members[1..] {
+                    let recs = labels.labels(v as usize);
+                    merge_list(&mut list, x, Weight::INFINITY, recs, lifted(v));
                 }
-                reduce_labels_in_place_scratch(&mut cands, x, &mut scratch);
-                lens.push(cands.len() as u32);
-                out.append(&mut cands);
+                lens.push(list.len() as u32);
+                out.extend(list.iter().map(|k| {
+                    let l = &labels.labels(k.from as usize)[k.pos];
+                    self.lift_to_cluster(k.from, l)
+                }));
             }
             (lens, out)
         });
@@ -723,7 +759,8 @@ impl<'a> Explorer<'a> {
             }
             self.propagate(scratch, 1, ledger);
             // Aggregate: undetected clusters reached this pulse are detected
-            // by the best record (min by (dist, src) — deterministic).
+            // by the best record (min by (dist, src, pw), then member id —
+            // deterministic).
             ledger.sort(n as u64);
             let mut newly = 0usize;
             let labels = &scratch.labels;
@@ -732,23 +769,11 @@ impl<'a> Explorer<'a> {
                     return None;
                 }
                 let cl = &self.part.clusters[ci];
-                let mut best: Option<(Label, VId)> = None;
-                for &v in &cl.members {
-                    for l in labels.labels(v as usize) {
-                        let better = match &best {
-                            None => true,
-                            Some((b, bv)) => {
-                                (l.dist.to_bits(), l.src, l.pw.to_bits(), v)
-                                    < (b.dist.to_bits(), b.src, b.pw.to_bits(), *bv)
-                            }
-                        };
-                        if better {
-                            best = Some((l.clone(), v));
-                        }
-                    }
-                }
-                best.map(|(l, v)| {
-                    let lifted = self.lift_to_cluster(v, &l);
+                let best = (cl.members.iter())
+                    .flat_map(|&v| labels.labels(v as usize).iter().map(move |l| (v, l)))
+                    .min_by_key(|&(v, l)| (l.dist.to_bits(), l.src, l.pw.to_bits(), v));
+                best.map(|(v, l)| {
+                    let lifted = self.lift_to_cluster(v, l);
                     Detection {
                         src_cluster: self
                             .part
@@ -781,6 +806,7 @@ mod tests {
     use crate::label::reduce_labels_two_sort;
     use crate::params::{HopsetParams, ParamMode};
     use pgraph::{gen, Graph};
+    use proptest::prelude::*;
 
     fn exploration_setup(g: &Graph) -> (UnionView<'_>, Partition, ClusterMemory) {
         let view = UnionView::base_only(g);
@@ -1149,7 +1175,6 @@ mod tests {
         let n = ex.view.num_vertices();
         let labels = &mut scratch.labels;
         let mut changed: Vec<bool> = (0..n).map(|v| labels.len_of(v) > 0).collect();
-        let mut reduce = ReduceScratch::new();
         for _step in 0..ex.hop_limit {
             if !changed.contains(&true) {
                 break;
@@ -1178,7 +1203,7 @@ mod tests {
                         }
                     }
                 }
-                reduce_labels_in_place_scratch(&mut cands, x, &mut reduce);
+                reduce_labels_two_sort(&mut cands, x);
                 *new = Some(cands);
             }
             for (v, new) in next.into_iter().enumerate() {
@@ -1748,5 +1773,161 @@ mod tests {
         let one = 1.0f64.to_bits();
         let last = m[1].last().map(|l| (l.0, l.1, l.2));
         assert_eq!(last, Some((0, one, one)));
+    }
+
+    // ---- The fold, pinned to the two-sort reference -------------------
+
+    /// The fold on an arbitrary candidate sequence: each candidate is a
+    /// one-record list, [`merge_list`]ed in order into an empty list.
+    /// Candidate `i` carries the path `[i]`, so a comparison of paths
+    /// shows which of several equal candidates survived.
+    fn fold(cands: &[Label], x: usize) -> Vec<Label> {
+        let mut list: Vec<Kept> = Vec::new();
+        for (i, c) in cands.iter().enumerate() {
+            merge_list(
+                &mut list,
+                x,
+                Weight::INFINITY,
+                std::slice::from_ref(c),
+                |_, l| Kept {
+                    src: l.src,
+                    dist: l.dist,
+                    pw: l.pw,
+                    from: i as VId,
+                    pos: 0,
+                    edge: None,
+                },
+            );
+        }
+        list.iter()
+            .map(|k| cands[k.from as usize].clone())
+            .collect()
+    }
+
+    /// [`fold`] and [`reduce_labels_two_sort`] agree on `cands`, records
+    /// and surviving candidates alike.
+    fn assert_fold_matches_reference(mut cands: Vec<Label>, x: usize) {
+        for (i, c) in cands.iter_mut().enumerate() {
+            c.path = Some(path_start(i as VId));
+        }
+        let got = fold(&cands, x);
+        reduce_labels_two_sort(&mut cands, x);
+        assert_eq!(list_print(&got), list_print(&cands), "x={x}");
+    }
+
+    fn lab(src: VId, dist: Weight, pw: Weight) -> Label {
+        Label {
+            src,
+            dist,
+            pw,
+            path: None,
+        }
+    }
+
+    /// Deterministic mixed-shape candidate generator: duplicate sources,
+    /// tied distances, tied (dist, pw) pairs — the shapes the fold has to
+    /// rank.
+    fn mixed_cands(len: usize, seed: u64) -> Vec<Label> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let dist = ((state >> 8) % 5) as Weight * 0.5;
+            let pw = dist + ((state >> 16) % 3) as Weight;
+            out.push(lab((state % 7) as VId, dist, pw));
+        }
+        out
+    }
+
+    #[test]
+    fn fold_is_pinned_to_the_two_sort_reference() {
+        for len in 0..64usize {
+            for x in [1usize, 2, 3, 7, 64] {
+                assert_fold_matches_reference(mixed_cands(len, (len * 31 + x) as u64), x);
+            }
+        }
+    }
+
+    /// Long candidate sequences: 64 sources over thousands of candidates,
+    /// so every source recurs about `len / 64` times, and distances in
+    /// eighths, so rank ties are everywhere.
+    #[test]
+    fn fold_matches_two_sort_straddling_par_threshold() {
+        use pram::pool::PAR_THRESHOLD;
+        for len in [PAR_THRESHOLD - 1, PAR_THRESHOLD, PAR_THRESHOLD + 1] {
+            let mut state = 0x2545f4914f6cdd1du64;
+            let mut next = || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let cands: Vec<Label> = (0..len)
+                .map(|_| {
+                    let r = next();
+                    lab(
+                        (r % 64) as VId,
+                        ((r >> 8) % 32) as Weight / 8.0,
+                        ((r >> 16) % 16) as Weight / 8.0,
+                    )
+                })
+                .collect();
+            for x in [1usize, 3, 64, len] {
+                assert_fold_matches_reference(cands.clone(), x);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The fold == the reference for every truncation bound.
+        #[test]
+        fn fold_matches_reference(
+            cands in proptest::collection::vec(
+                (0u32..12, 0u32..40, 0u32..8).prop_map(|(src, d, extra)| {
+                    lab(src, d as Weight / 4.0, d as Weight / 4.0 + extra as Weight / 8.0)
+                }),
+                0..40,
+            ),
+            x in 1usize..12,
+        ) {
+            assert_fold_matches_reference(cands, x);
+        }
+
+        /// The fold == the reference at lengths straddling `x` exactly
+        /// (|cands| ∈ {x−1, x, x+1, 2x+3}), with few sources (forced
+        /// duplicates) and quantized distances (forced rank ties decided by
+        /// `src`); and folding a reduced list gives it back.
+        #[test]
+        fn fold_straddles_x_with_duplicates_and_ties(
+            x in 1usize..10,
+            delta in 0usize..4,
+            cands in proptest::collection::vec(
+                (0u32..5, 0u32..6, 0u32..4).prop_map(|(src, d, extra)| {
+                    lab(src, d as Weight / 2.0, d as Weight / 2.0 + extra as Weight / 4.0)
+                }),
+                0..24,
+            ),
+        ) {
+            let want_len = match delta {
+                0 => x.saturating_sub(1),
+                1 => x,
+                2 => x + 1,
+                _ => 2 * x + 3,
+            };
+            let mut cands = cands;
+            while cands.len() < want_len {
+                let i = cands.len() as u32;
+                cands.push(lab(i % 5, (i % 6) as Weight / 2.0, (i % 6) as Weight / 2.0));
+            }
+            cands.truncate(want_len);
+            assert_fold_matches_reference(cands.clone(), x);
+            let mut reduced = cands;
+            reduce_labels_two_sort(&mut reduced, x);
+            assert_fold_matches_reference(reduced, x);
+        }
     }
 }

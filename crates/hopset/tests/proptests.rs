@@ -1,13 +1,10 @@
 //! Property tests pinning the flat data plane against the retired
-//! Vec-of-Vec reference semantics: the `LabelArena`, the in-place
-//! Algorithm-3 reduce, the scale-indexed store's slices, and the
-//! incremental overlay blocks — same inputs ⇒ identical labels/overlays,
-//! at lengths straddling `PAR_THRESHOLD` and thread counts 1–8.
+//! Vec-of-Vec reference semantics: the `LabelArena`, the scale-indexed
+//! store's slices, and the incremental overlay blocks — same inputs ⇒
+//! identical labels/overlays, at lengths straddling `PAR_THRESHOLD` and
+//! thread counts 1–8.
 
-use hopset::label::{
-    labels_equal, reduce_labels_in_place_scratch, reduce_labels_two_sort, Label, LabelArena,
-    ReduceScratch,
-};
+use hopset::label::{labels_equal, Label, LabelArena};
 use hopset::{ClusterMemory, EdgeKind, ExploreScratch, Explorer, Hopset, HopsetEdge, Partition};
 use pgraph::{gen, OverlayCsrBuilder, UnionView, VId, Weight};
 use pram::pool::PAR_THRESHOLD;
@@ -21,28 +18,6 @@ fn lab(src: VId, dist: Weight, pw: Weight) -> Label {
         pw,
         path: None,
     }
-}
-
-/// The retired reduce: stable two-pass sort (allocating). The in-place
-/// version must agree on every paper-visible field.
-fn reduce_reference(mut cands: Vec<Label>, x: usize) -> Vec<Label> {
-    if cands.is_empty() {
-        return cands;
-    }
-    cands.sort_by_key(|l| (l.src, l.dist.to_bits(), l.pw.to_bits()));
-    cands.dedup_by(|b, a| b.src == a.src);
-    cands.sort_by_key(|l| (l.dist.to_bits(), l.src));
-    cands.truncate(x);
-    cands
-}
-
-fn arb_labels() -> impl Strategy<Value = Vec<Label>> {
-    proptest::collection::vec(
-        (0u32..12, 0u32..40, 0u32..8).prop_map(|(src, d, extra)| {
-            lab(src, d as f64 / 4.0, d as f64 / 4.0 + extra as f64 / 8.0)
-        }),
-        0..40,
-    )
 }
 
 /// Random per-list operations replayed on both the arena and a
@@ -73,62 +48,6 @@ fn arb_ops(n: usize, x: usize) -> impl Strategy<Value = Vec<ArenaOp>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// In-place Algorithm 3 == the retired stable reference on (src, dist,
-    /// pw), for every truncation bound.
-    #[test]
-    fn reduce_in_place_matches_reference(cands in arb_labels(), x in 1usize..12) {
-        let mut got = cands.clone();
-        reduce_labels_in_place_scratch(&mut got, x, &mut ReduceScratch::new());
-        let expect = reduce_reference(cands, x);
-        prop_assert!(labels_equal(&got, &expect));
-    }
-
-    /// The packed-u128-key fast path == the retired two-sort reference at
-    /// lengths straddling the truncation bound `x` exactly (|cands| ∈
-    /// {x−1, x, x+1, 2x+3}), with a *reused* scratch across cases (the
-    /// hot-path calling convention), few sources (forced duplicates), and
-    /// quantized distances (forced rank ties decided by `src`).
-    #[test]
-    fn packed_reduce_straddles_x_with_duplicates_and_ties(
-        x in 1usize..10,
-        delta in 0usize..4,
-        cands in proptest::collection::vec(
-            (0u32..5, 0u32..6, 0u32..4).prop_map(|(src, d, extra)| {
-                lab(src, d as f64 / 2.0, d as f64 / 2.0 + extra as f64 / 4.0)
-            }),
-            0..24,
-        ),
-    ) {
-        // Trim/extend the sample so the length lands exactly on the
-        // boundary cases around x.
-        let want_len = match delta {
-            0 => x.saturating_sub(1),
-            1 => x,
-            2 => x + 1,
-            _ => 2 * x + 3,
-        };
-        let mut cands = cands;
-        while cands.len() < want_len {
-            let i = cands.len() as u32;
-            cands.push(lab(i % 5, (i % 6) as f64 / 2.0, (i % 6) as f64 / 2.0));
-        }
-        cands.truncate(want_len);
-
-        let mut scratch = ReduceScratch::new();
-        let mut fast = cands.clone();
-        reduce_labels_in_place_scratch(&mut fast, x, &mut scratch);
-        let mut reference = cands.clone();
-        reduce_labels_two_sort(&mut reference, x);
-        prop_assert!(labels_equal(&fast, &reference), "x={} len={}", x, want_len);
-        // Scratch reuse must not leak state into a second call on the
-        // already-reduced list (idempotence, same scratch).
-        let mut fast2 = reference.clone();
-        reduce_labels_in_place_scratch(&mut fast2, x, &mut scratch);
-        let mut ref2 = reference.clone();
-        reduce_labels_two_sort(&mut ref2, x);
-        prop_assert!(labels_equal(&fast2, &ref2));
-    }
 
     /// Arena list semantics == Vec-of-Vec reference under arbitrary push /
     /// overwrite interleavings (the `x`-cap is the arena's legality
@@ -199,7 +118,7 @@ proptest! {
                 }
             }
             let sl = h.scale_slice(k);
-            prop_assert_eq!(sl.to_overlay_vec(), overlay, "scale {}", k);
+            prop_assert_eq!(sl.iter().collect::<Vec<_>>(), overlay, "scale {}", k);
             let got_ids: Vec<u32> = (0..sl.len()).map(|i| sl.global_id(i)).collect();
             prop_assert_eq!(got_ids, ids, "scale {} ids", k);
         }
@@ -214,48 +133,6 @@ proptest! {
         counts.sort_unstable();
         prop_assert_eq!(h.size_by_scale(), counts);
         prop_assert_eq!(h.all_slice().len(), reference.len());
-    }
-}
-
-/// The packed-key reduce at candidate-list lengths straddling
-/// `PAR_THRESHOLD` — far beyond what real pulses produce per vertex, but
-/// it pins the packed key's index bits (bits 0..32 of the low word) at
-/// list sizes where a narrower index field would already have collided,
-/// with heavy duplicate sources and tied (dist, src) ranks throughout.
-#[test]
-fn packed_reduce_matches_two_sort_straddling_par_threshold() {
-    for len in [PAR_THRESHOLD - 1, PAR_THRESHOLD, PAR_THRESHOLD + 1] {
-        let mut state = 0x2545f4914f6cdd1du64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let cands: Vec<Label> = (0..len)
-            .map(|_| {
-                let r = next();
-                // 64 sources over thousands of candidates: every source
-                // duplicated ~len/64 times; dist quantized to eighths so
-                // rank ties are everywhere.
-                lab(
-                    (r % 64) as u32,
-                    ((r >> 8) % 32) as f64 / 8.0,
-                    ((r >> 16) % 16) as f64 / 8.0,
-                )
-            })
-            .collect();
-        for x in [1usize, 3, 64, len] {
-            let mut scratch = ReduceScratch::new();
-            let mut fast = cands.clone();
-            reduce_labels_in_place_scratch(&mut fast, x, &mut scratch);
-            let mut reference = cands.clone();
-            reduce_labels_two_sort(&mut reference, x);
-            assert!(
-                labels_equal(&fast, &reference),
-                "len={len} x={x}: packed reduce diverged from two-sort"
-            );
-        }
     }
 }
 

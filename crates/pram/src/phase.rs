@@ -6,14 +6,14 @@
 //! allocation counts — ISSUE 9 / ROADMAP item 3). This module is the
 //! seam: algorithm code brackets its phases with [`PhaseScope`], and a
 //! process-wide hook — installed once, by the harness — observes the
-//! enter/exit events. With no hook installed a scope costs one relaxed
-//! atomic load, so production query paths pay nothing.
+//! enter/exit events. With no hook installed a scope costs one atomic
+//! load, so production query paths pay nothing.
 //!
 //! The hook is deliberately *not* part of the determinism contract
 //! surface: it observes phase boundaries, it cannot change chunking,
 //! scheduling, or any computed value.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// A phase boundary event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,31 +28,24 @@ pub enum PhaseEvent {
 /// Must be cheap and must not panic (it runs inside construction loops).
 pub type PhaseHook = fn(PhaseEvent, &'static str);
 
-/// The installed hook, stored as a raw fn pointer (0 = none). A fn pointer
-/// is never deallocated, so a relaxed load is always safe to call through.
-static HOOK: AtomicUsize = AtomicUsize::new(0);
+/// The installed hook, set at most once.
+static HOOK: OnceLock<PhaseHook> = OnceLock::new();
 
 /// Install the process-wide phase hook. The first call wins (returns
 /// `true`); later calls are ignored (returns `false`) so two experiment
 /// harnesses cannot interleave observers mid-run.
 pub fn install_phase_hook(hook: PhaseHook) -> bool {
-    HOOK.compare_exchange(0, hook as usize, Ordering::AcqRel, Ordering::Acquire)
-        .is_ok()
+    HOOK.set(hook).is_ok()
 }
 
 /// True if a hook is installed (diagnostics only).
 pub fn phase_hook_installed() -> bool {
-    HOOK.load(Ordering::Relaxed) != 0
+    HOOK.get().is_some()
 }
 
 #[inline]
 fn emit(ev: PhaseEvent, name: &'static str) {
-    let raw = HOOK.load(Ordering::Relaxed);
-    if raw != 0 {
-        // SAFETY: `raw` was stored by `install_phase_hook` from a valid
-        // `PhaseHook` fn pointer; fn pointers are 'static and non-null
-        // (the 0 sentinel is excluded by the branch above).
-        let hook: PhaseHook = unsafe { std::mem::transmute::<usize, PhaseHook>(raw) };
+    if let Some(hook) = HOOK.get() {
         hook(ev, name);
     }
 }
@@ -82,6 +75,7 @@ impl Drop for PhaseScope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     // The hook is process-global and first-install-wins, so a single test
     // exercises install + delivery + LIFO nesting (parallel test threads

@@ -6,7 +6,8 @@
 //! single-/multi-source shortest **distances**), Theorem 4.6 (approximate
 //! shortest-path **trees**), and Theorems C.3/D.2 (the same without any
 //! aspect-ratio assumption), plus the baselines the experiments compare
-//! against and the stretch-measurement utilities.
+//! against. Stretch at a hop budget is measured by
+//! `hopset::validate::measure_stretch`.
 //!
 //! The public query surface is the [`oracle`] module: one owned,
 //! `Send + Sync` [`Oracle`] (built fluently with [`Oracle::builder`])
@@ -31,14 +32,12 @@
 pub mod baseline;
 pub mod cache;
 pub mod delta_stepping;
-pub mod eval;
 pub mod landmark;
 pub mod oracle;
 pub mod snapshot;
 
 pub use cache::{AdmissionConfig, CacheConfig, CacheStats, CachedOracle, CachedRow, FillPolicy};
 pub use delta_stepping::{delta_stepping_on, DeltaSteppingResult};
-pub use eval::{stretch_vs_hops, HopCurvePoint};
 pub use landmark::{LandmarkBounds, LandmarkConfig, LandmarkPlane};
 pub use oracle::{
     DeltaSteppingOracle, DijkstraOracle, DistanceMatrix, DistanceOracle, MultiSourceResult, Oracle,

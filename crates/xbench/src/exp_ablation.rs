@@ -9,12 +9,11 @@
 //!   (identical algorithm, measured constants).
 
 use crate::table::{f, n as fmt_n, Table};
-use crate::Config;
+use crate::{spread_sources, Config};
 use hopset::validate::measure_stretch;
 use hopset::{build_hopset_on, BuildOptions, DeltaSchedule, HopsetParams, ParamMode};
 use pgraph::{gen, Graph};
 use pram::Executor;
-use sssp::eval::spread_sources;
 
 /// A1 — PaperLiteral vs Corrected δ-schedule.
 pub fn a1_delta(cfg: &Config) {

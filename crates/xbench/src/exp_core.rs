@@ -2,12 +2,11 @@
 //! work/depth, multi-source scaling, and phase decay (DESIGN.md §6).
 
 use crate::table::{f, n as fmt_n, Table};
-use crate::{practical, Config};
+use crate::{practical, spread_sources, Config};
 use hopset::validate::measure_stretch;
 use hopset::{build_hopset_on, BuildOptions, HopsetParams, ParamMode};
 use pgraph::{exact, gen, Graph, UnionView};
 use pram::Executor;
-use sssp::eval::spread_sources;
 use sssp::DistanceOracle;
 
 /// E1 — Theorem 3.7 / eq. (10): `|H| ≤ ⌈log Λ⌉ · n^{1+1/κ}`.

@@ -1,13 +1,13 @@
 //! Experiments E10 and the figure series F1/F2/F9/F11 (DESIGN.md §6).
 
 use crate::table::{f, n as fmt_n, Table};
-use crate::{practical, Config};
+use crate::{practical, spread_sources, Config};
 use hopset::ruling::{ruling_set, RulingTrace};
+use hopset::validate::measure_stretch;
 use hopset::virtual_bfs::{ExploreScratch, Explorer};
-use hopset::{build_hopset_on, BuildOptions, ClusterMemory, Partition};
+use hopset::{build_hopset_on, BuildOptions, ClusterMemory, Hopset, Partition};
 use pgraph::{exact, gen, Graph, UnionView, INF};
 use pram::{Executor, Ledger};
-use sssp::eval::{spread_sources, stretch_vs_hops};
 use sssp::{DeltaSteppingOracle, DijkstraOracle, DistanceOracle, Oracle};
 use std::sync::Arc;
 use std::time::Instant;
@@ -177,15 +177,15 @@ pub fn f2_hops(cfg: &Config) {
             &practical(&g, 0.25, 4, 0.3),
             BuildOptions::default(),
         );
-        let with = stretch_vs_hops(&g, &built.overlay(), &sources, &budgets);
-        let bare = stretch_vs_hops(&g, &[], &sources, &budgets);
-        for (w, b) in with.iter().zip(&bare) {
+        for hops in budgets {
+            let with = measure_stretch(&g, &built.hopset, &sources, hops);
+            let bare = measure_stretch(&g, &Hopset::new(), &sources, hops);
             t.row(vec![
                 name.to_string(),
-                w.hops.to_string(),
-                f(w.max_stretch),
-                w.unreached.to_string(),
-                b.unreached.to_string(),
+                hops.to_string(),
+                f(with.max_stretch),
+                with.unreached.to_string(),
+                bare.unreached.to_string(),
             ]);
         }
     }

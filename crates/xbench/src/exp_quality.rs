@@ -2,7 +2,7 @@
 //! reduction, and the derandomization-cost comparison (DESIGN.md §6).
 
 use crate::table::{f, n as fmt_n, Table};
-use crate::{practical, Config};
+use crate::{practical, spread_sources, Config};
 use hopset::baseline::build_random_hopset;
 use hopset::path_report::validate_spt;
 use hopset::reduction::build_reduced_hopset_on;
@@ -12,7 +12,6 @@ use hopset::virtual_bfs::{ExploreScratch, Explorer};
 use hopset::{build_hopset_on, BuildOptions, ClusterMemory, ParamMode, Partition};
 use pgraph::{gen, Graph, UnionView};
 use pram::{Executor, Ledger};
-use sssp::eval::spread_sources;
 
 /// E6 — Corollary B.4: `(3, 2·log n)`-ruling sets: measured separation ≥ 3
 /// and covering radius ≤ 2·log2 n across graphs and thresholds.

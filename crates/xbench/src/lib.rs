@@ -73,6 +73,17 @@ pub(crate) fn practical(
     .expect("valid params")
 }
 
+/// Deterministically sample `count` vertices spread over `[0, n)` (used to
+/// pick experiment sources without RNG).
+pub(crate) fn spread_sources(n: usize, count: usize) -> Vec<pgraph::VId> {
+    let count = count.min(n).max(1);
+    (0..count)
+        .map(|i| {
+            ((i * n) / count + i.min(n - 1) % (n / count).max(1)) as pgraph::VId % n as pgraph::VId
+        })
+        .collect()
+}
+
 /// The registry of experiments: (id, description, runner).
 pub type Runner = fn(&Config);
 
@@ -186,6 +197,15 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spread_sources_in_range_and_distinct_enough() {
+        let s = spread_sources(100, 5);
+        assert_eq!(s.len(), 5);
+        assert!(s.iter().all(|&v| (v as usize) < 100));
+        let s1 = spread_sources(3, 10);
+        assert!(s1.len() <= 3);
+    }
 
     #[test]
     fn registry_ids_unique() {

@@ -293,8 +293,9 @@ fn hopset_serialization_through_public_api() {
     let mut buf = Vec::new();
     hopset::write_hopset_snapshot(&built.hopset, &mut buf).unwrap();
     let loaded = hopset::read_hopset_snapshot(buf.as_slice()).unwrap();
-    let v1 = UnionView::with_extra(&g, &built.hopset.all_slice().to_overlay_vec());
-    let v2 = UnionView::with_extra(&g, &loaded.all_slice().to_overlay_vec());
+    let (s1, s2) = (built.hopset.all_slice(), loaded.all_slice());
+    let v1 = UnionView::with_overlay_columns(&g, s1.us(), s1.vs(), s1.ws());
+    let v2 = UnionView::with_overlay_columns(&g, s2.us(), s2.vs(), s2.ws());
     let d1 = exact::bellman_ford_hops(&v1, &[3], p.query_hops);
     let d2 = exact::bellman_ford_hops(&v2, &[3], p.query_hops);
     assert_eq!(d1, d2);

@@ -32,8 +32,8 @@ proptest! {
         let src = ((src_sel * n) / 8) as u32;
         let p = HopsetParams::practical(n, 0.25, 4, g.aspect_ratio_bound()).unwrap();
         let built = build_hopset_on(&exec(), &g, &p, BuildOptions::default());
-        let overlay = built.overlay();
-        let view = UnionView::with_extra(&g, &overlay);
+        let sl = built.hopset.all_slice();
+        let view = UnionView::with_overlay_columns(&g, sl.us(), sl.vs(), sl.ws());
         let exact = exact::dijkstra(&g, src).dist;
         for hops in [2usize, 5, n] {
             let d = exact::bellman_ford_hops(&view, &[src], hops);
